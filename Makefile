@@ -41,7 +41,7 @@ vet:
 # checks over the shipped AIDL catalog plus the layer-3 pass driver's
 # parallel source analyses (wallclock, determinism-taint, maprange,
 # lock-order, durability, wire-drift), with per-pass wall time on
-# stderr. `fluxvet -logs run.flxl -image app.cria` lints a persisted
+# stderr. `fluxvet -logs run.flxg -image app.cria` lints a persisted
 # record log offline; see cmd/fluxvet.
 lint:
 	$(GO) run ./cmd/fluxvet -layers spec,src -timings
@@ -67,7 +67,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/obs/
 	$(GO) test -bench='BenchmarkMatrixWorkers' -benchmem .
 
-# The streaming-pipeline hot paths: parallel FXC1 marshal (run with
+# The streaming-pipeline hot paths: parallel FXC2 marshal (run with
 # -cpu 1,4 on multi-core hosts to see the worker-pool scaling), memoized
 # WireBytes, chunk partitioning, streamed link scheduling, and the
 # rsyncx plan builder — then the streamed-vs-sequential matrix itself.

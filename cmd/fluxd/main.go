@@ -28,18 +28,6 @@ import (
 	"flux/internal/obs"
 )
 
-func profileByName(name, instance string) (device.Profile, error) {
-	switch name {
-	case "nexus4":
-		return device.Nexus4(instance), nil
-	case "nexus7", "nexus7-2012":
-		return device.Nexus7_2012(instance), nil
-	case "nexus7-2013":
-		return device.Nexus7_2013(instance), nil
-	}
-	return device.Profile{}, fmt.Errorf("unknown device %q (nexus4, nexus7-2012, nexus7-2013)", name)
-}
-
 func main() {
 	var (
 		appPkg    = flag.String("app", "com.netflix.mediaclient", "package to migrate (see -list)")
@@ -88,11 +76,11 @@ func main() {
 }
 
 func run(appPkg, from, to string) error {
-	homeProfile, err := profileByName(from, "home-"+from)
+	homeProfile, err := device.ProfileByName(from, "home-"+from)
 	if err != nil {
 		return err
 	}
-	guestProfile, err := profileByName(to, "guest-"+to)
+	guestProfile, err := device.ProfileByName(to, "guest-"+to)
 	if err != nil {
 		return err
 	}

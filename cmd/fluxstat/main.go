@@ -56,24 +56,12 @@ func main() {
 	}
 }
 
-func profileByName(name, instance string) (device.Profile, error) {
-	switch name {
-	case "nexus4":
-		return device.Nexus4(instance), nil
-	case "nexus7", "nexus7-2012":
-		return device.Nexus7_2012(instance), nil
-	case "nexus7-2013":
-		return device.Nexus7_2013(instance), nil
-	}
-	return device.Profile{}, fmt.Errorf("unknown device %q (nexus4, nexus7-2012, nexus7-2013)", name)
-}
-
 func run(appPkg, from, to, tracePath string, pipelined, cache bool) error {
-	homeProfile, err := profileByName(from, "home-"+from)
+	homeProfile, err := device.ProfileByName(from, "home-"+from)
 	if err != nil {
 		return err
 	}
-	guestProfile, err := profileByName(to, "guest-"+to)
+	guestProfile, err := device.ProfileByName(to, "guest-"+to)
 	if err != nil {
 		return err
 	}

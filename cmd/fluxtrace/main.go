@@ -123,16 +123,11 @@ func runDump(path string) error {
 
 // runVerify checks a saved seglog file end to end: every frame CRC,
 // every hash-chain link, every sealed segment's Merkle root, the
-// trailing anchor, and one inclusion proof per sealed segment. Legacy
-// v1 files fail verification by fiat — they carry no hash chain, so
-// there is nothing cryptographic to verify.
+// trailing anchor, and one inclusion proof per sealed segment.
 func runVerify(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
-	}
-	if len(data) < len(seglog.Magic) || string(data[:len(seglog.Magic)]) != seglog.Magic {
-		return fmt.Errorf("%s: not a seglog (v2) log file; legacy v1 containers carry no hash chain to verify", path)
 	}
 	sl, err := seglog.Load(data, seglog.DefaultSegmentLeaves)
 	if err != nil {

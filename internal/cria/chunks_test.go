@@ -2,8 +2,6 @@ package cria_test
 
 import (
 	"bytes"
-	"compress/flate"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -199,64 +197,7 @@ func TestMarshalMemoized(t *testing.T) {
 	}
 }
 
-// TestUnmarshalLegacyFormat: the seed serialized images as one gob stream
-// behind one DEFLATE stream; Unmarshal must still accept that format.
-func TestUnmarshalLegacyFormat(t *testing.T) {
-	// legacyImage mirrors the seed Image's exported fields; gob matches by
-	// field name, so this encodes exactly what the old code produced.
-	type legacyImage struct {
-		Pkg             string
-		Spec            android.AppSpec
-		HomeDevice      string
-		VPID            int
-		Segments        []kernel.MemSegment
-		Runtime         android.RuntimeState
-		RecordLog       []byte
-		HomeVolumeSteps int32
-	}
-	legacy := legacyImage{
-		Pkg:        "com.example.legacy",
-		Spec:       android.AppSpec{Package: "com.example.legacy", Label: "Legacy"},
-		HomeDevice: "old-home",
-		VPID:       42,
-		Segments: []kernel.MemSegment{
-			{Name: "heap", Size: 1 << 20, Entropy: 0.5},
-		},
-		Runtime:         android.RuntimeState{SavedState: map[string]string{"k": "v"}},
-		RecordLog:       []byte("log-bytes"),
-		HomeVolumeSteps: 15,
-	}
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	img, err := cria.Unmarshal(comp.Bytes())
-	if err != nil {
-		t.Fatalf("Unmarshal(legacy): %v", err)
-	}
-	if img.Pkg != legacy.Pkg || img.HomeDevice != legacy.HomeDevice || img.VPID != legacy.VPID {
-		t.Errorf("legacy core fields lost: %+v", img)
-	}
-	if len(img.Segments) != 1 || img.Segments[0].Name != "heap" {
-		t.Errorf("legacy segments lost: %+v", img.Segments)
-	}
-	if img.Runtime.SavedState["k"] != "v" {
-		t.Errorf("legacy runtime state lost: %+v", img.Runtime)
-	}
-}
-
-// TestParallelMarshalRoundTrip: the FXC1 container survives its own
+// TestParallelMarshalRoundTrip: the FXC2 container survives its own
 // decode, including the sorted SavedState map and multi-shard segment
 // tables (more segments than one shard holds).
 func TestParallelMarshalRoundTrip(t *testing.T) {

@@ -1,16 +1,14 @@
 package cria_test
 
 // Robustness tests for cria.Unmarshal: arbitrary truncations and bit
-// flips of FXC2 containers and legacy (gob+flate) streams must return an
-// error or a valid image — never panic. The migration fault model
+// flips of FXC2, FXC3 and FXC4 containers must return an error or a
+// valid image — never panic. The migration fault model
 // deliberately feeds Unmarshal corrupted bytes (chunk corruption on a
 // flaky link), so the decoder's failure mode is part of the recovery
 // contract.
 
 import (
 	"bytes"
-	"compress/flate"
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
@@ -20,8 +18,9 @@ import (
 	"flux/internal/kernel"
 )
 
-// fuzzImageBytes builds one valid FXC2 container for mutation.
-func fuzzImageBytes(tb testing.TB) []byte {
+// fuzzImageBytes builds one valid container for mutation: FXC2 by
+// default, FXC3 with content digests, FXC4 with a record-log anchor.
+func fuzzImageBytes(tb testing.TB, digests bool, anchor []byte) []byte {
 	tb.Helper()
 	img := &cria.Image{
 		Pkg:  "com.example.fuzz",
@@ -33,6 +32,8 @@ func fuzzImageBytes(tb testing.TB) []byte {
 		Runtime:   android.RuntimeState{SavedState: map[string]string{"a": "1", "b": "2"}},
 		RecordLog: []byte("fuzz-record-log"),
 	}
+	img.SetContentDigests(digests)
+	img.SetLogAnchor(anchor)
 	data, err := img.Marshal()
 	if err != nil {
 		tb.Fatal(err)
@@ -40,44 +41,26 @@ func fuzzImageBytes(tb testing.TB) []byte {
 	return bytes.Clone(data)
 }
 
-// legacyBytes builds one valid seed-format (gob+flate) stream.
-func legacyBytes(tb testing.TB) []byte {
+// containers is one valid image per container revision Unmarshal
+// accepts, keyed by its magic.
+func containers(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	type legacyImage struct {
-		Pkg       string
-		Segments  []kernel.MemSegment
-		RecordLog []byte
+	return map[string][]byte{
+		"FXC2": fuzzImageBytes(tb, false, nil),
+		"FXC3": fuzzImageBytes(tb, true, nil),
+		"FXC4": fuzzImageBytes(tb, true, []byte("fuzz-anchor")),
 	}
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(&legacyImage{
-		Pkg:       "com.example.legacy",
-		Segments:  []kernel.MemSegment{{Name: "heap", Size: 1 << 16, Entropy: 0.4}},
-		RecordLog: []byte("legacy-log"),
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		tb.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return comp.Bytes()
 }
 
 // FuzzUnmarshal: no input may panic the decoder. Valid seeds come from
-// all three container generations; the fuzzer mutates from there.
+// all three container revisions; the fuzzer mutates from there.
 func FuzzUnmarshal(f *testing.F) {
-	f.Add(fuzzImageBytes(f))
-	f.Add(legacyBytes(f))
+	for _, data := range containers(f) {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("FXC2"))
-	f.Add([]byte("FXC1"))
+	f.Add([]byte("FXC4\x01\xff"))
 	f.Add([]byte("FXC2\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte{0xff, 0xff, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -89,13 +72,13 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // TestUnmarshalTruncationsNeverPanic: every prefix of a valid container
-// (and of a legacy stream) errors cleanly. A full container decodes; any
-// strict prefix must fail — the formats are not self-delimiting early.
+// errors cleanly. A full container decodes; any strict prefix must fail —
+// the formats are not self-delimiting early.
 func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"fxc2":   fuzzImageBytes(t),
-		"legacy": legacyBytes(t),
-	} {
+	for name, data := range containers(t) {
+		if got := string(data[:4]); got != name {
+			t.Fatalf("%s seed marshals as %q", name, got)
+		}
 		if _, err := cria.Unmarshal(data); err != nil {
 			t.Fatalf("%s: pristine input failed: %v", name, err)
 		}
@@ -117,7 +100,7 @@ func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
 // bit flips can never silently decode, because every payload byte is
 // covered by a block CRC and every header byte by framing validation.
 func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
-	data := fuzzImageBytes(t)
+	data := fuzzImageBytes(t, false, nil)
 	rng := rand.New(rand.NewSource(1))
 	var checksumHits int
 	for i := 0; i < 400; i++ {
@@ -126,9 +109,9 @@ func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
 		mut[pos] ^= 1 << uint(rng.Intn(8))
 		img, err := cria.Unmarshal(mut)
 		if err == nil {
-			// A flip inside the magic demotes the container to the
-			// legacy path, which must then error — reaching here means
-			// corrupt bytes decoded silently.
+			// A flip inside the magic yields an unknown magic, which
+			// must error — reaching here means corrupt bytes decoded
+			// silently.
 			t.Errorf("bit flip at %d decoded cleanly (img=%v)", pos, img != nil)
 			continue
 		}
@@ -138,14 +121,5 @@ func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
 	}
 	if checksumHits == 0 {
 		t.Error("no bit flip was caught by the CRC layer; payload coverage looks broken")
-	}
-
-	// Legacy streams have no CRC: flips may or may not error, but must
-	// never panic.
-	leg := legacyBytes(t)
-	for i := 0; i < 200; i++ {
-		mut := bytes.Clone(leg)
-		mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
-		_, _ = cria.Unmarshal(mut)
 	}
 }

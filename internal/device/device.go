@@ -86,6 +86,21 @@ func Nexus7_2013(name string) Profile {
 	}
 }
 
+// ProfileByName returns the profile for a device model name as the CLIs
+// spell it — nexus4, nexus7-2012 (alias nexus7) or nexus7-2013 — with
+// the given instance name.
+func ProfileByName(name, instance string) (Profile, error) {
+	switch name {
+	case "nexus4":
+		return Nexus4(instance), nil
+	case "nexus7", "nexus7-2012":
+		return Nexus7_2012(instance), nil
+	case "nexus7-2013":
+		return Nexus7_2013(instance), nil
+	}
+	return Profile{}, fmt.Errorf("unknown device %q (nexus4, nexus7-2012, nexus7-2013)", name)
+}
+
 // Install records one installed app on a device.
 type Install struct {
 	Spec    android.AppSpec

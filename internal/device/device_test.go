@@ -7,6 +7,33 @@ import (
 	"flux/internal/rsyncx"
 )
 
+func TestProfileByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, model string // model "" means the name is unknown
+	}{
+		{"nexus4", "Nexus 4"},
+		{"nexus7-2012", "Nexus 7"},
+		{"nexus7", "Nexus 7"},
+		{"nexus7-2013", "Nexus 7 (2013)"},
+		{"pixel", ""},
+	} {
+		p, err := ProfileByName(tc.name, "dev-"+tc.name)
+		if tc.model == "" {
+			if err == nil {
+				t.Errorf("%s: unknown name resolved to %q", tc.name, p.Model)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if p.Model != tc.model || p.Name != "dev-"+tc.name {
+			t.Errorf("%s: got model %q instance %q", tc.name, p.Model, p.Name)
+		}
+	}
+}
+
 func TestProfilesMatchEvaluationHardware(t *testing.T) {
 	n4 := Nexus4("a")
 	n7 := Nexus7_2012("b")

@@ -45,21 +45,6 @@ func TestPostCopyShortensUserPerceivedTime(t *testing.T) {
 	}
 }
 
-func TestPostCopyWorkingSetBounds(t *testing.T) {
-	w := newWorld(t, spec())
-	w.runWorkload(t)
-	rep, err := migration.New(w.home, w.guest, migration.Options{
-		PostCopy:           true,
-		PostCopyWorkingSet: 2.0, // out of range → default 0.3
-	}).Migrate(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PostCopyResidualBytes <= 0 {
-		t.Error("working-set clamp dropped the residual")
-	}
-}
-
 func TestCommonSDCardBlocksMigration(t *testing.T) {
 	w := newWorld(t, spec())
 	if _, err := w.app.OpenCommonSDFile("/sdcard/Music/album.mp3"); err != nil {

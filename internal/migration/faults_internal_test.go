@@ -98,7 +98,7 @@ func TestScheduleStreamDegenerateChunks(t *testing.T) {
 	}
 	p := planPipeline(chunks, 1.0, false, nil)
 	link := netsim.Link{A: netsim.Radio80211n5G, B: netsim.Radio80211n24G}
-	p.scheduleStream(0, link, 1.0, 0.3, 0)
+	p.scheduleStream(0, link, 1.0, 0)
 	for i, l := range p.Lanes {
 		if l.CkptEnd < l.CkptStart || l.CompEnd < l.CompStart ||
 			l.XferEnd < l.XferStart || l.RstrEnd < l.RstrStart {

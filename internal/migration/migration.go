@@ -198,9 +198,6 @@ type Options struct {
 	// ("post copy supplemented with adaptive pre-paging", §4). It shortens
 	// user-perceived time without changing total bytes moved.
 	PostCopy bool
-	// PostCopyWorkingSet is the fraction of the compressed payload shipped
-	// synchronously under PostCopy; default 0.3.
-	PostCopyWorkingSet float64
 	// Pipelined streams the migration instead of running stop-and-copy:
 	// the image ships as ordered wire chunks (cria.Image.Chunks) and
 	// checkpoint, compression, transfer, restore, and replay overlap on
@@ -486,11 +483,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	}
 	var residual int64
 	if m.Opts.PostCopy {
-		ws := m.Opts.PostCopyWorkingSet
-		if ws <= 0 || ws > 1 {
-			ws = 0.3
-		}
-		residual = int64(float64(imageWire) * (1 - ws))
+		residual = int64(float64(imageWire) * (1 - DefaultPipelineWorkingSet))
 		imageWire -= residual
 	}
 	wire := rep.DataDeltaBytes + apkDelta + imageWire
@@ -503,16 +496,8 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	if plan != nil {
 		// Streamed: the full image (working set first) ships synchronously
 		// as chunk lanes overlapping compression on one side and restore on
-		// the other; PostCopy only moves the replay gate (the working-set
-		// fraction), never defers bytes out of the stream.
-		ws := DefaultPipelineWorkingSet
-		if m.Opts.PostCopy {
-			ws = m.Opts.PostCopyWorkingSet
-			if ws <= 0 || ws > 1 {
-				ws = DefaultPipelineWorkingSet
-			}
-		}
-		plan.scheduleStream(rep.DataDeltaBytes+apkDelta, link, guestCPU, ws, negDur)
+		// the other; PostCopy never defers bytes out of the stream.
+		plan.scheduleStream(rep.DataDeltaBytes+apkDelta, link, guestCPU, negDur)
 		// Account the stream on the link's telemetry. The makespan comes
 		// from the schedule: stalls waiting on compression are the
 		// pipeline's, not the link's, so StreamTime's return is unused.

@@ -66,9 +66,8 @@ const (
 	MinPipelineChunkBytes int64 = 64 << 10
 	// DefaultPipelineWorkingSet is the fraction of the memory payload
 	// that must be resident on the guest before adaptive replay starts
-	// (the paper's "post copy supplemented with adaptive pre-paging");
-	// under Options.PostCopy the PostCopyWorkingSet fraction is used
-	// instead.
+	// (the paper's "post copy supplemented with adaptive pre-paging"),
+	// and the fraction a sequential PostCopy run ships synchronously.
 	DefaultPipelineWorkingSet = 0.3
 )
 
@@ -129,8 +128,9 @@ type pipelinePlan struct {
 	RstrStall time.Duration
 
 	// wsIndex is the lane whose restore completes the working set
-	// (metadata + record log + the leading workingSet fraction of the
-	// memory payload); adaptive replay may begin once it lands.
+	// (metadata + record log + the leading DefaultPipelineWorkingSet
+	// fraction of the memory payload); adaptive replay may begin once it
+	// lands.
 	wsIndex int
 
 	// shipped caches shippedWires: the transfer stage consults the
@@ -218,13 +218,14 @@ func maxDur(a, b time.Duration) time.Duration {
 // scheduleStream lays the wire and restore lanes over the compression
 // schedule. deltaWire (APK + data-directory delta) needs no checkpointing,
 // so it streams first — during the checkpoint fill — as a synthetic lane.
-// workingSet is the payload fraction whose restore gates adaptive replay.
-// negDur (zero without a chunk cache) is the delta negotiation's round
-// trip: it occupies the wire from the start of the checkpoint stage, so
-// the first shipped chunk cannot leave before it completes. Cache-hit
-// lanes take no wire slot — they become available the moment negotiation
-// confirms them — but keep their place in the serial restore order.
-func (p *pipelinePlan) scheduleStream(deltaWire int64, link netsim.Link, guestCPU, workingSet float64, negDur time.Duration) {
+// The restore of the leading DefaultPipelineWorkingSet payload fraction
+// gates adaptive replay. negDur (zero without a chunk cache) is the delta
+// negotiation's round trip: it occupies the wire from the start of the
+// checkpoint stage, so the first shipped chunk cannot leave before it
+// completes. Cache-hit lanes take no wire slot — they become available
+// the moment negotiation confirms them — but keep their place in the
+// serial restore order.
+func (p *pipelinePlan) scheduleStream(deltaWire int64, link netsim.Link, guestCPU float64, negDur time.Duration) {
 	if deltaWire > 0 {
 		// In-place prepend: planPipeline reserved the extra slot, so
 		// this shifts within the existing backing array.
@@ -246,10 +247,7 @@ func (p *pipelinePlan) scheduleStream(deltaWire int64, link netsim.Link, guestCP
 			payload += p.Lanes[i].Chunk.Raw
 		}
 	}
-	if workingSet <= 0 || workingSet > 1 {
-		workingSet = DefaultPipelineWorkingSet
-	}
-	wsTarget := int64(float64(payload) * workingSet)
+	wsTarget := int64(float64(payload) * DefaultPipelineWorkingSet)
 
 	var rstrFree time.Duration
 	xferFree := negDur

@@ -162,10 +162,9 @@ func TestPipelineChunkSizeProperty(t *testing.T) {
 	}
 }
 
-// TestPipelinePostCopyCompose: Pipelined+PostCopy composes — PostCopy moves
-// the replay gate (working-set fraction) but the stream still ships every
-// byte, so the byte accounting, including the residual, matches the
-// sequential PostCopy run.
+// TestPipelinePostCopyCompose: Pipelined+PostCopy composes — the stream
+// still ships every byte, so the byte accounting, including the residual,
+// matches the sequential PostCopy run.
 func TestPipelinePostCopyCompose(t *testing.T) {
 	homeP, guestP := device.Nexus4("home"), device.Nexus7_2013("guest")
 	seq := runPair(t, homeP, guestP, migration.Options{PostCopy: true})
@@ -180,14 +179,6 @@ func TestPipelinePostCopyCompose(t *testing.T) {
 	}
 	if pip.PipelineChunks < 2 {
 		t.Errorf("pipelined post-copy streamed %d chunks", pip.PipelineChunks)
-	}
-
-	// A custom working set only moves the replay gate, never the bytes.
-	narrow := runPair(t, homeP, guestP, migration.Options{
-		Pipelined: true, PostCopy: true, PostCopyWorkingSet: 0.1,
-	})
-	if narrow.TransferredBytes != pip.TransferredBytes {
-		t.Errorf("working-set fraction changed bytes: %d vs %d", narrow.TransferredBytes, pip.TransferredBytes)
 	}
 }
 

@@ -1,10 +1,7 @@
 package record
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"flux/internal/atomicio"
@@ -12,13 +9,11 @@ import (
 )
 
 // This file gives the call log durable storage — the role SQLite plays in
-// the paper's prototype. Format v2 persists the log as a seglog stream
-// (DESIGN.md §5j): one frame per entry in global sequence order, sealed
-// segments with Merkle roots, and a trailing anchor, so an on-disk log is
+// the paper's prototype. The log persists as a seglog stream (DESIGN.md
+// §5j): one frame per entry in global sequence order, sealed segments
+// with Merkle roots, and a trailing anchor, so an on-disk log is
 // crash-recoverable (RecoverFile truncates a torn tail to the last
 // complete frame) and tamper-evident (LoadFile recomputes every hash).
-// The v1 whole-blob container is still readable; LoadFile dispatches on
-// the magic.
 
 // AnchorWire builds a marshalled seglog anchor over a MarshalApp blob:
 // the per-entry wire records become chain leaves, the tail is sealed,
@@ -76,11 +71,6 @@ func verifyWiresAnchor(wires [][]byte, anchorWire []byte) error {
 	return seglog.VerifyPayloads(wires, a)
 }
 
-// logFileMagic identifies a legacy (v1) Flux record-log file.
-var logFileMagic = [4]byte{'F', 'L', 'X', 'L'}
-
-const logFileVersion = 1
-
 // SaveFile writes the whole log (all apps) to path atomically and
 // durably, as a seglog stream over a consistent point-in-time snapshot.
 func (l *Log) SaveFile(path string) error {
@@ -94,49 +84,33 @@ func (l *Log) SaveFile(path string) error {
 
 // LoadFile reads a log file written by SaveFile into a fresh Log,
 // strictly: every CRC, hash-chain link, segment root, and anchor must
-// verify. Both the v2 seglog format and the legacy v1 container are
-// accepted.
+// verify.
 func LoadFile(path string) (*Log, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= len(seglog.Magic) && string(data[:len(seglog.Magic)]) == seglog.Magic {
-		sl, err := seglog.Load(data, seglog.DefaultSegmentLeaves)
-		if err != nil {
-			return nil, fmt.Errorf("record: %w", err)
-		}
-		return logFromSeglog(sl)
+	sl, err := seglog.Load(data, seglog.DefaultSegmentLeaves)
+	if err != nil {
+		return nil, fmt.Errorf("record: %w", err)
 	}
-	return loadLegacy(data)
+	return logFromSeglog(sl)
 }
 
-// RecoverFile reads a possibly crash-torn v2 log file tolerantly: a
-// torn tail is dropped and reported, semantic damage (tampering) still
-// errors. Legacy v1 files have no recovery story — any damage there is
-// a hard error, exactly the gap v2 closes.
+// RecoverFile reads a possibly crash-torn log file tolerantly: a torn
+// tail is dropped and reported, semantic damage (tampering) still
+// errors.
 func RecoverFile(path string) (*Log, seglog.Recovery, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, seglog.Recovery{}, err
 	}
-	if len(data) >= len(seglog.Magic) && string(data[:len(seglog.Magic)]) == seglog.Magic {
-		sl, rec, err := seglog.Recover(data, seglog.DefaultSegmentLeaves)
-		if err != nil {
-			return nil, rec, fmt.Errorf("record: %w", err)
-		}
-		l, err := logFromSeglog(sl)
-		return l, rec, err
+	sl, rec, err := seglog.Recover(data, seglog.DefaultSegmentLeaves)
+	if err != nil {
+		return nil, rec, fmt.Errorf("record: %w", err)
 	}
-	l, err := loadLegacy(data)
-	return l, seglog.Recovery{RetainedBytes: len(data), Leaves: l.lenOrZero()}, err
-}
-
-func (l *Log) lenOrZero() int {
-	if l == nil {
-		return 0
-	}
-	return l.Len()
+	l, err := logFromSeglog(sl)
+	return l, rec, err
 }
 
 // logFromSeglog rebuilds a Log from a decoded stream. Pruned leaves
@@ -156,57 +130,6 @@ func logFromSeglog(sl *seglog.Log) (*Log, error) {
 			return nil, fmt.Errorf("record: log entry %d: %d trailing bytes", i, len(payload)-consumed)
 		}
 		l.Append(e)
-	}
-	return l, nil
-}
-
-// loadLegacy reads the v1 whole-blob container.
-func loadLegacy(data []byte) (*Log, error) {
-	if len(data) < 13 {
-		return nil, fmt.Errorf("record: log file too short: %d bytes", len(data))
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("record: log file checksum mismatch")
-	}
-	if !bytes.Equal(body[:4], logFileMagic[:]) {
-		return nil, fmt.Errorf("record: not a Flux log file")
-	}
-	if body[4] != logFileVersion {
-		return nil, fmt.Errorf("record: unsupported log file version %d", body[4])
-	}
-	nApps := binary.BigEndian.Uint32(body[5:])
-	body = body[9:]
-	l := NewLog()
-	for i := uint32(0); i < nApps; i++ {
-		if len(body) < 4 {
-			return nil, fmt.Errorf("record: truncated app name length")
-		}
-		nameLen := binary.BigEndian.Uint32(body)
-		body = body[4:]
-		if uint64(nameLen) > uint64(len(body)) {
-			return nil, fmt.Errorf("record: truncated app name")
-		}
-		body = body[nameLen:] // name is repeated inside each entry
-		if len(body) < 4 {
-			return nil, fmt.Errorf("record: truncated app blob length")
-		}
-		blobLen := binary.BigEndian.Uint32(body)
-		body = body[4:]
-		if uint64(blobLen) > uint64(len(body)) {
-			return nil, fmt.Errorf("record: truncated app blob")
-		}
-		entries, err := UnmarshalEntries(body[:blobLen])
-		if err != nil {
-			return nil, err
-		}
-		body = body[blobLen:]
-		for _, e := range entries {
-			l.Append(e)
-		}
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("record: %d trailing bytes in log file", len(body))
 	}
 	return l, nil
 }

@@ -48,8 +48,8 @@ import (
 )
 
 const (
-	// Magic tags a seglog stream. record.LoadFile dispatches on it to
-	// tell a segmented log from the legacy FLXL blob.
+	// Magic tags a seglog stream; Load and Recover refuse any other
+	// leading bytes.
 	Magic = "FLXG"
 	// Version is the stream format version.
 	Version = 1

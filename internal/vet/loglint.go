@@ -1,15 +1,14 @@
 package vet
 
 import (
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"sort"
-	"strings"
 
 	"flux/internal/aidl"
 	"flux/internal/binder"
 	"flux/internal/record"
-	"flux/internal/seglog"
 )
 
 // Layer 2 — record-log linting.
@@ -35,11 +34,10 @@ import (
 //	                hole. Only checked when Options.Handles is provided.
 //	log-order       per-app sequence numbers that are not strictly
 //	                increasing; replay order would not match record order.
-//	log-integrity   the on-disk file fails cryptographic verification —
-//	                a CRC, hash-chain link, segment Merkle root, or
-//	                anchor does not recompute — or it is a legacy v1
-//	                container, which is checksummed but carries no hash
-//	                chain (warning). Only LintLogFile emits this check;
+//	log-integrity   the on-disk file is not a seglog stream or fails
+//	                cryptographic verification — a CRC, hash-chain link,
+//	                segment Merkle root, or anchor does not recompute.
+//	                Only LintLogFile emits this check;
 //	                an integrity error refuses to lint the contents at
 //	                all, since a forged log linting clean proves nothing.
 
@@ -55,17 +53,15 @@ type LogLintOptions struct {
 }
 
 // LintLogFile loads a persisted record log with full cryptographic
-// verification and lints it. A v2 (seglog) file that fails verification
-// yields a single log-integrity error finding and its contents are not
-// linted; a legacy v1 file lints normally but earns a log-integrity
-// warning, since its whole-blob CRC detects accidents, not tampering.
+// verification and lints it. A file that fails verification yields a
+// single log-integrity error finding and its contents are not linted.
 // The returned error is reserved for I/O problems (missing file).
 func LintLogFile(path string, specs map[string]*aidl.Interface, opts LogLintOptions) ([]Finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	log, err := record.LoadFile(path)
+	var pathErr *fs.PathError
+	if errors.As(err, &pathErr) {
 		return nil, err
 	}
-	log, err := record.LoadFile(path)
 	if err != nil {
 		return []Finding{{
 			Check:    "log-integrity",
@@ -74,17 +70,7 @@ func LintLogFile(path string, specs map[string]*aidl.Interface, opts LogLintOpti
 			Message:  fmt.Sprintf("log fails cryptographic verification: %v; refusing to lint a log that may not be what was recorded", err),
 		}}, nil
 	}
-	out := LintLog(log, specs, opts)
-	if !strings.HasPrefix(string(data), seglog.Magic) {
-		out = append(out, Finding{
-			Check:    "log-integrity",
-			Severity: Warn,
-			File:     path,
-			Message:  "legacy v1 container: CRC-checked but not hash-chained; re-save to gain tamper evidence and crash recovery",
-		})
-		Sort(out)
-	}
-	return out, nil
+	return LintLog(log, specs, opts), nil
 }
 
 // LintLog lints every app slice of a record log against the specs.

@@ -1,6 +1,10 @@
 package vet
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -188,5 +192,43 @@ func TestLintLogWholeLog(t *testing.T) {
 	got := findAll(fs, "log-unknown")
 	if len(got) != 1 || got[0].File != "log:com.other" {
 		t.Fatalf("want one log-unknown in com.other's slice, got %v", fs)
+	}
+}
+
+// TestLintLogFileRefusesUnverifiedLogs: a saved seglog file lints; a
+// well-formed file in the retired whole-blob "FLXL" container (magic,
+// version 1, zero apps, CRC32) is one log-integrity error; a missing
+// file is an I/O error, not a finding.
+func TestLintLogFileRefusesUnverifiedLogs(t *testing.T) {
+	itf := aidl.MustParse(notifSrc)
+	specs := map[string]*aidl.Interface{itf.Name: itf}
+	dir := t.TempDir()
+
+	log := record.NewLog()
+	log.Append(entry(t, itf, 1, "enqueueNotification", 3, int32(1), aidl.Object("a")))
+	saved := filepath.Join(dir, "run.flxg")
+	if err := log.SaveFile(saved); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err := LintLogFile(saved, specs, LogLintOptions{}); err != nil || len(fs) != 0 {
+		t.Fatalf("saved log: findings %v, err %v", fs, err)
+	}
+
+	v1 := binary.BigEndian.AppendUint32([]byte("FLXL\x01"), 0)
+	v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	old := filepath.Join(dir, "run.flxl")
+	if err := os.WriteFile(old, v1, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := LintLogFile(old, specs, LogLintOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := findAll(fs, "log-integrity"); len(fs) != 1 || len(got) != 1 || got[0].Severity != Error {
+		t.Fatalf("v1 container: want one log-integrity error, got %v", fs)
+	}
+
+	if _, err := LintLogFile(filepath.Join(dir, "missing"), specs, LogLintOptions{}); err == nil {
+		t.Fatal("missing file linted without an I/O error")
 	}
 }

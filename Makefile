@@ -58,9 +58,11 @@ test:
 # migration pipeline (including its fault-recovery retry paths), the
 # concurrent fault injector, the parallel image marshaller, and the
 # memoized sync trees, and the mutex-guarded chunk store are only correct
-# if they are race-clean.
+# if they are race-clean. So are the process-wide tables aidl.Parse
+# compiles and every Recorder, Dispatcher and replay Engine reads
+# (device's parallel-pairs test reads them from concurrent boots).
 race:
-	$(GO) test -race ./internal/record/ ./internal/experiments/ ./internal/binder/ ./internal/obs/ ./internal/migration/ ./internal/cria/ ./internal/netsim/ ./internal/rsyncx/ ./internal/faults/ ./internal/chunkstore/ ./internal/lab/ ./internal/fleet/ ./internal/seglog/
+	$(GO) test -race ./internal/record/ ./internal/experiments/ ./internal/binder/ ./internal/obs/ ./internal/migration/ ./internal/cria/ ./internal/netsim/ ./internal/rsyncx/ ./internal/faults/ ./internal/chunkstore/ ./internal/lab/ ./internal/fleet/ ./internal/seglog/ ./internal/aidl/ ./internal/replay/ ./internal/services/ ./internal/device/ ./internal/android/
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/record/

@@ -155,6 +155,15 @@ func TestTransactionCodesSequential(t *testing.T) {
 	if itf.MethodByCode(99) != nil {
 		t.Error("MethodByCode(99) != nil")
 	}
+	if itf.MethodByCode(0) != nil {
+		t.Error("MethodByCode(0) != nil")
+	}
+	// A hand-built AST whose codes are not positions resolves nothing
+	// rather than the wrong method.
+	odd := &Interface{Name: "I", Methods: []*Method{{Name: "x", Code: 7}}}
+	if odd.MethodByCode(1) != nil {
+		t.Error("MethodByCode(1) resolved a method declared with code 7")
+	}
 }
 
 func TestRulesCompilation(t *testing.T) {
@@ -174,6 +183,64 @@ func TestRulesCompilation(t *testing.T) {
 	plain := MustParse(`interface I { void a(); }`)
 	if got := Rules(plain); len(got) != 0 {
 		t.Errorf("plain rules = %v", got)
+	}
+}
+
+// TestCompiledTables checks Parse's tables on a spec that exercises
+// every resolution: "this" named twice next to an explicit self
+// reference, a target whose parameters sit in another order, @elif, a
+// method no @if compares, and an @if with no @drop.
+func TestCompiledTables(t *testing.T) {
+	itf := MustParse(`interface I {
+    @record {
+        @drop this, clear, set, this;
+        @if id;
+        @elif tag, id;
+    }
+    void set(int id, String tag, in Parcelable payload);
+
+    @record
+    void clear(String tag, int id);
+
+    @record { @if id; }
+    void touch(int id);
+
+    void plain();
+}`)
+	set, clear, touch, plain := itf.Method("set"), itf.Method("clear"), itf.Method("touch"), itf.Method("plain")
+	d := set.Drops()
+	if d == nil {
+		t.Fatal("set has no drop table")
+	}
+	if len(d.Targets) != 2 || d.Targets[0] != set || d.Targets[1] != clear {
+		t.Fatalf("targets = %v, want [set clear]", d.TargetNames)
+	}
+	if !reflect.DeepEqual(d.TargetNames, []string{"set", "clear"}) || !d.Self {
+		t.Errorf("target names %v, self %v", d.TargetNames, d.Self)
+	}
+	if want := [][]int{{0}, {1, 0}}; !reflect.DeepEqual(d.Sigs, want) {
+		t.Errorf("Sigs = %v, want %v", d.Sigs, want)
+	}
+	if want := [][][]int{{{0}, {1, 0}}, {{1}, {0, 1}}}; !reflect.DeepEqual(d.TargetSigs, want) {
+		t.Errorf("TargetSigs = %v, want %v", d.TargetSigs, want)
+	}
+	for _, tc := range []struct {
+		m    *Method
+		want []int
+	}{
+		{set, []int{0, 1}},
+		{clear, []int{0, 1}},
+		{touch, nil},
+		{plain, nil},
+	} {
+		if got := tc.m.ComparedParams(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s compared params = %v, want %v", tc.m.Name, got, tc.want)
+		}
+	}
+	for _, m := range []*Method{clear, touch, plain} {
+		if m.Drops() != nil {
+			t.Errorf("%s has a drop table but no @drop", m.Name)
+		}
 	}
 }
 

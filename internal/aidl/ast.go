@@ -42,6 +42,12 @@ type Method struct {
 	OneWay bool
 	// Pos is the source position of the method name token.
 	Pos Pos
+
+	// drops and compared are the method's Selective Record tables,
+	// compiled once by Parse (see compileTables) and read-only after
+	// that. Hand-built ASTs leave them nil.
+	drops    *DropTable
+	compared []int
 }
 
 // Param is a method parameter. Parcelable parameters carry the `in`
@@ -188,11 +194,13 @@ func (itf *Interface) Method(name string) *Method {
 }
 
 // MethodByCode returns the method with the given transaction code, or nil.
+// Codes are 1-based positions, so this is an index, not a scan.
 func (itf *Interface) MethodByCode(code uint32) *Method {
-	for _, m := range itf.Methods {
-		if m.Code == code {
-			return m
-		}
+	if code == 0 || uint64(code) > uint64(len(itf.Methods)) {
+		return nil
+	}
+	if m := itf.Methods[code-1]; m.Code == code {
+		return m
 	}
 	return nil
 }

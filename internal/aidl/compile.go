@@ -2,6 +2,7 @@ package aidl
 
 import (
 	"fmt"
+	"slices"
 
 	"flux/internal/binder"
 )
@@ -30,7 +31,10 @@ func (r Rule) DropsSelf() bool {
 }
 
 // Rules compiles the decorated methods of itf into record rules, in
-// declaration order.
+// declaration order. It is the name-based reference form of the tables
+// Parse compiles (Method.Drops, Method.ComparedParams): fluxvet's
+// reference model and the equivalence tests read it; Selective Record
+// and Adaptive Replay read the tables.
 func Rules(itf *Interface) []Rule {
 	var out []Rule
 	for _, m := range itf.Methods {
@@ -45,6 +49,91 @@ func Rules(itf *Interface) []Rule {
 			Signatures:  append([][]string(nil), m.Record.Signatures...),
 			ReplayProxy: m.Record.ReplayProxy,
 		})
+	}
+	return out
+}
+
+// DropTable is the compiled form of one decorated method's @drop and
+// @if/@elif clauses, with every name resolved to a method or parameter
+// index. Parse builds it once per method whose @drop list is non-empty;
+// every Recorder on every device shares it, so it must not be modified.
+type DropTable struct {
+	// Targets are the methods whose recorded calls this call can drop:
+	// the @drop list with "this" resolved to the method itself and
+	// duplicates removed, in list order.
+	Targets []*Method
+	// TargetNames are the Targets' names, in the same order: the record
+	// log's index keys a prune visits.
+	TargetNames []string
+	// Self reports whether the @drop list names "this".
+	Self bool
+	// Sigs[i][j] is the parameter index, in the decorated method, of
+	// argument j of @if/@elif signature i. Empty means drop
+	// unconditionally.
+	Sigs [][]int
+	// TargetSigs[t][i][j] is the index of the same argument among the
+	// parameters of Targets[t].
+	TargetSigs [][][]int
+}
+
+// Drops returns the method's compiled @drop table, or nil when the method
+// has no @drop clause (or the AST was built by hand rather than parsed).
+func (m *Method) Drops() *DropTable { return m.drops }
+
+// ComparedParams returns the indexes, ascending, of the method's
+// parameters that some @if/@elif signature of its interface compares when
+// a call drops recorded calls of this method. Selective Record caches
+// exactly these arguments per log entry. The slice must not be modified.
+func (m *Method) ComparedParams() []int { return m.compared }
+
+// compileTables builds every method's DropTable and compared-parameter
+// set. check has already resolved every drop target and @if argument, so
+// no lookup here can fail.
+func compileTables(itf *Interface) {
+	for _, m := range itf.Methods {
+		if m.Record == nil || len(m.Record.DropMethods) == 0 {
+			continue
+		}
+		d := &DropTable{Sigs: paramIndexes(m, m.Record.Signatures)}
+		for _, name := range m.Record.DropMethods {
+			t := m
+			if name == "this" {
+				d.Self = true
+			} else {
+				t = itf.Method(name)
+			}
+			if !slices.Contains(d.Targets, t) {
+				d.Targets = append(d.Targets, t)
+				d.TargetNames = append(d.TargetNames, t.Name)
+			}
+		}
+		d.TargetSigs = make([][][]int, len(d.Targets))
+		for i, t := range d.Targets {
+			d.TargetSigs[i] = paramIndexes(t, m.Record.Signatures)
+			for _, sig := range d.TargetSigs[i] {
+				for _, idx := range sig {
+					if !slices.Contains(t.compared, idx) {
+						t.compared = append(t.compared, idx)
+					}
+				}
+			}
+		}
+		m.drops = d
+	}
+	for _, m := range itf.Methods {
+		slices.Sort(m.compared)
+	}
+}
+
+// paramIndexes maps each @if/@elif argument name to its parameter index
+// in m.
+func paramIndexes(m *Method, sigs [][]string) [][]int {
+	out := make([][]int, len(sigs))
+	for i, sig := range sigs {
+		out[i] = make([]int, len(sig))
+		for j, arg := range sig {
+			_, out[i][j] = m.Param(arg)
+		}
 	}
 	return out
 }
@@ -205,7 +294,7 @@ func (c *Client) Call(method string, args ...any) (*binder.Parcel, error) {
 // registered handler.
 type Dispatcher struct {
 	Itf      *Interface
-	handlers map[string]Handler
+	handlers []Handler // by transaction code - 1
 }
 
 // Handler implements one service method. The call's Data parcel is
@@ -214,16 +303,17 @@ type Handler func(call *binder.Call, m *Method) error
 
 // NewDispatcher creates an empty dispatcher for itf.
 func NewDispatcher(itf *Interface) *Dispatcher {
-	return &Dispatcher{Itf: itf, handlers: make(map[string]Handler)}
+	return &Dispatcher{Itf: itf, handlers: make([]Handler, len(itf.Methods))}
 }
 
 // Handle registers the implementation of a method; unknown names panic at
 // service construction time rather than failing at call time.
 func (d *Dispatcher) Handle(method string, h Handler) *Dispatcher {
-	if d.Itf.Method(method) == nil {
+	m := d.Itf.Method(method)
+	if m == nil {
 		panic(fmt.Sprintf("aidl: interface %s has no method %s", d.Itf.Name, method))
 	}
-	d.handlers[method] = h
+	d.handlers[m.Code-1] = h
 	return d
 }
 
@@ -233,8 +323,8 @@ func (d *Dispatcher) Transact(call *binder.Call) error {
 	if m == nil {
 		return fmt.Errorf("aidl: %s: unknown transaction code %d", d.Itf.Name, call.Code)
 	}
-	h, ok := d.handlers[m.Name]
-	if !ok {
+	h := d.handlers[m.Code-1]
+	if h == nil {
 		return fmt.Errorf("aidl: %s.%s not implemented", d.Itf.Name, m.Name)
 	}
 	return h(call, m)

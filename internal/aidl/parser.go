@@ -8,7 +8,8 @@ import (
 // into an Interface. Semantic checks run after parsing: drop lists must
 // reference declared methods (or "this"), @if arguments must name
 // parameters of every method in the drop list, and decorations must precede
-// a method declaration.
+// a method declaration. Once the checks pass, Parse compiles each
+// method's Selective Record tables (Method.Drops, Method.ComparedParams).
 //
 // Every parse or semantic error names the interface and method being
 // parsed (when known) in addition to the line:column position, so a bad
@@ -27,6 +28,7 @@ func Parse(src string) (*Interface, error) {
 	if err := check(itf); err != nil {
 		return nil, err
 	}
+	compileTables(itf)
 	return itf, nil
 }
 

@@ -133,6 +133,23 @@ func (a *App) Processes() []*kernel.Process {
 	return append(out, a.extraProcs...)
 }
 
+// hasPID reports whether pid is one of the app's processes, without
+// copying the process list: PackageOf runs it on every recorded Binder
+// call.
+func (a *App) hasPID(pid int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.proc.PID() == pid {
+		return true
+	}
+	for _, p := range a.extraProcs {
+		if p.PID() == pid {
+			return true
+		}
+	}
+	return false
+}
+
 // GL returns the app's OpenGL library instance.
 func (a *App) GL() *gpu.Library {
 	a.mu.Lock()

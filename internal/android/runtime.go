@@ -80,10 +80,8 @@ func (r *Runtime) PackageOf(pid int) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for pkg, a := range r.apps {
-		for _, p := range a.Processes() {
-			if p.PID() == pid {
-				return pkg, true
-			}
+		if a.hasPID(pid) {
+			return pkg, true
 		}
 	}
 	return "", false

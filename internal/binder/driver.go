@@ -10,6 +10,7 @@ package binder
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,7 +82,10 @@ type Driver struct {
 	sm         *ServiceManager
 
 	// interposers run before every transaction that is dispatched through
-	// the driver. Selective Record installs itself here.
+	// the driver. Selective Record installs itself here. The slice is
+	// copy-on-write: Add/RemoveInterposer publish a new slice and never
+	// modify a published one, so transact reads it under mu and iterates
+	// it after unlocking without copying.
 	interposers []Interposer
 
 	// namer resolves (descriptor, code) to a method name for telemetry
@@ -116,7 +120,7 @@ func (d *Driver) ServiceManager() *ServiceManager { return d.sm }
 func (d *Driver) AddInterposer(ip Interposer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.interposers = append(d.interposers, ip)
+	d.interposers = append(slices.Clip(d.interposers), ip)
 }
 
 // RemoveInterposer uninstalls a previously added observer.
@@ -125,7 +129,7 @@ func (d *Driver) RemoveInterposer(ip Interposer) {
 	defer d.mu.Unlock()
 	for i, have := range d.interposers {
 		if have == ip {
-			d.interposers = append(d.interposers[:i], d.interposers[i+1:]...)
+			d.interposers = slices.Delete(slices.Clone(d.interposers), i, i+1)
 			return
 		}
 	}
@@ -169,7 +173,12 @@ type Proc struct {
 
 	nextHandle Handle
 	handles    map[Handle]*ref
-	owned      map[NodeID]*Node
+	// handleOf indexes handles by node: the handle Ref returns for a node
+	// the process already references. Every insert into handles updates
+	// it (OpenProc's handle 0, refLocked, InjectRef); when a node is held
+	// at several handles it keeps the first.
+	handleOf map[*Node]Handle
+	owned    map[NodeID]*Node
 }
 
 // OpenProc registers a process with the driver and installs the handle-0
@@ -180,17 +189,23 @@ func (d *Driver) OpenProc(pid int, name string) (*Proc, error) {
 	if _, ok := d.procs[pid]; ok {
 		return nil, fmt.Errorf("binder: pid %d already open", pid)
 	}
-	p := &Proc{
+	p := newProc(d, pid, name)
+	p.handles[ContextManagerHandle] = &ref{node: d.sm.node}
+	p.handleOf[d.sm.node] = ContextManagerHandle
+	d.procs[pid] = p
+	return p, nil
+}
+
+func newProc(d *Driver, pid int, name string) *Proc {
+	return &Proc{
 		driver:     d,
 		pid:        pid,
 		name:       name,
 		nextHandle: 1,
 		handles:    make(map[Handle]*ref),
+		handleOf:   make(map[*Node]Handle),
 		owned:      make(map[NodeID]*Node),
 	}
-	p.handles[ContextManagerHandle] = &ref{node: d.sm.node}
-	d.procs[pid] = p
-	return p, nil
 }
 
 // Proc returns the Binder state for pid, or nil if the pid never opened the
@@ -241,14 +256,13 @@ func (p *Proc) refLocked(node *Node) (Handle, error) {
 	if node == nil || node.dead {
 		return 0, ErrDeadObject
 	}
-	for h, r := range p.handles {
-		if r.node == node {
-			return h, nil
-		}
+	if h, ok := p.handleOf[node]; ok {
+		return h, nil
 	}
 	h := p.nextHandle
 	p.nextHandle++
 	p.handles[h] = &ref{node: node}
+	p.handleOf[node] = h
 	return h, nil
 }
 
@@ -265,10 +279,18 @@ func (p *Proc) InjectRef(h Handle, node *Node) error {
 	if node == nil || node.dead {
 		return ErrDeadObject
 	}
-	if old, ok := p.handles[h]; ok && !old.node.dead {
-		return fmt.Errorf("binder: handle %d already bound to live node %d", h, old.node.id)
+	if old, ok := p.handles[h]; ok {
+		if !old.node.dead {
+			return fmt.Errorf("binder: handle %d already bound to live node %d", h, old.node.id)
+		}
+		if p.handleOf[old.node] == h {
+			delete(p.handleOf, old.node)
+		}
 	}
 	p.handles[h] = &ref{node: node}
+	if _, ok := p.handleOf[node]; !ok {
+		p.handleOf[node] = h
+	}
 	if h >= p.nextHandle {
 		p.nextHandle = h + 1
 	}
@@ -393,7 +415,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 	// a copy so the caller's parcel — which interposers observe and the
 	// record log persists — keeps caller-space handle values.
 	delivered := data
-	if data != nil && len(data.Handles()) > 0 {
+	if data != nil && data.hasHandle() {
 		delivered = data.Clone()
 		for i := range delivered.entries {
 			if delivered.entries[i].kind != kindHandle {
@@ -412,8 +434,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 			delivered.entries[i].i64 = int64(th)
 		}
 	}
-	ips := make([]Interposer, len(d.interposers))
-	copy(ips, d.interposers)
+	ips := d.interposers
 	d.mu.Unlock()
 
 	call := &Call{Code: code, Data: delivered, CallingPID: p.pid, OneWay: oneway, Handle: h}
@@ -430,7 +451,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 		// Translate reply handles from the callee's space into the caller's,
 		// as the real driver does for returned Binder objects (e.g. the
 		// SensorEventConnection handle).
-		if len(call.Reply.Handles()) > 0 {
+		if call.Reply.hasHandle() {
 			d.mu.Lock()
 			for i := range call.Reply.entries {
 				if call.Reply.entries[i].kind != kindHandle {
@@ -456,9 +477,11 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 		if data != nil {
 			data.Reset()
 		}
-		observed := &Call{Code: code, Data: data, Reply: call.Reply, CallingPID: p.pid, OneWay: oneway, Handle: h}
+		// The service is done with call: interposers observe it with the
+		// caller-space request in place of the translated one.
+		call.Data = data
 		for _, ip := range ips {
-			ip.ObserveTransaction(p.pid, node, observed)
+			ip.ObserveTransaction(p.pid, node, call)
 		}
 	}
 	if telemetry {

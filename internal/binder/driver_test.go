@@ -286,6 +286,57 @@ func TestInjectRefPreservesHandleID(t *testing.T) {
 	}
 }
 
+// TestRefReusesIndexedHandle covers every insert the node→handle index
+// tracks: a Ref answers a repeat with the handle it allocated, a node
+// injected at a chosen id keeps that id, handle 0 is the ServiceManager,
+// and a handle re-injected over a dead node moves to the new node.
+func TestRefReusesIndexedHandle(t *testing.T) {
+	d := NewDriver()
+	sys := mustOpen(t, d, 1, "system_server")
+	app := mustOpen(t, d, 100, "app")
+	n1, _ := sys.Publish("A", &echoService{})
+	n2, _ := sys.Publish("B", &echoService{})
+	h1, err := app.Ref(n1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := app.Ref(n1); again != h1 {
+		t.Errorf("repeated Ref returned handle %d, want %d", again, h1)
+	}
+	const injected = Handle(40)
+	if err := app.InjectRef(injected, n2); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := app.Ref(n2); h != injected {
+		t.Errorf("Ref of an injected node returned handle %d, want %d", h, injected)
+	}
+	if h, _ := app.Ref(d.ServiceManager().node); h != ContextManagerHandle {
+		t.Errorf("Ref of the ServiceManager returned handle %d, want 0", h)
+	}
+
+	// A dead node's handle can be re-injected; the index follows it.
+	other := mustOpen(t, d, 2, "other")
+	dying, _ := other.Publish("C", &echoService{})
+	const reused = Handle(50)
+	if err := app.InjectRef(reused, dying); err != nil {
+		t.Fatal(err)
+	}
+	other.Exit()
+	fresh, _ := sys.Publish("D", &echoService{})
+	if err := app.InjectRef(reused, fresh); err != nil {
+		t.Fatalf("InjectRef over a dead node's handle: %v", err)
+	}
+	if h, _ := app.Ref(fresh); h != reused {
+		t.Errorf("Ref of the re-injected node returned handle %d, want %d", h, reused)
+	}
+	if _, err := app.Ref(dying); !errors.Is(err, ErrDeadObject) {
+		t.Errorf("Ref of a dead node: err = %v, want ErrDeadObject", err)
+	}
+	if h, _ := app.Ref(n1); h != h1 {
+		t.Errorf("Ref of the first node moved from handle %d to %d", h1, h)
+	}
+}
+
 func TestInjectRefOverLiveHandleFails(t *testing.T) {
 	d := NewDriver()
 	sys := mustOpen(t, d, 1, "system_server")

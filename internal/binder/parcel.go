@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Parcel is the unit of data exchanged in a Binder transaction. It mirrors
@@ -332,6 +333,17 @@ func (p *Parcel) Handles() []Handle {
 	return hs
 }
 
+// hasHandle reports whether the parcel embeds a Binder handle, the test
+// transact makes on every call without collecting them as Handles does.
+func (p *Parcel) hasHandle() bool {
+	for _, e := range p.entries {
+		if e.kind == kindHandle {
+			return true
+		}
+	}
+	return false
+}
+
 // EntryString returns the canonical string form of the i-th entry,
 // independent of the read cursor. Selective Record compares these strings
 // when evaluating @if signatures.
@@ -353,11 +365,11 @@ func (p *Parcel) EntryString(i int) (string, error) {
 		}
 		return "f", nil
 	case kindHandle:
-		return fmt.Sprintf("h:%d", e.i64), nil
+		return "h:" + strconv.FormatInt(e.i64, 10), nil
 	case kindFD:
-		return fmt.Sprintf("fd:%d", e.i64), nil
+		return "fd:" + strconv.FormatInt(e.i64, 10), nil
 	default:
-		return fmt.Sprintf("i:%d", e.i64), nil
+		return "i:" + strconv.FormatInt(e.i64, 10), nil
 	}
 }
 

@@ -29,14 +29,7 @@ func newServiceManager(d *Driver) *ServiceManager {
 	sm := &ServiceManager{driver: d, names: make(map[string]*Node)}
 	// The ServiceManager's own node is owned by a synthetic pid-0 process
 	// so it survives any app exiting.
-	owner := &Proc{
-		driver:     d,
-		pid:        0,
-		name:       "servicemanager",
-		nextHandle: 1,
-		handles:    make(map[Handle]*ref),
-		owned:      make(map[NodeID]*Node),
-	}
+	owner := newProc(d, 0, "servicemanager")
 	d.procs[0] = owner
 	sm.node = &Node{id: d.nextNodeID, owner: owner, svc: sm, descr: "android.os.IServiceManager"}
 	d.nextNodeID++

@@ -175,3 +175,48 @@ func TestHashContentStable(t *testing.T) {
 		t.Error("hash ignores part boundaries")
 	}
 }
+
+// TestBootHandleIDs pins the handle ids a boot assigns: system_server
+// refs each service node as it publishes it, and the ServiceManager's
+// owner refs it again when the registration's embedded handle is
+// translated. Ref answers a repeat from the node→handle index, so these
+// ids depend only on registration order.
+func TestBootHandleIDs(t *testing.T) {
+	d, err := New(Nexus4("handles"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := []string{
+		"INotificationManager", "IAlarmManager", "ISensorServer", "IAudioService",
+		"IActivityManager", "IClipboard", "IWifiManager", "IConnectivityManager",
+		"ILocationManager", "IPowerManager", "IVibratorService", "IInputMethodManager",
+		"IInputManager", "IKeyguardService", "IUiModeManager", "INsdManager",
+		"ITextServicesManager", "ICountryDetector", "ICameraService", "IBluetooth",
+		"ISerialManager", "IUsbManager", "IPackageManager",
+	}
+	// system_server also holds handle 0, the ServiceManager; the
+	// ServiceManager's owner holds only the services, from handle 1.
+	for _, tc := range []struct {
+		proc string
+		pid  int
+		want []string
+	}{
+		{"system_server", d.System.Proc().PID(), append([]string{"android.os.IServiceManager"}, services...)},
+		{"servicemanager", 0, services},
+	} {
+		p := d.Kernel.Binder().Proc(tc.pid)
+		if p == nil {
+			t.Fatalf("%s: no binder state for pid %d", tc.proc, tc.pid)
+		}
+		got := p.Handles()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s holds %d handles, want %d", tc.proc, len(got), len(tc.want))
+		}
+		offset := len(tc.want) - len(services)
+		for i, h := range got {
+			if int(h.Handle) != i+1-offset || h.Descriptor != tc.want[i] {
+				t.Errorf("%s handle row %d = {%d, %s}, want {%d, %s}", tc.proc, i, h.Handle, h.Descriptor, i+1-offset, tc.want[i])
+			}
+		}
+	}
+}

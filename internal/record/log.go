@@ -301,13 +301,20 @@ func (l *Log) SizeBytes(app string) int {
 }
 
 // MarshalApp serializes the app's entries for transfer inside a
-// checkpoint.
+// checkpoint. It encodes the live entries in place under the shard lock
+// into one buffer of exactly the right size, copying no entry.
 func (l *Log) MarshalApp(app string) []byte {
-	entries := l.AppEntries(app)
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = appendEntryWire(buf, e)
+	s := l.peek(app)
+	if s == nil {
+		return binary.BigEndian.AppendUint32(nil, 0)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+s.bytes), uint32(s.live))
+	for _, e := range s.entries {
+		if !e.dead {
+			buf = appendEntryWire(buf, e)
+		}
 	}
 	return buf
 }
@@ -339,7 +346,7 @@ func appendEntryWire(buf []byte, e *Entry) []byte {
 // entries it is handed and verifies them against the image's anchor —
 // a defense-in-depth recomputation, so it must be byte-identical to
 // what MarshalApp / SaveFile produced on the home device.
-func EntryWire(e *Entry) []byte { return appendEntryWire(nil, e) }
+func EntryWire(e *Entry) []byte { return appendEntryWire(make([]byte, 0, e.Size()), e) }
 
 // Snapshot returns a copy of every live entry across all apps in
 // global sequence order, taken as a single point-in-time cut.

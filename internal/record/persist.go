@@ -50,9 +50,16 @@ func VerifyAnchor(blob, anchorWire []byte) error {
 // depth immediately before issuing transactions: whatever entries it
 // was handed must still be the anchored log.
 func VerifyEntriesAnchor(entries []*Entry, anchorWire []byte) error {
+	size := 0
+	for _, e := range entries {
+		size += e.Size()
+	}
+	buf := make([]byte, 0, size)
 	wires := make([][]byte, len(entries))
 	for i, e := range entries {
-		wires[i] = EntryWire(e)
+		start := len(buf)
+		buf = appendEntryWire(buf, e)
+		wires[i] = buf[start:]
 	}
 	return verifyWiresAnchor(wires, anchorWire)
 }

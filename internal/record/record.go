@@ -19,16 +19,25 @@
 // (IAlarmManager.set called twice with the same PendingIntent).
 //
 // Because the recorder sits on every decorated Binder transaction, the
-// package treats recording as a hot path: the call log is sharded per app
-// (see log.go), @drop evaluation consults a per-(interface, method) index
-// instead of scanning the log, and each entry caches the canonical string
-// form of its arguments at append time so signature matching never
-// re-parses parcels under a lock.
+// package treats recording as a hot path. The decorations are fixed once
+// the AIDL is compiled, so the recorder keeps no rule state of its own:
+// aidl.Parse compiles each decorated method once per process into
+// read-only tables (aidl.Method.Drops: drop targets with "this" resolved
+// and duplicates removed, every @if/@elif argument as a parameter index
+// in the triggering method and in each target; aidl.Method.ComparedParams:
+// the parameters any @if can compare), and every Recorder on every device
+// reads those. The call log is sharded per app (see log.go), @drop
+// evaluation consults a per-(interface, method) index instead of scanning
+// the log, and each entry caches, by parameter index, the canonical string
+// form of exactly the arguments some @if compares, so signature matching
+// never re-parses parcels under a lock and renders nothing it will not
+// compare.
 package record
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,13 +60,15 @@ type Entry struct {
 	Data      []byte        // marshalled request parcel
 	Reply     []byte        // marshalled reply parcel; nil for oneway calls
 
-	// args caches the canonical string form of each request argument,
-	// keyed by parameter name — the values @if signature guards compare.
-	// The Recorder fills it at append time from the live parcel; entries
-	// loaded from disk or appended directly compute it lazily on first
-	// signature match. Immutable once set; guarded by the shard lock
-	// until then.
-	args map[string]string
+	// args caches, by parameter index, the canonical string form of the
+	// request arguments some @if signature compares
+	// (aidl.Method.ComparedParams); every other slot, and any argument
+	// that cannot be rendered, is "", which matches nothing because a
+	// rendered argument is never empty. The Recorder fills it at append
+	// time from the live parcel; entries loaded from disk or appended
+	// directly compute it lazily on first signature match. Immutable once
+	// set; guarded by the shard lock until then.
+	args []string
 
 	// dead marks a tombstoned entry awaiting compaction. Guarded by the
 	// owning shard's lock; entries returned by AppEntries are copies and
@@ -86,17 +97,19 @@ func (e *Entry) Size() int {
 		4 + len(e.Data) + 4 + len(e.Reply)
 }
 
-// cacheArgs extracts the canonical string form of every parameter of m
-// from the request parcel, the precomputation that lets @if matching skip
-// parcel parsing. Parameters whose value cannot be rendered are simply
-// absent, which makes them match nothing — the same outcome the parsing
-// path produced on error.
-func cacheArgs(m *aidl.Method, data *binder.Parcel) map[string]string {
-	args := make(map[string]string, len(m.Params))
-	for i, p := range m.Params {
-		if v, err := data.EntryString(i); err == nil {
-			args[p.Name] = v
-		}
+// cacheArgs renders, by parameter index, the arguments of m some @if
+// compares, the precomputation that lets @if matching skip parcel
+// parsing. It returns nil when no @if compares any argument of m, and
+// leaves "" for an argument that cannot be rendered, which matches
+// nothing — the same outcome the parsing path produced on error.
+func cacheArgs(m *aidl.Method, data *binder.Parcel) []string {
+	compared := m.ComparedParams()
+	if len(compared) == 0 {
+		return nil
+	}
+	args := make([]string, len(m.Params))
+	for _, i := range compared {
+		args[i], _ = data.EntryString(i)
 	}
 	return args
 }
@@ -104,12 +117,12 @@ func cacheArgs(m *aidl.Method, data *binder.Parcel) map[string]string {
 // argValues returns the entry's cached argument strings, computing them
 // from the request parcel on first use. Callers must hold the owning
 // shard's lock (the Log's pruning predicates do), which also publishes
-// the memoized map safely.
-func (e *Entry) argValues(m *aidl.Method) map[string]string {
+// the memoized slice safely.
+func (e *Entry) argValues(m *aidl.Method) []string {
 	if e.args == nil {
 		p, err := binder.UnmarshalParcel(e.Data)
 		if err != nil {
-			e.args = map[string]string{} // malformed: matches nothing
+			e.args = make([]string, len(m.Params)) // malformed: matches nothing
 		} else {
 			e.args = cacheArgs(m, p)
 		}
@@ -165,12 +178,12 @@ func SplitEntries(data []byte) ([][]byte, error) {
 	}
 	out := make([][]byte, 0, prealloc)
 	for i := uint32(0); i < n; i++ {
-		_, consumed, err := decodeEntry(data)
+		f, err := frameEntry(data)
 		if err != nil {
 			return nil, fmt.Errorf("record: entry %d: %w", i, err)
 		}
-		out = append(out, data[:consumed])
-		data = data[consumed:]
+		out = append(out, data[:f.size])
+		data = data[f.size:]
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("record: %d trailing bytes after log", len(data))
@@ -178,83 +191,102 @@ func SplitEntries(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// decodeEntry decodes one entry from the head of data, returning the
-// bytes consumed. All length guards compare in uint64 space: the old
-// `uint32(len(data)) < l` form wrapped for buffers ≥ 4 GiB and could
-// accept a short read.
-func decodeEntry(data []byte) (*Entry, int, error) {
+// entryFrame locates the variable-length fields of one wire entry at
+// the head of a buffer: field i spans buf[start:end]. A nil reply (a
+// oneway call) has oneway set and an empty reply span.
+type entryFrame struct {
+	strs   [4][2]int // App, Service, Interface, Method
+	data   [2]int
+	reply  [2]int
+	oneway bool
+	size   int // bytes the entry occupies
+}
+
+// frameEntry walks one entry at the head of data, bounding every
+// length-prefixed field by the bytes that remain, without copying
+// anything. decodeEntry and SplitEntries share this walk, so a blob
+// SplitEntries accepts decodes, and vice versa.
+func frameEntry(data []byte) (entryFrame, error) {
+	var f entryFrame
 	const fixed = 24 // seq, code, handle, time
 	if len(data) < fixed {
-		return nil, 0, fmt.Errorf("record: truncated entry header")
+		return f, fmt.Errorf("record: truncated entry header")
 	}
-	e := &Entry{}
-	e.Seq = binary.BigEndian.Uint64(data)
-	e.Code = binary.BigEndian.Uint32(data[8:])
-	e.Handle = binder.Handle(int32(binary.BigEndian.Uint32(data[12:])))
-	e.At = time.Unix(0, int64(binary.BigEndian.Uint64(data[16:]))).UTC()
 	off := fixed
-	readStr := func() (string, error) {
-		if uint64(len(data))-uint64(off) < 4 {
-			return "", fmt.Errorf("record: truncated string length")
-		}
-		l := binary.BigEndian.Uint32(data[off:])
-		off += 4
-		if uint64(l) > uint64(len(data)-off) {
-			return "", fmt.Errorf("record: string declares %d bytes, %d remain", l, len(data)-off)
-		}
-		s := string(data[off : off+int(l)])
-		off += int(l)
-		return s, nil
-	}
 	var err error
-	if e.App, err = readStr(); err != nil {
-		return nil, 0, err
+	for i := range f.strs {
+		if f.strs[i], err = fieldSpan(data, off, "string"); err != nil {
+			return f, err
+		}
+		off = f.strs[i][1]
 	}
-	if e.Service, err = readStr(); err != nil {
-		return nil, 0, err
+	if f.data, err = fieldSpan(data, off, "payload"); err != nil {
+		return f, err
 	}
-	if e.Interface, err = readStr(); err != nil {
-		return nil, 0, err
+	off = f.data[1]
+	if uint64(len(data))-uint64(off) >= 4 && binary.BigEndian.Uint32(data[off:]) == ^uint32(0) {
+		f.oneway = true
+		f.reply = [2]int{off + 4, off + 4}
+	} else if f.reply, err = fieldSpan(data, off, "reply"); err != nil {
+		return f, err
 	}
-	if e.Method, err = readStr(); err != nil {
-		return nil, 0, err
-	}
+	f.size = f.reply[1]
+	return f, nil
+}
+
+// fieldSpan reads the uint32 length prefix at off and returns the span of
+// the field it declares. All length guards compare in uint64 space: the
+// old `uint32(len(data)) < l` form wrapped for buffers ≥ 4 GiB and could
+// accept a short read.
+func fieldSpan(data []byte, off int, what string) ([2]int, error) {
 	if uint64(len(data))-uint64(off) < 4 {
-		return nil, 0, fmt.Errorf("record: truncated payload length")
+		return [2]int{}, fmt.Errorf("record: truncated %s length", what)
 	}
 	l := binary.BigEndian.Uint32(data[off:])
 	off += 4
 	if uint64(l) > uint64(len(data)-off) {
-		return nil, 0, fmt.Errorf("record: payload declares %d bytes, %d remain", l, len(data)-off)
+		return [2]int{}, fmt.Errorf("record: %s declares %d bytes, %d remain", what, l, len(data)-off)
 	}
-	e.Data = append([]byte(nil), data[off:off+int(l)]...)
-	off += int(l)
-	if uint64(len(data))-uint64(off) < 4 {
-		return nil, 0, fmt.Errorf("record: truncated reply length")
+	return [2]int{off, off + int(l)}, nil
+}
+
+// decodeEntry decodes one entry from the head of data, returning the
+// bytes consumed.
+func decodeEntry(data []byte) (*Entry, int, error) {
+	f, err := frameEntry(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	rl := binary.BigEndian.Uint32(data[off:])
-	off += 4
-	if rl != ^uint32(0) {
-		if uint64(rl) > uint64(len(data)-off) {
-			return nil, 0, fmt.Errorf("record: reply declares %d bytes, %d remain", rl, len(data)-off)
-		}
+	str := func(i int) string { return string(data[f.strs[i][0]:f.strs[i][1]]) }
+	e := &Entry{
+		Seq:       binary.BigEndian.Uint64(data),
+		Code:      binary.BigEndian.Uint32(data[8:]),
+		Handle:    binder.Handle(int32(binary.BigEndian.Uint32(data[12:]))),
+		At:        time.Unix(0, int64(binary.BigEndian.Uint64(data[16:]))).UTC(),
+		App:       str(0),
+		Service:   str(1),
+		Interface: str(2),
+		Method:    str(3),
+		Data:      append([]byte(nil), data[f.data[0]:f.data[1]]...),
+	}
+	if !f.oneway {
 		// A zero-length reply decodes to a non-nil empty slice so the
 		// nil-means-oneway sentinel round-trips: EntryWire(decodeEntry(w))
 		// == w, which anchor verification on the guest depends on.
-		e.Reply = append(make([]byte, 0, rl), data[off:off+int(rl)]...)
-		off += int(rl)
+		reply := data[f.reply[0]:f.reply[1]]
+		e.Reply = append(make([]byte, 0, len(reply)), reply...)
 	}
-	return e, off, nil
+	return e, f.size, nil
 }
 
-// registeredInterface couples an interface with its compiled rules. The
-// itf, service, and rules fields are immutable after registration; full
-// is guarded by the Recorder's mutex.
+// registeredInterface couples an interface with its registration name.
+// The itf and service fields are immutable after registration; full is
+// guarded by the Recorder's mutex. The rules live on itf's methods,
+// compiled once by aidl.Parse.
 type registeredInterface struct {
 	itf     *aidl.Interface
 	service string
-	rules   map[string]aidl.Rule // by method name
-	full    bool                 // record every method (ablation mode)
+	full    bool // record every method (ablation mode)
 }
 
 // Recorder implements Selective Record. Install it on a device's Binder
@@ -312,15 +344,12 @@ func (r *Recorder) SetPackageResolver(fn func(pid int) (string, bool)) {
 }
 
 // RegisterInterface makes the recorder aware of a decorated service
-// interface registered under the given ServiceManager name.
+// interface registered under the given ServiceManager name. itf must come
+// from aidl.Parse, which compiles the tables the recorder evaluates.
 func (r *Recorder) RegisterInterface(serviceName string, itf *aidl.Interface) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	reg := &registeredInterface{itf: itf, service: serviceName, rules: make(map[string]aidl.Rule)}
-	for _, rule := range aidl.Rules(itf) {
-		reg.rules[rule.Method] = rule
-	}
-	r.interfaces[itf.Name] = reg
+	r.interfaces[itf.Name] = &registeredInterface{itf: itf, service: serviceName}
 }
 
 // SetFullRecord switches an interface to full (undecorated) recording,
@@ -412,11 +441,10 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 		r.append(app, reg, m, call)
 		return
 	}
-	rule, decorated := reg.rules[m.Name]
-	if !decorated {
+	if m.Record == nil {
 		return
 	}
-	suppress := r.applyDrops(app, reg, m, rule, call)
+	suppress := r.applyDrops(app, reg, m, call)
 	if suppress {
 		r.dropped.Add(1)
 		if telemetry {
@@ -427,73 +455,69 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 	r.append(app, reg, m, call)
 }
 
-// applyDrops evaluates the rule's drop clauses against the log and reports
-// whether the triggering call itself should be suppressed. It visits only
-// the index buckets of the rule's drop-target methods and compares cached
-// argument strings, never re-parsing a recorded parcel.
-func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Method, rule aidl.Rule, call *binder.Call) bool {
-	if len(rule.DropMethods) == 0 {
+// applyDrops evaluates m's compiled drop table against the log and
+// reports whether the triggering call itself should be suppressed. It
+// visits only the index buckets of the drop-target methods and compares
+// cached argument strings, never re-parsing a recorded parcel, and
+// allocates nothing for rules with at most eight @if arguments.
+func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Method, call *binder.Call) bool {
+	d := m.Drops()
+	if d == nil {
 		return false
 	}
-	seen := make(map[string]bool, len(rule.DropMethods))
-	targets := make([]string, 0, len(rule.DropMethods))
-	for _, name := range rule.DropMethods {
-		if name == "this" {
-			name = m.Name
-		}
-		if !seen[name] {
-			seen[name] = true
-			targets = append(targets, name)
-		}
-	}
-	// Precompute the triggering call's signature values from its live
-	// parcel.
-	sigVals := make([]map[string]string, len(rule.Signatures))
-	for i, sig := range rule.Signatures {
-		vals := make(map[string]string, len(sig))
-		for _, arg := range sig {
-			v, err := aidl.ArgString(m, call.Data, arg)
+	// The triggering call's @if values from its live parcel, signature
+	// after signature: signature i's values follow those of 0..i-1.
+	var buf [8]string
+	vals := buf[:0]
+	for _, sig := range d.Sigs {
+		for _, idx := range sig {
+			v, err := call.Data.EntryString(idx)
 			if err != nil {
 				return false // malformed call; record nothing, drop nothing
 			}
-			vals[arg] = v
+			vals = append(vals, v)
 		}
-		sigVals[i] = vals
 	}
 	droppedOther := false
-	removed := r.log.PruneMatching(app, reg.itf.Name, targets, func(e *Entry) bool {
-		em := reg.itf.Method(e.Method)
-		if em == nil {
+	removed := r.log.PruneMatching(app, reg.itf.Name, d.TargetNames, func(e *Entry) bool {
+		t := slices.Index(d.TargetNames, e.Method)
+		if t < 0 {
 			return false
 		}
-		if len(rule.Signatures) == 0 {
-			if e.Method != m.Name {
-				droppedOther = true
-			}
-			return true
+		if len(d.Sigs) > 0 && !anySignatureMatches(d.TargetSigs[t], e.argValues(d.Targets[t]), vals) {
+			return false
 		}
-		vals := e.argValues(em)
-		for i, sig := range rule.Signatures {
-			match := true
-			for _, arg := range sig {
-				if ev, ok := vals[arg]; !ok || ev != sigVals[i][arg] {
-					match = false
-					break
-				}
-			}
-			if match {
-				if e.Method != m.Name {
-					droppedOther = true
-				}
-				return true
-			}
+		if e.Method != m.Name {
+			droppedOther = true
 		}
-		return false
+		return true
 	})
 	if removed > 0 && obs.Enabled() {
 		obs.M().Counter(MetricPruned, "service", reg.service).Add(uint64(removed))
 	}
-	return rule.DropsSelf() && droppedOther
+	return d.Self && droppedOther
+}
+
+// anySignatureMatches reports whether, for some signature, every argument
+// of a recorded call (args, by parameter index; sigs gives the indexes)
+// equals the triggering call's value. vals holds the triggering call's
+// values signature after signature, in the same order as sigs.
+func anySignatureMatches(sigs [][]int, args, vals []string) bool {
+	for _, sig := range sigs {
+		want := vals[:len(sig)]
+		vals = vals[len(sig):]
+		match := true
+		for j, idx := range sig {
+			if idx >= len(args) || args[idx] != want[j] {
+				match = false
+				break
+			}
+		}
+		if match {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *Recorder) append(app string, reg *registeredInterface, m *aidl.Method, call *binder.Call) {

@@ -52,7 +52,7 @@ type fixture struct {
 	alarmItf *aidl.Interface
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	f := &fixture{driver: binder.NewDriver(), clock: kernel.NewClock()}
 	sys, err := f.driver.OpenProc(1, "system_server")
@@ -103,7 +103,7 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func (f *fixture) call(t *testing.T, c *aidl.Client, method string, args ...any) {
+func (f *fixture) call(t testing.TB, c *aidl.Client, method string, args ...any) {
 	t.Helper()
 	if _, err := c.Call(method, args...); err != nil {
 		t.Fatalf("%s: %v", method, err)

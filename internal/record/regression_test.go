@@ -262,8 +262,8 @@ func TestLazyArgCacheMatchesAppendTimeCache(t *testing.T) {
 	// simulating the same call the fixture would make.
 	removed := fresh.PruneMatching("com.example.app", "IAlarmManager", []string{"set"}, func(e *Entry) bool {
 		m := f.alarmItf.Method(e.Method)
-		vals := e.argValues(m)
-		return vals["operation"] == "s:pi:sync" // canonical EntryString form
+		_, op := m.Param("operation")
+		return e.argValues(m)[op] == "s:pi:sync" // canonical EntryString form
 	})
 	if removed != 1 {
 		t.Fatalf("lazy-cache prune removed %d entries, want 1", removed)

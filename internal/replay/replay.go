@@ -108,61 +108,33 @@ type Proxy func(ctx *Context, e *record.Entry, m *aidl.Method) (skipped bool, er
 
 // Engine replays record logs. It is safe to reuse across migrations.
 type Engine struct {
-	interfaces map[string]*aidl.Interface
-	rules      map[string]map[string]aidl.Rule // descriptor → method → rule
-	proxies    map[string]Proxy
+	proxies map[string]Proxy
 }
+
+// interfaces is the descriptor→interface table every Engine replays
+// against: the 23 decorated interfaces of the services catalog (all but
+// the package manager, which records nothing). Their @replayproxy paths
+// sit in the tables aidl.Parse compiled, so one read-only table per
+// process serves every engine.
+var interfaces = func() map[string]*aidl.Interface {
+	out := make(map[string]*aidl.Interface)
+	for _, s := range services.AIDLSpecs() {
+		if len(s.Itf.RecordedMethods()) > 0 {
+			out[s.Itf.Name] = s.Itf
+		}
+	}
+	return out
+}()
 
 // NewEngine builds an engine aware of every decorated interface the
 // services package defines, with the standard Flux proxies registered.
 func NewEngine() *Engine {
-	e := &Engine{
-		interfaces: make(map[string]*aidl.Interface),
-		rules:      make(map[string]map[string]aidl.Rule),
-		proxies:    make(map[string]Proxy),
-	}
-	for _, itf := range []*aidl.Interface{
-		services.NotificationInterface,
-		services.AlarmInterface,
-		services.SensorInterface,
-		services.SensorConnectionInterface,
-		services.AudioInterface,
-		services.ActivityInterface,
-		services.ClipboardInterface,
-		services.WifiInterface,
-		services.ConnectivityInterface,
-		services.LocationInterface,
-		services.PowerInterface,
-		services.VibratorInterface,
-		services.InputMethodInterface,
-		services.InputInterface,
-		services.KeyguardInterface,
-		services.UiModeInterface,
-		services.NsdInterface,
-		services.TextServicesInterface,
-		services.CountryInterface,
-		services.CameraInterface,
-		services.BluetoothInterface,
-		services.SerialInterface,
-		services.UsbInterface,
-	} {
-		e.RegisterInterface(itf)
-	}
+	e := &Engine{proxies: make(map[string]Proxy)}
 	e.RegisterProxy("flux.recordreplay.Proxies.alarmMgrSet", AlarmMgrSet)
 	e.RegisterProxy("flux.recordreplay.Proxies.audioSetStreamVolume", AudioSetStreamVolume)
 	e.RegisterProxy("flux.recordreplay.Proxies.sensorCreateConnection", SensorCreateConnection)
 	e.RegisterProxy("flux.recordreplay.Proxies.sensorGetChannel", SensorGetChannel)
 	return e
-}
-
-// RegisterInterface makes the engine aware of a decorated interface.
-func (e *Engine) RegisterInterface(itf *aidl.Interface) {
-	e.interfaces[itf.Name] = itf
-	rules := make(map[string]aidl.Rule)
-	for _, r := range aidl.Rules(itf) {
-		rules[r.Method] = r
-	}
-	e.rules[itf.Name] = rules
 }
 
 // RegisterProxy installs a proxy under its @replayproxy path.
@@ -232,7 +204,7 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 		}
 	}()
 	for _, entry := range entries {
-		itf, ok := e.interfaces[entry.Interface]
+		itf, ok := interfaces[entry.Interface]
 		if !ok {
 			return stats, fmt.Errorf("replay: unknown interface %s in log entry %d", entry.Interface, entry.Seq)
 		}
@@ -248,24 +220,24 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 			}
 			continue
 		}
-		rule := e.rules[entry.Interface][entry.Method]
-		if rule.ReplayProxy != "" {
-			proxy, ok := e.proxies[rule.ReplayProxy]
+		if m.Record != nil && m.Record.ReplayProxy != "" {
+			path := m.Record.ReplayProxy
+			proxy, ok := e.proxies[path]
 			if !ok {
-				return stats, fmt.Errorf("replay: no proxy registered for %s", rule.ReplayProxy)
+				return stats, fmt.Errorf("replay: no proxy registered for %s", path)
 			}
 			psp := sp.Child("replay.proxy",
-				obs.String("proxy", rule.ReplayProxy),
+				obs.String("proxy", path),
 				obs.String("method", entry.Method),
 				obs.Int64("seq", int64(entry.Seq)),
 			)
 			skipped, err := proxy(ctx, entry, m)
 			if telemetry {
-				obs.M().Counter(MetricProxyCalls, "proxy", rule.ReplayProxy).Inc()
+				obs.M().Counter(MetricProxyCalls, "proxy", path).Inc()
 			}
 			if err != nil {
 				psp.Attr(obs.String("error", err.Error())).End()
-				return stats, fmt.Errorf("replay: proxy %s on entry %d: %w", rule.ReplayProxy, entry.Seq, err)
+				return stats, fmt.Errorf("replay: proxy %s on entry %d: %w", path, entry.Seq, err)
 			}
 			psp.Attr(obs.Bool("skipped", skipped)).End()
 			if skipped {

@@ -84,7 +84,7 @@ type System struct {
 
 	mu      sync.Mutex
 	staters map[string]AppStater
-	catalog []Registration
+	catalog []registration
 	itfs    map[string]*aidl.Interface // by descriptor, for telemetry method names
 	pkgOfFn func(pid int) (string, bool)
 }
@@ -102,6 +102,15 @@ type Registration struct {
 	PaperLOC        int
 	MeasuredMethods int
 	MeasuredLOC     int
+}
+
+// registration is one booted service's Table 2 row without its
+// MeasuredLOC, which Catalog counts from src: counting on every boot
+// would split all 23 sources into lines for a number only the Table 2
+// report reads.
+type registration struct {
+	Registration
+	src string
 }
 
 // Boot starts system_server and all 22 services.
@@ -214,15 +223,14 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 		s.staters[name] = stater
 	}
 	s.itfs[itf.Name] = itf
-	s.catalog = append(s.catalog, Registration{
+	s.catalog = append(s.catalog, registration{Registration{
 		Name:            name,
 		Descriptor:      itf.Name,
 		Hardware:        hardware,
 		PaperMethods:    paperMethods,
 		PaperLOC:        paperLOC,
 		MeasuredMethods: len(itf.Methods),
-		MeasuredLOC:     aidl.DecorationLOC(src),
-	})
+	}, src})
 }
 
 // methodName resolves a (descriptor, transaction code) pair to a method
@@ -245,7 +253,11 @@ func (s *System) methodName(descriptor string, code uint32) (string, bool) {
 func (s *System) Catalog() []Registration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]Registration(nil), s.catalog...)
+	out := make([]Registration, len(s.catalog))
+	for i, r := range s.catalog {
+		out[i] = r.Registration
+		out[i].MeasuredLOC = aidl.DecorationLOC(r.src)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

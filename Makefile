@@ -1,18 +1,23 @@
 # Flux build and verification entry points.
 #
-#   make verify      vet + fluxvet + build + full test suite (tier-1 gate;
-#                    vet and fluxvet findings fail the build)
+#   make verify      vet + fluxvet + build + full test suite + the fluxperf
+#                    module's vet and tests (tier-1 gate; vet and fluxvet
+#                    findings fail the build)
 #   make lint        fluxvet alone: decorator-spec analysis (layer 1) plus
 #                    the repo source invariants (layer 3)
 #   make race        -race pass over the concurrency-sensitive packages
 #   make bench       hot-path microbenchmarks + matrix scaling benchmarks
 #   make bench-pipeline  parallel-marshal / chunking / streamed-link /
-#                    rsyncx benchmarks plus the streamed-vs-sequential matrix
-#   make bench-faults  fault matrix: recovery rate and overhead at the
-#                    headline (15%) and hostile (75%) chunk fault rates
-#   make bench-commuter  delta-migration commuter scenario: 8 round trips
-#                    per pair at 10% dirty rate, writes BENCH_commuter.json
+#                    rsyncx benchmarks plus the matrix lab spec (streamed
+#                    vs sequential across worker widths)
+#   make bench-faults  the faults lab spec: recovery, retries and rollbacks
+#                    from benign (5%) through headline (15%) to hostile
+#                    (75%) chunk fault rates
+#   make bench-commuter  the commuter lab spec: dirty rate x cache budget
+#                    x transfer mode over 4 round trips per pair
 #   make results     regenerate every figure and write BENCH_results.json
+#                    (BENCH_commuter.json: `go test ./internal/experiments
+#                    -run TestCommittedBaselines -update`)
 #   make lab         run the committed smoke spec through fluxlab and diff
 #                    the fresh report against the committed trajectory
 #   make fleet       fleet engine gate: package benchmarks (events/sec,
@@ -28,11 +33,11 @@
 
 GO ?= go
 
-.PHONY: all verify vet lint build test race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify clean
+.PHONY: all verify vet lint build test bench-module race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify clean
 
 all: verify
 
-verify: vet lint build test
+verify: vet lint build test bench-module
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +56,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The fluxperf benchmark (bench/) is its own Go module, so ./... above
+# never reaches it; it compiles against internal/experiments and checks
+# its digests against the committed BENCH_*.json baselines.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The packages with lock-free/sharded hot paths and the parallel matrix
 # driver. Keep this green: the sharded record log, the worker-pool
@@ -72,25 +83,28 @@ bench:
 # The streaming-pipeline hot paths: parallel FXC2 marshal (run with
 # -cpu 1,4 on multi-core hosts to see the worker-pool scaling), memoized
 # WireBytes, chunk partitioning, streamed link scheduling, and the
-# rsyncx plan builder — then the streamed-vs-sequential matrix itself.
+# rsyncx plan builder — then the streamed-vs-sequential matrix itself,
+# whose pipeline.* signals gate byte identity and exact savings.
 bench-pipeline:
 	$(GO) test -bench='BenchmarkImage' -benchmem ./internal/cria/
 	$(GO) test -bench=. -benchmem ./internal/netsim/
 	$(GO) test -bench='BenchmarkBuildPlan' -benchmem ./internal/rsyncx/
-	$(GO) run ./cmd/fluxbench -pipeline -json ""
+	$(GO) run ./cmd/fluxlab run lab/specs/matrix.yaml
 
-# The fault matrix twice over: the headline model (15% chunk faults,
-# ≤1 link flap per migration — the ≥99% recovery acceptance bar) and a
-# hostile 75% rate that exercises rollback-to-home at scale.
+# The fault matrix swept from a benign 5% to a hostile 75% chunk fault
+# rate that exercises rollback-to-home at scale: a cell that neither
+# completes nor rolls back cleanly fails the run. The faults.* signals
+# gate the headline model (15% chunk faults, ≤1 link flap per
+# migration), including the ≥99% recovery bar.
 bench-faults:
-	$(GO) run ./cmd/fluxbench -faults -fault-rate 0.15 -json ""
-	$(GO) run ./cmd/fluxbench -faults -fault-rate 0.75 -json ""
+	$(GO) run ./cmd/fluxlab run lab/specs/faults.yaml
 
-# The commuter scenario behind the delta-migration acceptance bar: K=8
-# round trips per device pair with 10% of the heap dirtied between hops;
-# hops 2+ must ship at most 25% of hop 1's bytes.
+# The commuter scenario behind the delta-migration acceptance bar: the
+# cache.steady_state_bound signal requires hops 2+ to ship at most 25%
+# of hop 1's bytes; the sweep cells vary dirty rate, cache budget and
+# transfer mode.
 bench-commuter:
-	$(GO) run ./cmd/fluxbench -commuter -json BENCH_commuter.json
+	$(GO) run ./cmd/fluxlab run lab/specs/commuter.yaml
 
 results:
 	$(GO) run ./cmd/fluxbench -all -json BENCH_results.json
@@ -137,5 +151,7 @@ log-verify:
 	$(GO) run ./cmd/fluxtrace -tamper /tmp/flux-log-verify.flxg
 	! $(GO) run ./cmd/fluxtrace -verify /tmp/flux-log-verify.flxg
 
+# Removes only what targets write into the repository root; the
+# committed BENCH_*.json baselines stay.
 clean:
-	rm -f BENCH_results.json BENCH_commuter.json trace-demo.json *.pprof
+	rm -f trace-demo.json *.pprof

@@ -40,7 +40,7 @@ func BenchmarkTable3(b *testing.B) {
 // default host-sized worker pool.
 func runMatrix(b *testing.B) []experiments.Cell {
 	b.Helper()
-	cells, err := experiments.RunMatrix()
+	cells, err := experiments.RunMatrixWorkers(experiments.DefaultMatrixWorkers())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,11 +16,12 @@
 //	fluxbench -failures            # Facebook / Subway Surfers refusals
 //	fluxbench -summary             # headline numbers vs paper
 //	fluxbench -ablations           # design ablations
-//	fluxbench -pipeline            # streaming pipeline vs sequential matrix
-//	fluxbench -faults              # fault matrix: recovery rate + overhead
-//	fluxbench -faults -fault-rate 0.35 -fault-seed 7   # hostile link sweep point
-//	fluxbench -commuter -json BENCH_commuter.json      # delta-migration commuter scenario
-//	fluxbench -commuter -hops 4 -dirty 0.25 -cache-budget 4194304   # custom itinerary
+//
+// Every mode flag selects sections, by name, from the one ordered section
+// table in internal/experiments that -all runs whole, so a section's text
+// and JSON are the same whichever way it was selected. The scenarios this
+// reproduction adds beyond §4 (streaming pipeline, fault matrix, commuter)
+// are fluxlab specs under lab/specs.
 //
 // The 64-migration evaluation matrix runs on a bounded worker pool
 // (-workers, default: one per CPU); its output is byte-identical for any
@@ -35,118 +36,110 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"strings"
-	"time"
 
-	"flux"
-	"flux/internal/apps"
 	"flux/internal/experiments"
 	"flux/internal/obs"
 	"flux/internal/profiling"
 )
 
+// options is a parsed, validated command line.
+type options struct {
+	sections   []string // section names to regenerate, in table order
+	cfg        experiments.Config
+	jsonPath   string
+	tracePath  string
+	cpuProfile string
+	memProfile string
+}
+
 func main() {
-	var (
-		table      = flag.Int("table", 0, "regenerate a table (2 or 3)")
-		fig        = flag.Int("fig", 0, "regenerate a figure (12-17)")
-		pairing    = flag.Bool("pairing", false, "pairing cost experiment")
-		failures   = flag.Bool("failures", false, "expected failures")
-		summary    = flag.Bool("summary", false, "headline summary vs paper")
-		ablations  = flag.Bool("ablations", false, "design ablations")
-		pipeline   = flag.Bool("pipeline", false, "run the 64-migration matrix sequential and pipelined, report savings")
-		faultsRun  = flag.Bool("faults", false, "run the 64-migration matrix under fault injection, report recovery rate and overhead")
-		faultRate  = flag.Float64("fault-rate", 0.15, "per-chunk fault probability for -faults")
-		faultSeed  = flag.Int64("fault-seed", 1, "base injector seed for -faults (per-cell seeds derive from it)")
-		commuter   = flag.Bool("commuter", false, "run the delta-migration commuter scenario across the four device pairs")
-		hops       = flag.Int("hops", 8, "round trips per pair for -commuter")
-		dirty      = flag.Float64("dirty", 0.10, "fraction of heap dirtied between hops for -commuter")
-		budget     = flag.Int64("cache-budget", 0, "per-device chunk-store byte budget for -commuter (0 = unbounded)")
-		pipelinedC = flag.Bool("commuter-pipelined", false, "stream every commuter hop through the chunked pipeline")
-		all        = flag.Bool("all", false, "everything, in paper order")
-		benchIters = flag.Int("bench-iters", 2000, "iterations per Figure 16 benchmark")
-		playN      = flag.Int("play-n", 488259, "Figure 17 catalog size")
-		workers    = flag.Int("workers", 0, "migration-matrix worker pool size (0 = one per CPU)")
-		jsonPath   = flag.String("json", "BENCH_results.json", "write machine-readable results here (empty = off)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of all migration span trees")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile here")
-		memProfile = flag.String("memprofile", "", "write a heap profile here")
-	)
-	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateFlags(explicit, *table, *fig, *faultRate, *dirty, *hops, *budget); err != nil {
-		fmt.Fprintln(os.Stderr, "fluxbench:", err)
-		flag.Usage()
-		os.Exit(2)
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
 	}
-	if *tracePath != "" {
+	if err != nil {
+		os.Exit(2) // parseArgs has printed the error and the usage
+	}
+	if o.tracePath != "" {
 		obs.SetEnabled(true)
 	}
-	commuterSpec := experiments.DefaultCommuterSpec()
-	commuterSpec.RoundTrips = *hops
-	commuterSpec.DirtyRate = *dirty
-	commuterSpec.CacheBudget = *budget
-	commuterSpec.Pipelined = *pipelinedC
-	prof, err := profiling.Start(*cpuProfile, *memProfile)
+	prof, err := profiling.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fluxbench:", err)
 		os.Exit(1)
 	}
-	err = run(*table, *fig, *pairing, *failures, *summary, *ablations, *pipeline, *all, *benchIters, *playN, *workers, *jsonPath, *faultsRun, *faultRate, *faultSeed, *commuter, commuterSpec)
+	err = run(os.Stdout, o)
 	prof.Stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fluxbench:", err)
 		os.Exit(1)
 	}
-	if *tracePath != "" {
-		if err := obs.T().WriteChromeTraceFile(*tracePath); err != nil {
+	if o.tracePath != "" {
+		if err := obs.T().WriteChromeTraceFile(o.tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, "fluxbench: writing trace:", err)
 			os.Exit(1)
 		}
 		total, dropped := obs.T().Stats()
 		fmt.Fprintf(os.Stderr, "fluxbench: wrote %s (%d spans kept, %d dropped by the ring)\n",
-			*tracePath, total-dropped, dropped)
+			o.tracePath, total-dropped, dropped)
 	}
 }
 
-// modeFlagNames are the flags that each select an evaluation to run.
-// Exactly one way of choosing work is allowed: either -all, or any
-// combination of these.
-var modeFlagNames = []string{
-	"table", "fig", "pairing", "failures", "summary", "ablations",
-	"pipeline", "faults", "commuter",
+// parseArgs parses and validates a command line. Parse errors and
+// invalid combinations print the usage to stderr and fail before any
+// simulation runs.
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("fluxbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		o         options
+		table     = fs.Int("table", 0, "regenerate a table (2 or 3)")
+		fig       = fs.Int("fig", 0, "regenerate a figure (12-17)")
+		pairing   = fs.Bool("pairing", false, "pairing cost experiment")
+		failures  = fs.Bool("failures", false, "expected failures")
+		summary   = fs.Bool("summary", false, "headline summary vs paper")
+		ablations = fs.Bool("ablations", false, "design ablations")
+		all       = fs.Bool("all", false, "everything, in paper order")
+	)
+	fs.IntVar(&o.cfg.BenchIters, "bench-iters", 2000, "iterations per Figure 16 benchmark")
+	fs.IntVar(&o.cfg.PlayN, "play-n", 488259, "Figure 17 catalog size")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "migration-matrix worker pool size (0 = one per CPU)")
+	fs.StringVar(&o.jsonPath, "json", "BENCH_results.json", "write machine-readable results here (empty = off)")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON file of all migration span trees")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile here")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile here")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateFlags(set, *table, *fig); err != nil {
+		fmt.Fprintln(stderr, "fluxbench:", err)
+		fs.Usage()
+		return nil, err
+	}
+	o.sections = selectSections(*all, *table, *fig, *pairing, *failures, *summary, *ablations)
+	return &o, nil
 }
 
-// scopedFlags are parameter flags that only mean something under their
-// mode flag; setting one without the mode is an error, not a silent
-// no-op (the historical behavior: `fluxbench -fault-rate 0.5` ran
-// nothing and exited 0).
-var scopedFlags = []struct{ flag, mode string }{
-	{"fault-rate", "faults"},
-	{"fault-seed", "faults"},
-	{"hops", "commuter"},
-	{"dirty", "commuter"},
-	{"cache-budget", "commuter"},
-	{"commuter-pipelined", "commuter"},
-}
+// modeFlagNames are the flags that each select sections to run.
+// Exactly one way of choosing work is allowed: either -all, or any
+// combination of these.
+var modeFlagNames = []string{"table", "fig", "pairing", "failures", "summary", "ablations"}
 
 // validateFlags checks the explicitly-set flag combination (set is
 // populated by flag.Visit) before any simulation runs, so a bad
 // invocation fails fast with usage instead of half-running or silently
 // no-oping.
-func validateFlags(set map[string]bool, table, fig int, faultRate, dirty float64, hops int, budget int64) error {
+func validateFlags(set map[string]bool, table, fig int) error {
 	var modes []string
 	for _, m := range modeFlagNames {
 		if set[m] {
 			modes = append(modes, "-"+m)
-		}
-	}
-	// Scoped-flag violations first: "-fault-rate only applies with
-	// -faults" beats a generic "nothing to run" for the same invocation.
-	for _, s := range scopedFlags {
-		if set[s.flag] && !set[s.mode] {
-			return fmt.Errorf("-%s only applies with -%s", s.flag, s.mode)
 		}
 	}
 	switch {
@@ -167,217 +160,41 @@ func validateFlags(set map[string]bool, table, fig int, faultRate, dirty float64
 	if set["play-n"] && !set["all"] && fig != 17 {
 		return fmt.Errorf("-play-n only applies with -fig 17 or -all")
 	}
-	if faultRate < 0 || faultRate > 1 {
-		return fmt.Errorf("-fault-rate %g out of [0,1]", faultRate)
-	}
-	if dirty < 0 || dirty > 1 {
-		return fmt.Errorf("-dirty %g out of [0,1]", dirty)
-	}
-	if set["hops"] && hops < 1 {
-		return fmt.Errorf("-hops %d: need at least one round trip", hops)
-	}
-	if budget < 0 {
-		return fmt.Errorf("-cache-budget %d is negative", budget)
-	}
 	return nil
 }
 
-func run(table, fig int, pairing, failures, summary, ablations, pipeline, all bool, benchIters, playN, workers int, jsonPath string, faultsRun bool, faultRate float64, faultSeed int64, commuter bool, commuterSpec experiments.CommuterSpec) error {
-	w := os.Stdout
-	if workers < 1 {
-		workers = experiments.DefaultMatrixWorkers()
+// selectSections maps validated mode flags to section names of
+// experiments.SectionNames, in table order.
+func selectSections(all bool, table, fig int, pairing, failures, summary, ablations bool) []string {
+	want := map[string]bool{
+		"table" + strconv.Itoa(table): table != 0,
+		"figure" + strconv.Itoa(fig):  fig != 0,
+		"pairing":                     pairing,
+		"failures":                    failures,
+		"summary":                     summary,
 	}
-	if all {
-		res, err := flux.RunEvaluationResults(w, benchIters, playN, workers)
-		if err != nil {
-			return err
-		}
-		return writeResults(res, jsonPath)
-	}
-	res := experiments.NewResults(workers)
-	needMatrix := summary || (fig >= 12 && fig <= 15)
-	var cells []experiments.Cell
-	if needMatrix {
-		if err := res.Time("matrix", func() (map[string]float64, error) {
-			start := time.Now()
-			var err error
-			cells, err = experiments.RunMatrixWorkers(workers)
-			if err == nil {
-				fmt.Fprintf(w, "(matrix: %d migrations on %d workers in %.2fs wall-clock)\n",
-					len(cells), workers, time.Since(start).Seconds())
-			}
-			return experiments.MatrixMetrics(cells), err
-		}); err != nil {
-			return err
+	var out []string
+	for _, name := range experiments.SectionNames() {
+		if all || want[name] || (ablations && strings.HasPrefix(name, "ablation_")) {
+			out = append(out, name)
 		}
 	}
-	ran := false
-	timed := func(name string, fn func() (map[string]float64, error)) error {
-		ran = true
-		return res.Time(name, fn)
-	}
-	switch table {
-	case 0:
-	case 2:
-		if err := timed("table2", func() (map[string]float64, error) { return nil, experiments.Table2(w) }); err != nil {
-			return err
-		}
-	case 3:
-		if err := timed("table3", func() (map[string]float64, error) { experiments.Table3(w); return nil, nil }); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("no table %d in the paper's evaluation", table)
-	}
-	switch fig {
-	case 0:
-	case 12:
-		if err := timed("figure12", func() (map[string]float64, error) {
-			experiments.Figure12(w, cells)
-			return experiments.MatrixMetrics(cells), nil
-		}); err != nil {
-			return err
-		}
-	case 13:
-		if err := timed("figure13", func() (map[string]float64, error) {
-			experiments.Figure13(w, cells)
-			return experiments.MatrixMetrics(cells), nil
-		}); err != nil {
-			return err
-		}
-	case 14:
-		if err := timed("figure14", func() (map[string]float64, error) {
-			experiments.Figure14(w, cells)
-			return experiments.MatrixMetrics(cells), nil
-		}); err != nil {
-			return err
-		}
-	case 15:
-		if err := timed("figure15", func() (map[string]float64, error) {
-			experiments.Figure15(w, cells)
-			return experiments.MatrixMetrics(cells), nil
-		}); err != nil {
-			return err
-		}
-	case 16:
-		if err := timed("figure16", func() (map[string]float64, error) {
-			return nil, experiments.Figure16(w, benchIters)
-		}); err != nil {
-			return err
-		}
-	case 17:
-		if err := timed("figure17", func() (map[string]float64, error) {
-			experiments.Figure17(w, playN)
-			return nil, nil
-		}); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("no figure %d in the paper's evaluation", fig)
-	}
-	if pairing {
-		if err := timed("pairing", func() (map[string]float64, error) { return nil, experiments.PairingCost(w) }); err != nil {
-			return err
-		}
-	}
-	if failures {
-		if err := timed("failures", func() (map[string]float64, error) { return nil, experiments.Failures(w) }); err != nil {
-			return err
-		}
-	}
-	if summary {
-		if err := timed("summary", func() (map[string]float64, error) {
-			experiments.Summary(w, cells)
-			return experiments.MatrixMetrics(cells), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if ablations {
-		candy := apps.ByPackage("com.king.candycrushsaga")
-		netflix := apps.ByPackage("com.netflix.mediaclient")
-		steps := []struct {
-			name string
-			fn   func() (map[string]float64, error)
-		}{
-			{"ablation_selective_vs_full", func() (map[string]float64, error) {
-				return nil, experiments.AblationSelectiveVsFull(w, *candy)
-			}},
-			{"ablation_prep", func() (map[string]float64, error) { return nil, experiments.AblationPrep(w, *candy) }},
-			{"ablation_link_dest", func() (map[string]float64, error) { return nil, experiments.AblationLinkDest(w) }},
-			{"ablation_compression", func() (map[string]float64, error) {
-				return nil, experiments.AblationCompression(w, *netflix)
-			}},
-			{"ablation_post_copy", func() (map[string]float64, error) {
-				return nil, experiments.AblationPostCopy(w, *candy)
-			}},
-		}
-		for _, s := range steps {
-			if err := timed(s.name, s.fn); err != nil {
-				return err
-			}
-		}
-		if err := timed("ablation_pipeline", func() (map[string]float64, error) {
-			return nil, experiments.AblationPipeline(w, *candy)
-		}); err != nil {
-			return err
-		}
-	}
-	if pipeline {
-		if err := timed("pipeline", func() (map[string]float64, error) {
-			start := time.Now()
-			m, err := experiments.ComparePipeline(w, workers)
-			if err == nil {
-				fmt.Fprintf(w, "(pipeline: two matrices on %d workers in %.2fs wall-clock)\n",
-					workers, time.Since(start).Seconds())
-			}
-			return m, err
-		}); err != nil {
-			return err
-		}
-	}
-	if faultsRun {
-		if err := timed("fault_matrix", func() (map[string]float64, error) {
-			start := time.Now()
-			m, err := experiments.FaultMatrix(w, workers, faultSeed, faultRate)
-			if err == nil {
-				fmt.Fprintf(w, "(faults: clean + faulted matrix on %d workers in %.2fs wall-clock)\n",
-					workers, time.Since(start).Seconds())
-			}
-			return m, err
-		}); err != nil {
-			return err
-		}
-	}
-	if commuter {
-		if err := timed("commuter", func() (map[string]float64, error) {
-			start := time.Now()
-			m, err := experiments.Commuter(w, workers, commuterSpec)
-			if err == nil {
-				fmt.Fprintf(w, "(commuter: %d hops per pair on %d workers in %.2fs wall-clock)\n",
-					2*commuterSpec.RoundTrips, workers, time.Since(start).Seconds())
-			}
-			return m, err
-		}); err != nil {
-			return err
-		}
-	}
-	if !ran {
-		// validateFlags rejects mode-less invocations before run; reaching
-		// here means a programming error, not a user one.
-		return fmt.Errorf("no evaluation selected")
-	}
-	return writeResults(res, jsonPath)
+	return out
 }
 
-// writeResults serializes res to jsonPath unless disabled.
-func writeResults(res *experiments.Results, jsonPath string) error {
-	if jsonPath == "" {
-		return nil
-	}
-	if err := res.WriteFile(jsonPath); err != nil {
+// run regenerates the selected sections to w and writes their
+// measurements to o.jsonPath unless it is empty.
+func run(w io.Writer, o *options) error {
+	res, err := experiments.Evaluate(w, o.cfg, o.sections...)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "fluxbench: wrote %s (%d sections)\n", jsonPath, len(res.Sections))
+	if o.jsonPath == "" {
+		return nil
+	}
+	if err := res.WriteFile(o.jsonPath); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "fluxbench: wrote %s (%d sections)\n", o.jsonPath, len(res.Sections))
 	return nil
 }

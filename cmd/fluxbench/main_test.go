@@ -1,78 +1,64 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"flux/internal/experiments"
 )
 
-func set(flags ...string) map[string]bool {
-	m := map[string]bool{}
-	for _, f := range flags {
-		m[f] = true
-	}
-	return m
-}
-
-// validate applies defaults for the value parameters so table-driven
-// cases only spell out what they test.
-type flagCase struct {
-	name      string
-	set       map[string]bool
-	table     int
-	fig       int
-	faultRate float64
-	dirty     float64
-	hops      int
-	budget    int64
-	wantErr   string // "" = must pass
-}
-
+// TestValidateFlags drives whole command lines through parseArgs. The
+// scenario modes and their parameters (-pipeline, -faults, -commuter,
+// -fault-rate, -fault-seed, -hops, -dirty, -cache-budget,
+// -commuter-pipelined) moved to fluxlab specs; their cases keep their
+// names and assert that fluxbench refuses the flags.
 func TestValidateFlags(t *testing.T) {
-	cases := []flagCase{
-		{name: "all alone", set: set("all")},
-		{name: "summary alone", set: set("summary")},
-		{name: "table 2", set: set("table"), table: 2},
-		{name: "fig 15", set: set("fig"), fig: 15},
-		{name: "combined modes", set: set("summary", "pipeline", "faults")},
-		{name: "faults with scoped params", set: set("faults", "fault-rate", "fault-seed"), faultRate: 0.35},
-		{name: "commuter with scoped params", set: set("commuter", "hops", "dirty", "cache-budget", "commuter-pipelined"), hops: 4, dirty: 0.25, budget: 1 << 20},
-		{name: "bench-iters with fig 16", set: set("fig", "bench-iters"), fig: 16},
-		{name: "bench-iters with all", set: set("all", "bench-iters")},
-		{name: "play-n with fig 17", set: set("fig", "play-n"), fig: 17},
-		{name: "globals anywhere", set: set("summary", "workers", "json", "trace")},
+	cases := []struct {
+		name    string
+		args    string
+		wantErr string // "" = must pass
+	}{
+		{name: "all alone", args: "-all"},
+		{name: "summary alone", args: "-summary"},
+		{name: "table 2", args: "-table 2"},
+		{name: "fig 15", args: "-fig 15"},
+		{name: "combined modes", args: "-summary -pairing -ablations"},
+		{name: "bench-iters with fig 16", args: "-fig 16 -bench-iters 10"},
+		{name: "bench-iters with all", args: "-all -bench-iters 10"},
+		{name: "play-n with fig 17", args: "-fig 17 -play-n 1000"},
+		{name: "globals anywhere", args: "-summary -workers 2 -json out.json -trace t.json"},
 
-		{name: "no mode", set: set(), wantErr: "nothing to run"},
-		{name: "only globals", set: set("workers", "json"), wantErr: "nothing to run"},
-		{name: "all plus mode", set: set("all", "summary"), wantErr: "-all already runs everything"},
-		{name: "all plus table", set: set("all", "table"), table: 2, wantErr: "drop -table"},
-		{name: "table 0 explicit", set: set("table"), table: 0, wantErr: "no table 0"},
-		{name: "table 4", set: set("table"), table: 4, wantErr: "no table 4"},
-		{name: "fig 11", set: set("fig"), fig: 11, wantErr: "no figure 11"},
-		{name: "fig 18", set: set("fig"), fig: 18, wantErr: "no figure 18"},
-		{name: "fault-rate without faults", set: set("fault-rate"), faultRate: 0.5, wantErr: "-fault-rate only applies with -faults"},
-		{name: "fault-seed without faults", set: set("summary", "fault-seed"), wantErr: "-fault-seed only applies with -faults"},
-		{name: "dirty without commuter", set: set("pipeline", "dirty"), dirty: 0.5, wantErr: "-dirty only applies with -commuter"},
-		{name: "hops without commuter", set: set("all", "hops"), hops: 4, wantErr: "-hops only applies with -commuter"},
-		{name: "bench-iters without fig 16", set: set("fig", "bench-iters"), fig: 12, wantErr: "-bench-iters only applies"},
-		{name: "play-n without fig 17", set: set("summary", "play-n"), wantErr: "-play-n only applies"},
-		{name: "fault rate range", set: set("faults", "fault-rate"), faultRate: 1.5, wantErr: "out of [0,1]"},
-		{name: "dirty range", set: set("commuter", "dirty"), dirty: -0.1, wantErr: "out of [0,1]"},
-		{name: "zero hops", set: set("commuter", "hops"), hops: 0, wantErr: "at least one round trip"},
-		{name: "negative budget", set: set("commuter", "cache-budget"), budget: -1, wantErr: "negative"},
+		{name: "no mode", args: "", wantErr: "nothing to run"},
+		{name: "only globals", args: "-workers 2 -json out.json", wantErr: "nothing to run"},
+		{name: "all plus mode", args: "-all -summary", wantErr: "-all already runs everything"},
+		{name: "all plus table", args: "-all -table 2", wantErr: "drop -table"},
+		{name: "table 0 explicit", args: "-table 0", wantErr: "no table 0"},
+		{name: "table 4", args: "-table 4", wantErr: "no table 4"},
+		{name: "fig 11", args: "-fig 11", wantErr: "no figure 11"},
+		{name: "fig 18", args: "-fig 18", wantErr: "no figure 18"},
+		{name: "bench-iters without fig 16", args: "-fig 12 -bench-iters 10", wantErr: "-bench-iters only applies"},
+		{name: "play-n without fig 17", args: "-summary -play-n 1000", wantErr: "-play-n only applies"},
+
+		{name: "faults with scoped params", args: "-faults -fault-rate 0.35 -fault-seed 7", wantErr: "not defined: -faults"},
+		{name: "commuter with scoped params", args: "-commuter -hops 4", wantErr: "not defined: -commuter"},
+		{name: "fault-rate without faults", args: "-summary -fault-rate 0.5", wantErr: "not defined: -fault-rate"},
+		{name: "fault-seed without faults", args: "-summary -fault-seed 7", wantErr: "not defined: -fault-seed"},
+		{name: "dirty without commuter", args: "-summary -dirty 0.5", wantErr: "not defined: -dirty"},
+		{name: "hops without commuter", args: "-all -hops 4", wantErr: "not defined: -hops"},
+		{name: "fault rate range", args: "-all -fault-rate 1.5", wantErr: "not defined: -fault-rate"},
+		{name: "dirty range", args: "-all -dirty -0.1", wantErr: "not defined: -dirty"},
+		{name: "zero hops", args: "-all -hops 0", wantErr: "not defined: -hops"},
+		{name: "negative budget", args: "-all -cache-budget -1", wantErr: "not defined: -cache-budget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Unset value params keep their in-range flag defaults.
-			if _, ok := tc.set["fault-rate"]; !ok && tc.faultRate == 0 {
-				tc.faultRate = 0.15
-			}
-			if _, ok := tc.set["dirty"]; !ok && tc.dirty == 0 {
-				tc.dirty = 0.10
-			}
-			if _, ok := tc.set["hops"]; !ok && tc.hops == 0 {
-				tc.hops = 8
-			}
-			err := validateFlags(tc.set, tc.table, tc.fig, tc.faultRate, tc.dirty, tc.hops, tc.budget)
+			var stderr strings.Builder
+			_, err := parseArgs(strings.Fields(tc.args), &stderr)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -85,6 +71,91 @@ func TestValidateFlags(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not contain %q", err, tc.wantErr)
 			}
+			if !strings.Contains(stderr.String(), "Usage of fluxbench") {
+				t.Errorf("rejected invocation printed no usage:\n%s", stderr.String())
+			}
 		})
+	}
+}
+
+// TestModesSelectSectionsOfAll: every mode flag selects, by name,
+// sections of the one table -all runs whole.
+func TestModesSelectSectionsOfAll(t *testing.T) {
+	all := experiments.SectionNames()
+	var ablations []string
+	for _, name := range all {
+		if strings.HasPrefix(name, "ablation_") {
+			ablations = append(ablations, name)
+		}
+	}
+	cases := []struct {
+		args string
+		want []string
+	}{
+		{"-all", all},
+		{"-table 2", []string{"table2"}},
+		{"-table 3", []string{"table3"}},
+		{"-fig 12", []string{"figure12"}},
+		{"-fig 13", []string{"figure13"}},
+		{"-fig 14", []string{"figure14"}},
+		{"-fig 15", []string{"figure15"}},
+		{"-fig 16", []string{"figure16"}},
+		{"-fig 17", []string{"figure17"}},
+		{"-pairing", []string{"pairing"}},
+		{"-failures", []string{"failures"}},
+		{"-summary", []string{"summary"}},
+		{"-ablations", ablations},
+		{"-summary -table 3 -pairing", []string{"table3", "pairing", "summary"}},
+	}
+	for _, tc := range cases {
+		o, err := parseArgs(strings.Fields(tc.args), io.Discard)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		if !reflect.DeepEqual(o.sections, tc.want) {
+			t.Errorf("%s selects %v, want %v", tc.args, o.sections, tc.want)
+		}
+	}
+	if len(ablations) != 7 || ablations[6] != "ablation_faults" {
+		t.Errorf("-ablations selects %v, want the seven ablations ending with ablation_faults", ablations)
+	}
+}
+
+// TestFigureSectionMatchesAll: the JSON section -fig 12 writes is the
+// figure12 section -all writes, metric for metric.
+func TestFigureSectionMatchesAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full evaluation")
+	}
+	dir := t.TempDir()
+	figure12 := func(args string) experiments.SectionResult {
+		t.Helper()
+		path := filepath.Join(dir, "results.json")
+		o, err := parseArgs(strings.Fields(args+" -json "+path), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(io.Discard, o); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res experiments.Results
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Sections {
+			if s.Name == "figure12" {
+				return s
+			}
+		}
+		t.Fatalf("%s wrote no figure12 section", args)
+		return experiments.SectionResult{}
+	}
+	got, want := figure12("-fig 12"), figure12("-all -bench-iters 20 -play-n 10000")
+	if !reflect.DeepEqual(got.Metrics, want.Metrics) {
+		t.Errorf("-fig 12 wrote %v, -all wrote %v", got.Metrics, want.Metrics)
 	}
 }

@@ -17,6 +17,11 @@
 // simulation implemented in the internal packages; see DESIGN.md for the
 // substitution map.
 //
+// The façade exports what the examples and commands call, plus the
+// result types of those calls. Fault injection, the refusal errors,
+// conflict resolution, the commuter scenario and the fleet engine live in
+// the internal packages (faults, migration, experiments, fleet).
+//
 // Typical use:
 //
 //	home, _ := flux.NewDevice(flux.Nexus4("my-phone"))
@@ -30,15 +35,9 @@
 package flux
 
 import (
-	"io"
-
-	"flux/internal/android"
 	"flux/internal/apps"
 	"flux/internal/chunkstore"
 	"flux/internal/device"
-	"flux/internal/experiments"
-	"flux/internal/faults"
-	"flux/internal/fleet"
 	"flux/internal/migration"
 	"flux/internal/pairing"
 	"flux/internal/playstore"
@@ -55,9 +54,6 @@ type DeviceProfile = device.Profile
 // App couples a Table 3 evaluation app with its workload driver.
 type App = apps.App
 
-// AppSpec declares an app's identity and resource profile.
-type AppSpec = android.AppSpec
-
 // Session is a running app with service-client helpers.
 type Session = apps.Session
 
@@ -72,107 +68,18 @@ type MigrationReport = migration.Report
 // PairingResult quantifies a pairing run.
 type PairingResult = pairing.Result
 
-// Refusal errors a migration can return, mirroring the paper's cases.
-var (
-	ErrNotPaired       = migration.ErrNotPaired
-	ErrNotRunning      = migration.ErrNotRunning
-	ErrPreserveEGL     = migration.ErrPreserveEGL
-	ErrMultiProcess    = migration.ErrMultiProcess
-	ErrProviderBusy    = migration.ErrProviderBusy
-	ErrNonSystemBinder = migration.ErrNonSystemBinder
-	ErrAPILevel        = migration.ErrAPILevel
-	ErrMigratedAway    = migration.ErrMigratedAway
-	ErrCommonSDCard    = migration.ErrCommonSDCard
-)
-
-// ConflictPolicy selects how a migrated-away app's state conflict is
-// resolved (paper §3.4).
-type ConflictPolicy = migration.ConflictPolicy
-
-// Conflict resolution policies.
-const (
-	ResolveKeepRemote = migration.ResolveKeepRemote
-	ResolveKeepLocal  = migration.ResolveKeepLocal
-)
-
-// Fault injection (DESIGN.md §5e): a deterministic, seedable injector
-// fires wire and stage faults so migrations exercise their recovery
-// paths — resumable checksummed chunk retransmission under capped
-// exponential backoff, and rollback-to-home when retries exhaust.
-type (
-	// FaultInjector decides, deterministically from its seed, whether
-	// each potential fault fires. Set it on MigrateOptions.Faults; a nil
-	// injector (the default) disables every recovery code path.
-	FaultInjector = faults.Injector
-	// FaultPlan maps fault sites to their firing rules.
-	FaultPlan = faults.Plan
-	// FaultRule is one site's probability and optional firing cap.
-	FaultRule = faults.Rule
-	// FaultSite names a place a fault can fire.
-	FaultSite = faults.Site
-)
-
-// The fault sites an injector can fire.
-const (
-	FaultLinkFlap     = faults.LinkFlap
-	FaultChunkCorrupt = faults.ChunkCorrupt
-	FaultChunkLoss    = faults.ChunkLoss
-	FaultRestoreFail  = faults.RestoreFail
-	FaultReplayFail   = faults.ReplayFail
-)
-
-// NewFaultInjector builds a deterministic injector from a seed and plan.
-func NewFaultInjector(seed int64, plan FaultPlan) *FaultInjector {
-	return faults.New(seed, plan)
-}
-
-// ErrRolledBack reports a migration whose fault recovery exhausted its
-// retries: the guest's partial state was discarded and the home device
-// foregrounded the intact app. No state is lost.
-var ErrRolledBack = migration.ErrRolledBack
-
-// Delta migration (DESIGN.md §5g): each device of a pair keeps a
-// content-addressed chunk store; a migration with MigrateOptions.Cache
-// set opens with a digest negotiation and ships only the chunks the
-// receiver does not already hold, falling back to a rolling delta for
-// chunks that merely shifted.
-type (
-	// ChunkStore is a per-pair, per-device content-addressed cache of
-	// migration chunks keyed by SHA-256, with LRU eviction under a byte
-	// budget. Set one on MigrateOptions.Cache (receiver) and
-	// MigrateOptions.SourceCache (sender); a nil store — the default —
-	// disables delta migration entirely.
-	ChunkStore = chunkstore.Store
-	// ChunkStoreStats counts a store's hits, misses, evictions, and the
-	// wire bytes its hits kept off the air.
-	ChunkStoreStats = chunkstore.Stats
-	// CommuterSpec configures the commuter scenario: K round trips per
-	// device pair with a deterministic dirty step between hops.
-	CommuterSpec = experiments.CommuterSpec
-	// CommuterRun is one device pair's commuter itinerary with per-hop
-	// reports.
-	CommuterRun = experiments.CommuterRun
-)
+// ChunkStore is a per-pair, per-device content-addressed cache of
+// migration chunks keyed by SHA-256, with LRU eviction under a byte
+// budget (delta migration, DESIGN.md §5g). Set one on
+// MigrateOptions.Cache (receiver) and MigrateOptions.SourceCache
+// (sender): the migration opens with a digest negotiation and ships only
+// the chunks the receiver does not already hold. A nil store — the
+// default — disables delta migration entirely.
+type ChunkStore = chunkstore.Store
 
 // NewChunkStore builds a chunk store with the given LRU byte budget;
 // budget <= 0 leaves the store unbounded.
 func NewChunkStore(budget int64) *ChunkStore { return chunkstore.New(budget) }
-
-// DefaultCommuterSpec is the headline commuter configuration: 8 round
-// trips, 10% dirty rate between hops, unbounded stores.
-func DefaultCommuterSpec() CommuterSpec { return experiments.DefaultCommuterSpec() }
-
-// RunCommuter drives the commuter scenario across the four evaluation
-// device pairs on a workers-wide pool, writes the per-pair table to w,
-// and returns the aggregate metrics (hop-1 vs steady-state wire bytes,
-// cache hit ratio, bytes kept off the wire).
-func RunCommuter(w io.Writer, workers int, spec CommuterSpec) (map[string]float64, error) {
-	return experiments.Commuter(w, workers, spec)
-}
-
-// RetryPolicy bounds fault recovery (MigrateOptions.Retry); its zero
-// value selects the defaults.
-type RetryPolicy = migration.RetryPolicy
 
 // Nexus4 is the evaluation's phone profile (Snapdragon S4 Pro, Adreno 320,
 // 768x1280, kernel 3.4, 5 GHz 802.11n).
@@ -192,10 +99,6 @@ func NewDevice(p DeviceProfile) (*Device, error) { return device.New(p) }
 // EvaluationApps returns the paper's Table 3 catalog: the eighteen top free
 // Google Play apps with their workloads.
 func EvaluationApps() []App { return apps.Catalog() }
-
-// MigratableApps returns the sixteen Table 3 apps the paper migrates
-// successfully.
-func MigratableApps() []App { return apps.Migratable() }
 
 // AppByPackage finds a Table 3 app, or returns nil.
 func AppByPackage(pkg string) *App { return apps.ByPackage(pkg) }
@@ -219,66 +122,6 @@ func Migrate(home, guest *Device, pkg string, opts MigrateOptions) (*MigrationRe
 	return migration.New(home, guest, opts).Migrate(pkg)
 }
 
-// StartNative launches the natively installed app on dev, refusing with
-// ErrMigratedAway while the app's live state sits on another device.
-func StartNative(d *Device, spec AppSpec) (*android.App, error) {
-	return migration.StartNative(d, spec)
-}
-
-// ResolveConflict settles a migrated-away app between its home device and
-// the remote currently holding it: migrate it back (ResolveKeepRemote) or
-// discard the remote state (ResolveKeepLocal).
-func ResolveConflict(home, remote *Device, pkg string, policy ConflictPolicy) error {
-	return migration.ResolveConflict(home, remote, pkg, policy)
-}
-
 // PlayStoreCatalog synthesizes the paper's 488,259-app Google Play crawl at
 // the given size (use playstore.PaperCatalogSize for the full figure).
 func PlayStoreCatalog(n int) *playstore.Catalog { return playstore.Generate(n) }
-
-// RunEvaluation regenerates every table and figure of the paper's §4 into
-// w: Tables 2–3, Figures 12–17, the pairing-cost experiment, the two
-// expected failures, the headline summary, and four design ablations.
-// benchIters controls the wall-clock overhead measurement (Figure 16);
-// playN the catalog size for Figure 17.
-func RunEvaluation(w io.Writer, benchIters, playN int) error {
-	return experiments.RenderAll(w, benchIters, playN)
-}
-
-// EvaluationResults is the machine-readable counterpart of the text
-// evaluation: per-section wall-clock cost plus the paper-comparable
-// virtual-time metrics.
-type EvaluationResults = experiments.Results
-
-// RunEvaluationResults is RunEvaluation with a worker count for the
-// migration matrix and machine-readable per-section results, which
-// cmd/fluxbench serializes into BENCH_results.json. workers < 1 selects
-// a host-sized pool.
-func RunEvaluationResults(w io.Writer, benchIters, playN, workers int) (*EvaluationResults, error) {
-	return experiments.RenderAllResults(w, benchIters, playN, workers)
-}
-
-// FleetSpec is the declarative workload of one fleet-scale simulation:
-// users × devices behind shared APs, SLO classes with Poisson/Gamma
-// arrival mixes, placement and per-AP admission policies.
-type FleetSpec = fleet.Spec
-
-// FleetReport is the deterministic product of one fleet run: per-class
-// p50/p99 user-perceived latency and admission wait, SLO attainment,
-// and the Jain fairness index. Same spec + seed ⇒ byte-identical
-// report at any worker width.
-type FleetReport = fleet.Report
-
-// FleetResult pairs the report with per-migration records.
-type FleetResult = fleet.Result
-
-// LoadFleetSpec reads a fleet spec (YAML subset or JSON) from disk.
-func LoadFleetSpec(path string) (FleetSpec, error) { return fleet.LoadSpec(path) }
-
-// RunFleet drives the discrete-event fleet engine over a spec: every
-// migration replays a stage graph measured by the real Migrate path,
-// scheduled on shared device-CPU and AP-band resources under the
-// spec's placement and admission policies.
-func RunFleet(spec FleetSpec, workers int) (*FleetResult, error) {
-	return fleet.Run(spec, fleet.Options{Workers: workers})
-}

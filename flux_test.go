@@ -1,7 +1,6 @@
 package flux_test
 
 import (
-	"strings"
 	"testing"
 
 	"flux"
@@ -46,43 +45,8 @@ func TestCatalogAccessors(t *testing.T) {
 	if got := len(flux.EvaluationApps()); got != 18 {
 		t.Errorf("EvaluationApps = %d", got)
 	}
-	if got := len(flux.MigratableApps()); got != 16 {
-		t.Errorf("MigratableApps = %d", got)
-	}
 	cat := flux.PlayStoreCatalog(5000)
 	if cat.Len() != 5000 {
 		t.Errorf("catalog len = %d", cat.Len())
-	}
-}
-
-func TestRefusalErrorsExported(t *testing.T) {
-	for name, err := range map[string]error{
-		"ErrNotPaired":       flux.ErrNotPaired,
-		"ErrNotRunning":      flux.ErrNotRunning,
-		"ErrPreserveEGL":     flux.ErrPreserveEGL,
-		"ErrMultiProcess":    flux.ErrMultiProcess,
-		"ErrProviderBusy":    flux.ErrProviderBusy,
-		"ErrNonSystemBinder": flux.ErrNonSystemBinder,
-		"ErrAPILevel":        flux.ErrAPILevel,
-	} {
-		if err == nil {
-			t.Errorf("%s is nil", name)
-		}
-	}
-}
-
-func TestRunEvaluationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation is slow")
-	}
-	var sb strings.Builder
-	if err := flux.RunEvaluation(&sb, 40, 10000); err != nil {
-		t.Fatalf("RunEvaluation: %v", err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Table 2", "Figure 12", "Figure 16", "Figure 17", "Pairing cost", "Expected failures", "Ablation"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("evaluation output missing %q", want)
-		}
 	}
 }

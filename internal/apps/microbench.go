@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"sort"
 	"time"
 
 	"flux/internal/android"
@@ -117,9 +119,9 @@ func jsWork(s *Session, i int) error {
 type OverheadResult struct {
 	Benchmark  string
 	Device     string
-	FluxScore  float64 // iterations/sec with Selective Record enabled
-	AOSPScore  float64 // iterations/sec with recording disabled
-	Normalized float64 // FluxScore / AOSPScore
+	FluxScore  float64 // median iterations/sec with Selective Record enabled
+	AOSPScore  float64 // median iterations/sec with recording disabled
+	Normalized float64 // median over adjacent trial pairs of flux / AOSP
 }
 
 // benchSpec is the synthetic benchmark app.
@@ -131,33 +133,67 @@ func benchSpec() android.AppSpec {
 	}
 }
 
+// overheadPairs is how many adjacent flux/AOSP trial pairs
+// MeasureOverhead times.
+const overheadPairs = 5
+
 // MeasureOverhead runs bench for iters iterations with and without the
-// recorder interposer on a fresh device of the given profile, returning the
-// normalized score. Wall-clock based: each side takes the best of three
-// interleaved trials, which suppresses GC and scheduler noise the way
-// benchmark suites like Quadrant report their best run.
+// recorder interposer on fresh devices of the given profile, returning the
+// normalized score. It is wall-clock based, so it is built to survive
+// host noise: every timed trial starts from a collected heap (the fresh
+// device's boot garbage would otherwise put a GC cycle inside some trials
+// and not others), the two sides run as adjacent pairs, alternating which
+// side goes first, and Normalized is the median of the per-pair ratios
+// (pairedOverhead). A load burst skews only the pairs it lands on, and
+// the median discards them.
 func MeasureOverhead(profile device.Profile, bench Microbench, iters int) (OverheadResult, error) {
 	res := OverheadResult{Benchmark: bench.Name, Device: profile.Model}
-	for trial := 0; trial < 3; trial++ {
-		flux, err := runBench(profile, bench, iters, true)
-		if err != nil {
-			return res, err
+	var err error
+	res.FluxScore, res.AOSPScore, res.Normalized, err = pairedOverhead(overheadPairs, func(recording bool) (float64, error) {
+		return runBench(profile, bench, iters, recording)
+	})
+	return res, err
+}
+
+// pairedOverhead times pairs of adjacent trials, one per side; trial
+// returns one side's score (higher is better). Even pairs run flux first
+// and odd pairs AOSP first, so a steady drift favours neither side. It
+// returns each side's median score and the median per-pair flux/AOSP
+// ratio.
+func pairedOverhead(pairs int, trial func(recording bool) (float64, error)) (flux, aosp, ratio float64, err error) {
+	fluxScores, aospScores := make([]float64, pairs), make([]float64, pairs)
+	ratios := make([]float64, pairs)
+	for i := 0; i < pairs; i++ {
+		first := i%2 == 0
+		for _, recording := range []bool{first, !first} {
+			score, err := trial(recording)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if recording {
+				fluxScores[i] = score
+			} else {
+				aospScores[i] = score
+			}
 		}
-		if flux > res.FluxScore {
-			res.FluxScore = flux
-		}
-		aosp, err := runBench(profile, bench, iters, false)
-		if err != nil {
-			return res, err
-		}
-		if aosp > res.AOSPScore {
-			res.AOSPScore = aosp
+		if aospScores[i] > 0 {
+			ratios[i] = fluxScores[i] / aospScores[i]
 		}
 	}
-	if res.AOSPScore > 0 {
-		res.Normalized = res.FluxScore / res.AOSPScore
+	return median(fluxScores), median(aospScores), median(ratios), nil
+}
+
+// median returns the median of xs without reordering it.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	return res, nil
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
 }
 
 func runBench(profile device.Profile, bench Microbench, iters int, recording bool) (float64, error) {
@@ -179,6 +215,7 @@ func runBench(profile device.Profile, bench Microbench, iters int, recording boo
 			return 0, err
 		}
 	}
+	runtime.GC()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		if err := bench.Work(s, i); err != nil {

@@ -11,8 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"sync"
 
 	"flux/internal/apps"
 	"flux/internal/chunkstore"
@@ -191,79 +189,19 @@ func RunCommuterPair(p Pair, a apps.App, spec CommuterSpec) (run *CommuterRun, e
 // carries — the same headline app the other ablations use.
 func CommuterApp() apps.App { return *apps.ByPackage("com.king.candycrushsaga") }
 
-// Commuter runs the commuter itinerary across the four Figure-12 device
-// pairs on a workers-wide pool, prints the per-pair table, and returns
-// the aggregate metrics fluxbench folds into BENCH_commuter.json. At
-// headline-class configurations — dirty rate at or below the default
-// 10% with unbounded stores — it enforces the acceptance criterion:
-// hops 2+ must average at most 25% of hop 1's wire bytes on every
-// pair. Hostile sweeps (higher dirty rates, starved budgets) exist to
-// explore degradation, so there the table just reports what happened.
-func Commuter(w io.Writer, workers int, spec CommuterSpec) (map[string]float64, error) {
-	pairs := Figure12Pairs()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	app := CommuterApp()
+// RunCommuter drives the commuter itinerary with CommuterApp on each of
+// the four Figure-12 pairs, the pairs in parallel on a workers-wide
+// pool. Runs come back in pair order and, each pair being a closed
+// simulation, are identical at any width.
+func RunCommuter(workers int, spec CommuterSpec) ([]*CommuterRun, error) {
+	pairs, app := Figure12Pairs(), CommuterApp()
 	runs := make([]*CommuterRun, len(pairs))
-	errs := make([]error, len(pairs))
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range ch {
-				runs[idx], errs[idx] = RunCommuterPair(pairs[idx], app, spec)
-			}
-		}()
+	err := ForEach(workers, len(pairs), func(i int) (err error) {
+		runs[i], err = RunCommuterPair(pairs[i], app, spec)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for idx := range pairs {
-		ch <- idx
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	fmt.Fprintf(w, "Commuter scenario: %s, %d round trips per pair, %.0f%% dirty rate between hops%s\n",
-		app.Spec.Label, spec.RoundTrips, 100*spec.DirtyRate,
-		map[bool]string{true: ", pipelined", false: ""}[spec.Pipelined])
-	fmt.Fprintf(w, "%-28s %10s %12s %8s %10s %12s\n",
-		"PAIR", "HOP 1", "HOPS 2+ AVG", "RATIO", "HIT RATIO", "NOT SHIPPED")
-	headline := spec.DirtyRate <= DefaultCommuterSpec().DirtyRate+1e-9 && spec.CacheBudget <= 0
-	var hop1, steady, notShipped float64
-	var hitRatio float64
-	for _, r := range runs {
-		h1, st := r.Hop1Bytes(), r.SteadyAvgBytes()
-		ratio := float64(st) / float64(h1)
-		fmt.Fprintf(w, "%-28s %8.2fMB %10.2fMB %7.1f%% %9.1f%% %10.2fMB\n",
-			r.Pair.Name, mb(h1), mb(st), 100*ratio, 100*r.HitRatio(), mb(r.NotShippedBytes()))
-		if headline && st > h1/4 {
-			return nil, fmt.Errorf("experiments: commuter on %s: hops 2+ averaged %d bytes, over 25%% of hop 1's %d",
-				r.Pair.Name, st, h1)
-		}
-		hop1 += mb(h1)
-		steady += mb(st)
-		hitRatio += r.HitRatio()
-		notShipped += mb(r.NotShippedBytes())
-	}
-	n := float64(len(runs))
-	fmt.Fprintf(w, "  avg: hop 1 %.2f MB, hops 2+ %.2f MB (%.1f%% of hop 1), hit ratio %.1f%%, %.2f MB kept off the wire\n",
-		hop1/n, steady/n, 100*steady/hop1, 100*hitRatio/n, notShipped/n)
-	return map[string]float64{
-		"round_trips":            float64(spec.RoundTrips),
-		"dirty_rate_pct":         100 * spec.DirtyRate,
-		"hop1_avg_mb":            hop1 / n,
-		"hop2plus_avg_mb":        steady / n,
-		"hop2plus_over_hop1_pct": 100 * steady / hop1,
-		"hit_ratio_pct":          100 * hitRatio / n,
-		"not_shipped_mb":         notShipped / n,
-	}, nil
+	return runs, nil
 }

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 
 	"flux/internal/apps"
 	"flux/internal/device"
+	"flux/internal/faults"
 	"flux/internal/migration"
 	"flux/internal/obs"
 	"flux/internal/pairing"
@@ -43,12 +45,20 @@ func Figure12Pairs() []Pair {
 	}
 }
 
-// Cell is one migration of the evaluation matrix.
+// Cell is one migration of the evaluation matrix. Under fault
+// injection (RunFaultMatrixWorkers) Seed is the cell's injector seed and
+// the cell may end in a clean rollback to its home device: Err wraps
+// migration.ErrRolledBack and Report is nil. Otherwise Err is nil.
 type Cell struct {
 	App    apps.App
 	Pair   Pair
 	Report *migration.Report
+	Seed   int64
+	Err    error
 }
+
+// RolledBack reports whether the cell ended in a clean rollback.
+func (c Cell) RolledBack() bool { return errors.Is(c.Err, migration.ErrRolledBack) }
 
 // RunOne pairs fresh devices, launches the app with its workload, and
 // migrates it, returning the report. With telemetry enabled, the whole
@@ -100,24 +110,8 @@ func RunOneOpts(p Pair, a apps.App, opts migration.Options) (rep *migration.Repo
 	return rep, nil
 }
 
-// RunMatrix migrates all sixteen migratable apps across all four pairs —
-// the 64 measurements behind Figures 12–15. The migrations run on a
-// bounded worker pool sized to the host (see DefaultMatrixWorkers);
-// results are deterministic and identical to a sequential run because
-// every cell builds its own devices and virtual clocks.
-func RunMatrix() ([]Cell, error) {
-	return RunMatrixWorkers(DefaultMatrixWorkers())
-}
-
-// RunMatrixOpts is RunMatrix with migration options applied to every cell
-// (e.g. Options{Pipelined: true} for the streaming-pipeline matrix).
-func RunMatrixOpts(opts migration.Options) ([]Cell, error) {
-	return RunMatrixWorkersOpts(DefaultMatrixWorkers(), opts)
-}
-
-// DefaultMatrixWorkers returns the worker-pool size RunMatrix uses: one
-// worker per CPU, capped at the matrix width so small matrices don't
-// spawn idle goroutines.
+// DefaultMatrixWorkers returns the worker-pool size callers use for a
+// host-sized pool: one worker per CPU, capped at 16.
 func DefaultMatrixWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
@@ -129,66 +123,84 @@ func DefaultMatrixWorkers() int {
 	return n
 }
 
-// RunMatrixWorkers runs the evaluation matrix on exactly workers
-// goroutines. Cell order — and, because each migration is a closed
-// simulation with its own devices and virtual time, cell content — is
-// byte-identical for every worker count; 1 reproduces the old sequential
-// driver. On error the first failing cell in matrix order is reported,
-// again independent of worker count.
-func RunMatrixWorkers(workers int) ([]Cell, error) {
-	return RunMatrixWorkersOpts(workers, migration.Options{})
-}
-
-// RunMatrixWorkersOpts is RunMatrixWorkers with migration options applied
-// to every cell.
-func RunMatrixWorkersOpts(workers int, opts migration.Options) ([]Cell, error) {
-	type job struct {
-		idx  int
-		pair Pair
-		app  apps.App
-	}
-	var jobs []job
-	for _, p := range Figure12Pairs() {
-		for _, a := range apps.Migratable() {
-			jobs = append(jobs, job{idx: len(jobs), pair: p, app: a})
-		}
+// ForEach calls fn(i) for every i in [0, n) on at most workers
+// goroutines (at least one). It is the one worker pool behind the
+// matrix, the fault matrix, the commuter itineraries and the fleet's
+// profiling phase. Each call writes only its own index's results, so
+// the output is identical at any width, and the error returned is the
+// first in index order, whatever the scheduling.
+func ForEach(workers, n int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	cells := make([]Cell, len(jobs))
-	errs := make([]error, len(jobs))
-	ch := make(chan job)
+	errs := make([]error, n)
+	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
-				rep, err := RunOneOpts(j.pair, j.app, opts)
-				if err != nil {
-					errs[j.idx] = fmt.Errorf("%s / %s: %w", j.app.Spec.Label, j.pair.Name, err)
-					continue
-				}
-				cells[j.idx] = Cell{App: j.app, Pair: j.pair, Report: rep}
+			for i := range ch {
+				errs[i] = fn(i)
 			}
 		}()
 	}
-	for _, j := range jobs {
-		ch <- j
+	for i := 0; i < n; i++ {
+		ch <- i
 	}
 	close(ch)
 	wg.Wait()
-	// Report the first error in matrix order so failures are deterministic
-	// regardless of scheduling.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// RunMatrixWorkers migrates all sixteen migratable apps across all four
+// pairs — the 64 measurements behind Figures 12–15 — on a workers-wide
+// pool. Cells come back pair-major in app-catalog order, and because
+// each migration is a closed simulation with its own devices and
+// virtual time, their content is byte-identical for every worker count.
+// On error the first failing cell in matrix order is reported.
+func RunMatrixWorkers(workers int) ([]Cell, error) {
+	return RunMatrixWorkersOpts(workers, migration.Options{})
+}
+
+// RunMatrixWorkersOpts is RunMatrixWorkers with migration options
+// applied to every cell.
+func RunMatrixWorkersOpts(workers int, opts migration.Options) ([]Cell, error) {
+	return runMatrix(workers, opts, 0, nil)
+}
+
+// runMatrix runs the 64-cell matrix with opts on every cell. A non-nil
+// plan gives each cell its own injector, seeded by faults.Derive(seed,
+// package, pair), and accepts clean rollbacks. Any other error aborts:
+// under injection it means an app was lost, the one outcome the
+// recovery contract forbids.
+func runMatrix(workers int, opts migration.Options, seed int64, plan faults.Plan) ([]Cell, error) {
+	pairs, migratable := Figure12Pairs(), apps.Migratable()
+	cells := make([]Cell, len(pairs)*len(migratable))
+	err := ForEach(workers, len(cells), func(i int) error {
+		c := &cells[i]
+		c.Pair, c.App = pairs[i/len(migratable)], migratable[i%len(migratable)]
+		cellOpts := opts
+		if plan != nil {
+			c.Seed = faults.Derive(seed, c.App.Spec.Package, c.Pair.Name)
+			cellOpts.Faults = faults.New(c.Seed, plan.Clone())
+		}
+		c.Report, c.Err = RunOneOpts(c.Pair, c.App, cellOpts)
+		if c.Err == nil || plan != nil && c.RolledBack() {
+			return nil
+		}
+		return fmt.Errorf("%s / %s: %w", c.App.Spec.Label, c.Pair.Name, c.Err)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
@@ -678,135 +690,147 @@ func AblationPipeline(w io.Writer, a apps.App) error {
 	return nil
 }
 
-// ComparePipeline runs the full evaluation matrix sequentially and
-// pipelined on a workers-wide pool, prints the comparison, and returns
-// the aggregate metrics fluxbench folds into BENCH_results.json. It
-// errors if any cell's byte accounting diverges between the two modes —
-// the pipeline must change timings only.
-func ComparePipeline(w io.Writer, workers int) (map[string]float64, error) {
-	seq, err := RunMatrixWorkersOpts(workers, migration.Options{})
-	if err != nil {
-		return nil, err
-	}
-	pip, err := RunMatrixWorkersOpts(workers, migration.Options{Pipelined: true})
-	if err != nil {
-		return nil, err
-	}
-	var seqUser, pipUser, saved time.Duration
-	var chunks int
-	for i := range seq {
-		s, p := seq[i].Report, pip[i].Report
-		if s.TransferredBytes != p.TransferredBytes ||
-			s.ImageBytes != p.ImageBytes ||
-			s.CompressedImageBytes != p.CompressedImageBytes {
-			return nil, fmt.Errorf("experiments: pipeline changed bytes for %s / %s",
-				seq[i].App.Spec.Label, seq[i].Pair.Name)
-		}
-		seqUser += s.Timings.UserPerceived()
-		pipUser += p.Timings.UserPerceived()
-		saved += p.PipelineSavings
-		chunks += p.PipelineChunks
-	}
-	n := time.Duration(len(seq))
-	pct := 100 * float64(seqUser-pipUser) / float64(seqUser)
-	fmt.Fprintf(w, "Streaming pipeline over the %d-migration matrix:\n", len(seq))
-	fmt.Fprintf(w, "  sequential avg user-perceived: %6.2f s\n", sec(seqUser/n))
-	fmt.Fprintf(w, "  pipelined  avg user-perceived: %6.2f s\n", sec(pipUser/n))
-	fmt.Fprintf(w, "  avg savings: %6.2f s (%.1f%%), avg %d chunks/migration\n",
-		sec(saved/n), pct, chunks/len(seq))
-	return map[string]float64{
-		"seq_avg_user_s":       sec(seqUser / n),
-		"pipelined_avg_user_s": sec(pipUser / n),
-		"avg_savings_s":        sec(saved / n),
-		"savings_pct":          pct,
-		"avg_chunks":           float64(chunks) / float64(len(seq)),
-	}, nil
+// Config parameterises an evaluation run.
+type Config struct {
+	// Workers is the matrix worker-pool width; < 1 sizes it to the host.
+	Workers int
+	// BenchIters is Figure 16's iterations per benchmark (wall-clock).
+	BenchIters int
+	// PlayN is Figure 17's catalog size.
+	PlayN int
 }
 
-// RenderAll runs every experiment and writes the full evaluation output.
-// benchIters tunes Figure 16's wall-clock measurement; playN the Figure 17
-// catalog size.
-func RenderAll(w io.Writer, benchIters, playN int) error {
-	_, err := RenderAllResults(w, benchIters, playN, DefaultMatrixWorkers())
-	return err
+// evaluation is the state the sections of one run share.
+type evaluation struct {
+	w     io.Writer
+	cfg   Config
+	cells []Cell // the 64-cell matrix, when a selected section renders it
 }
 
-// RenderAllResults runs every experiment on a workers-wide migration
-// matrix, writes the text evaluation to w, and returns the per-section
-// wall-clock + virtual-time measurements for machine-readable output
-// (cmd/fluxbench's BENCH_results.json).
-func RenderAllResults(w io.Writer, benchIters, playN, workers int) (*Results, error) {
-	if workers < 1 {
-		workers = DefaultMatrixWorkers()
+// section is one timed entry of the evaluation. A section that renders
+// the 64-cell matrix sets matrix; Evaluate runs the matrix once, before
+// the first section, and times it as its own "matrix" section.
+type section struct {
+	name   string
+	matrix bool
+	run    func(e *evaluation) (map[string]float64, error)
+}
+
+// sections is the paper's §4 in order: Tables 2–3, Figures 12–17, the
+// pairing cost, the two refusals, the headline summary, and the design
+// ablations. It is the one list of what the evaluation regenerates.
+var sections = []section{
+	{"table2", false, func(e *evaluation) (map[string]float64, error) { return nil, Table2(e.w) }},
+	{"table3", false, func(e *evaluation) (map[string]float64, error) { Table3(e.w); return nil, nil }},
+	{"figure12", true, func(e *evaluation) (map[string]float64, error) {
+		Figure12(e.w, e.cells)
+		return pick(MatrixMetrics(e.cells), "avg_virtual_migration_s"), nil
+	}},
+	{"figure13", true, func(e *evaluation) (map[string]float64, error) {
+		Figure13(e.w, e.cells)
+		return pick(MatrixMetrics(e.cells), "avg_transfer_share_pct"), nil
+	}},
+	{"figure14", true, func(e *evaluation) (map[string]float64, error) {
+		Figure14(e.w, e.cells)
+		return pick(MatrixMetrics(e.cells), "avg_excl_transfer_s"), nil
+	}},
+	{"figure15", true, func(e *evaluation) (map[string]float64, error) {
+		Figure15(e.w, e.cells)
+		return pick(MatrixMetrics(e.cells), "avg_transferred_mb", "max_transferred_mb"), nil
+	}},
+	{"figure16", false, func(e *evaluation) (map[string]float64, error) { return nil, Figure16(e.w, e.cfg.BenchIters) }},
+	{"figure17", false, func(e *evaluation) (map[string]float64, error) { Figure17(e.w, e.cfg.PlayN); return nil, nil }},
+	{"pairing", false, func(e *evaluation) (map[string]float64, error) { return nil, PairingCost(e.w) }},
+	{"failures", false, func(e *evaluation) (map[string]float64, error) { return nil, Failures(e.w) }},
+	{"summary", true, func(e *evaluation) (map[string]float64, error) {
+		Summary(e.w, e.cells)
+		return MatrixMetrics(e.cells), nil
+	}},
+	{"ablation_selective_vs_full", false, func(e *evaluation) (map[string]float64, error) {
+		return nil, AblationSelectiveVsFull(e.w, candyCrush())
+	}},
+	{"ablation_prep", false, func(e *evaluation) (map[string]float64, error) { return nil, AblationPrep(e.w, candyCrush()) }},
+	{"ablation_link_dest", false, func(e *evaluation) (map[string]float64, error) { return nil, AblationLinkDest(e.w) }},
+	{"ablation_compression", false, func(e *evaluation) (map[string]float64, error) {
+		return nil, AblationCompression(e.w, *apps.ByPackage("com.netflix.mediaclient"))
+	}},
+	{"ablation_post_copy", false, func(e *evaluation) (map[string]float64, error) {
+		return nil, AblationPostCopy(e.w, candyCrush())
+	}},
+	{"ablation_pipeline", false, func(e *evaluation) (map[string]float64, error) {
+		return nil, AblationPipeline(e.w, candyCrush())
+	}},
+	{"ablation_faults", false, func(e *evaluation) (map[string]float64, error) {
+		return nil, AblationFaults(e.w, candyCrush(), 1)
+	}},
+}
+
+// candyCrush is the headline app most ablations use.
+func candyCrush() apps.App { return *apps.ByPackage("com.king.candycrushsaga") }
+
+// pick projects m onto keys.
+func pick(m map[string]float64, keys ...string) map[string]float64 {
+	out := make(map[string]float64, len(keys))
+	for _, k := range keys {
+		out[k] = m[k]
 	}
-	res := NewResults(workers)
-	var cells []Cell
-	if err := res.Time("matrix", func() (map[string]float64, error) {
-		var err error
-		cells, err = RunMatrixWorkers(workers)
-		return MatrixMetrics(cells), err
-	}); err != nil {
-		return nil, err
-	}
-	sections := []struct {
-		name string
-		fn   func() (map[string]float64, error)
-	}{
-		{"table2", func() (map[string]float64, error) { return nil, Table2(w) }},
-		{"table3", func() (map[string]float64, error) { Table3(w); return nil, nil }},
-		{"figure12", func() (map[string]float64, error) {
-			Figure12(w, cells)
-			m := MatrixMetrics(cells)
-			return map[string]float64{"avg_virtual_migration_s": m["avg_virtual_migration_s"]}, nil
-		}},
-		{"figure13", func() (map[string]float64, error) {
-			Figure13(w, cells)
-			m := MatrixMetrics(cells)
-			return map[string]float64{"avg_transfer_share_pct": m["avg_transfer_share_pct"]}, nil
-		}},
-		{"figure14", func() (map[string]float64, error) {
-			Figure14(w, cells)
-			m := MatrixMetrics(cells)
-			return map[string]float64{"avg_excl_transfer_s": m["avg_excl_transfer_s"]}, nil
-		}},
-		{"figure15", func() (map[string]float64, error) {
-			Figure15(w, cells)
-			m := MatrixMetrics(cells)
-			return map[string]float64{
-				"avg_transferred_mb": m["avg_transferred_mb"],
-				"max_transferred_mb": m["max_transferred_mb"],
-			}, nil
-		}},
-		{"figure16", func() (map[string]float64, error) { return nil, Figure16(w, benchIters) }},
-		{"figure17", func() (map[string]float64, error) { Figure17(w, playN); return nil, nil }},
-		{"pairing", func() (map[string]float64, error) { return nil, PairingCost(w) }},
-		{"failures", func() (map[string]float64, error) { return nil, Failures(w) }},
-		{"summary", func() (map[string]float64, error) { Summary(w, cells); return MatrixMetrics(cells), nil }},
-		{"ablation_selective_vs_full", func() (map[string]float64, error) {
-			return nil, AblationSelectiveVsFull(w, *apps.ByPackage("com.king.candycrushsaga"))
-		}},
-		{"ablation_prep", func() (map[string]float64, error) {
-			return nil, AblationPrep(w, *apps.ByPackage("com.king.candycrushsaga"))
-		}},
-		{"ablation_link_dest", func() (map[string]float64, error) { return nil, AblationLinkDest(w) }},
-		{"ablation_compression", func() (map[string]float64, error) {
-			return nil, AblationCompression(w, *apps.ByPackage("com.netflix.mediaclient"))
-		}},
-		{"ablation_post_copy", func() (map[string]float64, error) {
-			return nil, AblationPostCopy(w, *apps.ByPackage("com.king.candycrushsaga"))
-		}},
-		{"ablation_pipeline", func() (map[string]float64, error) {
-			return nil, AblationPipeline(w, *apps.ByPackage("com.king.candycrushsaga"))
-		}},
-		{"ablation_faults", func() (map[string]float64, error) {
-			return nil, AblationFaults(w, *apps.ByPackage("com.king.candycrushsaga"), 1)
-		}},
-	}
+	return out
+}
+
+// SectionNames lists the evaluation's sections in the order Evaluate
+// runs them. The "matrix" section Evaluate times ahead of them is not
+// selectable on its own.
+func SectionNames() []string {
+	names := make([]string, len(sections))
 	for i, s := range sections {
+		names[i] = s.name
+	}
+	return names
+}
+
+// Evaluate regenerates the named sections — every section when names is
+// empty — in paper order, writing the text evaluation to w with a rule
+// between sections. It returns each section's wall-clock cost and
+// virtual-time metrics, led by a "matrix" section when any of them
+// renders the matrix. An unknown name is an error.
+func Evaluate(w io.Writer, cfg Config, names ...string) (*Results, error) {
+	if cfg.Workers < 1 {
+		cfg.Workers = DefaultMatrixWorkers()
+	}
+	selected := make(map[string]bool, len(names))
+	for _, n := range names {
+		selected[n] = true
+	}
+	var run []section
+	needMatrix := false
+	for _, s := range sections {
+		if len(names) == 0 || selected[s.name] {
+			run = append(run, s)
+			needMatrix = needMatrix || s.matrix
+			delete(selected, s.name)
+		}
+	}
+	for _, n := range names {
+		if selected[n] {
+			return nil, fmt.Errorf("experiments: no evaluation section %q", n)
+		}
+	}
+	res := NewResults(cfg.Workers)
+	e := &evaluation{w: w, cfg: cfg}
+	if needMatrix {
+		if err := res.Time("matrix", func() (map[string]float64, error) {
+			var err error
+			e.cells, err = RunMatrixWorkers(cfg.Workers)
+			return MatrixMetrics(e.cells), err
+		}); err != nil {
+			return nil, err
+		}
+	}
+	for i, s := range run {
 		if i > 0 {
 			fmt.Fprintln(w, strings.Repeat("-", 72))
 		}
-		if err := res.Time(s.name, s.fn); err != nil {
+		if err := res.Time(s.name, func() (map[string]float64, error) { return s.run(e) }); err != nil {
 			return nil, err
 		}
 	}

@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -18,9 +19,9 @@ var matrix []experiments.Cell
 func getMatrix(t *testing.T) []experiments.Cell {
 	t.Helper()
 	if matrix == nil {
-		cells, err := experiments.RunMatrix()
+		cells, err := experiments.RunMatrixWorkers(experiments.DefaultMatrixWorkers())
 		if err != nil {
-			t.Fatalf("RunMatrix: %v", err)
+			t.Fatalf("RunMatrixWorkers: %v", err)
 		}
 		matrix = cells
 	}
@@ -266,5 +267,40 @@ func TestFigure16SmallRun(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "SunSpider") {
 		t.Errorf("figure 16 output = %s", buf.String())
+	}
+}
+
+// TestRunEvaluationSmoke runs the whole section table once, small: the
+// JSON sections are the matrix and then every section in order, and the
+// text carries each part of the paper's §4.
+func TestRunEvaluationSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation is slow")
+	}
+	var sb strings.Builder
+	res, err := experiments.Evaluate(&sb, experiments.Config{BenchIters: 40, PlayN: 10000})
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	want := append([]string{"matrix"}, experiments.SectionNames()...)
+	if len(res.Sections) != len(want) {
+		t.Fatalf("%d sections, want %d", len(res.Sections), len(want))
+	}
+	for i, s := range res.Sections {
+		if s.Name != want[i] {
+			t.Errorf("section %d is %q, want %q", i, s.Name, want[i])
+		}
+	}
+	out := sb.String()
+	for _, want := range []string{"Table 2", "Figure 12", "Figure 16", "Figure 17", "Pairing cost", "Expected failures", "Ablation"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("evaluation output missing %q", want)
+		}
+	}
+}
+
+func TestEvaluateRejectsUnknownSection(t *testing.T) {
+	if _, err := experiments.Evaluate(io.Discard, experiments.Config{}, "figure11"); err == nil {
+		t.Error("Evaluate accepted an unknown section")
 	}
 }

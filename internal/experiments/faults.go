@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"flux/internal/apps"
@@ -29,147 +28,14 @@ func DefaultFaultPlan(rate float64) faults.Plan {
 	}
 }
 
-// FaultCell is one cell of the faulted evaluation matrix. Exactly one of
-// Report/Err describes the outcome: a nil Err is a recovered (or
-// fault-free) success; an Err wrapping migration.ErrRolledBack is a
-// clean rollback to the home device; any other Err is a genuine failure
-// (an app-lost bug — the fault matrix treats it as fatal).
-type FaultCell struct {
-	App    apps.App
-	Pair   Pair
-	Seed   int64
-	Report *migration.Report
-	Err    error
-}
-
-// RolledBack reports whether the cell ended in a clean rollback.
-func (c FaultCell) RolledBack() bool {
-	return errors.Is(c.Err, migration.ErrRolledBack)
-}
-
 // RunFaultMatrixWorkers runs the 16-app × 4-pair matrix with fault
 // injection on a workers-wide pool. Every cell gets its own injector
 // seeded by Derive(seed, pkg, pair), so results are byte-identical at
-// any worker count. Cells that fail with anything other than a rollback
-// abort the run (matrix order, deterministically).
-func RunFaultMatrixWorkers(workers int, seed int64, plan faults.Plan, opts migration.Options) ([]FaultCell, error) {
-	type job struct {
-		idx  int
-		pair Pair
-		app  apps.App
-	}
-	var jobs []job
-	for _, p := range Figure12Pairs() {
-		for _, a := range apps.Migratable() {
-			jobs = append(jobs, job{idx: len(jobs), pair: p, app: a})
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	cells := make([]FaultCell, len(jobs))
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				cellSeed := faults.Derive(seed, j.app.Spec.Package, j.pair.Name)
-				cellOpts := opts
-				cellOpts.Faults = faults.New(cellSeed, plan.Clone())
-				rep, err := RunOneOpts(j.pair, j.app, cellOpts)
-				cells[j.idx] = FaultCell{App: j.app, Pair: j.pair, Seed: cellSeed, Report: rep, Err: err}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	// Anything that is neither success nor rollback means an app was
-	// lost — the one outcome the recovery contract forbids.
-	for _, c := range cells {
-		if c.Err != nil && !c.RolledBack() {
-			return nil, fmt.Errorf("experiments: fault matrix lost an app: %s / %s: %w",
-				c.App.Spec.Label, c.Pair.Name, c.Err)
-		}
-	}
-	return cells, nil
-}
-
-// FaultMatrix runs the fault matrix at the given per-chunk fault rate
-// alongside the clean matrix, prints the recovery table, and returns the
-// aggregate metrics fluxbench folds into BENCH_results.json. It enforces
-// the recovery contract: every recovered cell resumed (retransmitting
-// strictly less than it transferred) with consistent restored state, and
-// no cell ended anywhere but "completed" or "rolled back".
-func FaultMatrix(w io.Writer, workers int, seed int64, rate float64) (map[string]float64, error) {
-	clean, err := RunMatrixWorkersOpts(workers, migration.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cells, err := RunFaultMatrixWorkers(workers, seed, DefaultFaultPlan(rate), migration.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cleanTotal := make(map[string]time.Duration, len(clean))
-	for _, c := range clean {
-		cleanTotal[c.App.Spec.Package+"|"+c.Pair.Name] = c.Report.Timings.Total()
-	}
-
-	var recovered, rolledBack, faulted int
-	var retries int
-	var retransmit int64
-	var overhead time.Duration
-	for _, c := range cells {
-		if c.RolledBack() {
-			rolledBack++
-			continue
-		}
-		recovered++
-		rep := c.Report
-		if rep.Retries > 0 {
-			faulted++
-			// Resumability invariant: every retry reships at most one
-			// chunk, so retransmitted bytes are bounded by retries ×
-			// chunk size — a restart-from-scratch scheme would reship
-			// O(wire) per fault and blow through this immediately.
-			if rep.RetransmitBytes > int64(rep.Retries)*migration.DefaultPipelineChunkBytes {
-				return nil, fmt.Errorf("experiments: %s / %s reshipped %d bytes over %d retries — more than one chunk per retry",
-					c.App.Spec.Label, c.Pair.Name, rep.RetransmitBytes, rep.Retries)
-			}
-		}
-		retries += rep.Retries
-		retransmit += rep.RetransmitBytes
-		overhead += rep.Timings.Total() - cleanTotal[c.App.Spec.Package+"|"+c.Pair.Name]
-	}
-	n := len(cells)
-	recRate := 100 * float64(recovered) / float64(n)
-	var avgOverhead float64
-	if recovered > 0 {
-		avgOverhead = sec(overhead) / float64(recovered)
-	}
-	fmt.Fprintf(w, "Fault matrix (%d migrations, chunk fault rate %.0f%%, ≤1 link flap each):\n", n, 100*rate)
-	fmt.Fprintf(w, "  completed (recovered):      %4d / %d (%.1f%%)\n", recovered, n, recRate)
-	fmt.Fprintf(w, "  cells that saw faults:      %4d\n", faulted)
-	fmt.Fprintf(w, "  rolled back to home device: %4d (zero apps lost)\n", rolledBack)
-	fmt.Fprintf(w, "  total retries / retransmit: %4d / %.2f MB\n", retries, mb(retransmit))
-	fmt.Fprintf(w, "  avg recovery overhead:      %6.3f s per completed migration\n", avgOverhead)
-	return map[string]float64{
-		"cells":             float64(n),
-		"recovered":         float64(recovered),
-		"rolled_back":       float64(rolledBack),
-		"recovery_rate_pct": recRate,
-		"faulted_cells":     float64(faulted),
-		"retries":           float64(retries),
-		"retransmit_mb":     mb(retransmit),
-		"avg_overhead_s":    avgOverhead,
-	}, nil
+// any worker count. A cell either completes or rolls back cleanly
+// (Cell.RolledBack); any other failure loses an app and aborts the run
+// (matrix order, deterministically).
+func RunFaultMatrixWorkers(workers int, seed int64, plan faults.Plan) ([]Cell, error) {
+	return runMatrix(workers, migration.Options{}, seed, plan)
 }
 
 // AblationFaults sweeps the fault rate for one app across the four

@@ -20,7 +20,7 @@ import (
 // least 99% of the matrix completes, every recovered cell resumed
 // rather than restarted, and no outcome falls outside {ok, rolled-back}.
 func TestFaultMatrixHeadlineRecovery(t *testing.T) {
-	cells, err := RunFaultMatrixWorkers(DefaultMatrixWorkers(), 1, DefaultFaultPlan(0.15), migration.Options{})
+	cells, err := RunFaultMatrixWorkers(DefaultMatrixWorkers(), 1, DefaultFaultPlan(0.15))
 	if err != nil {
 		t.Fatalf("fault matrix lost an app: %v", err)
 	}
@@ -60,11 +60,11 @@ func TestFaultMatrixHeadlineRecovery(t *testing.T) {
 // the faulted matrix reproduce exactly at any pool width.
 func TestFaultMatrixDeterministicAcrossWorkers(t *testing.T) {
 	plan := DefaultFaultPlan(0.25)
-	one, err := RunFaultMatrixWorkers(1, 7, plan, migration.Options{})
+	one, err := RunFaultMatrixWorkers(1, 7, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunFaultMatrixWorkers(8, 7, plan, migration.Options{})
+	many, err := RunFaultMatrixWorkers(8, 7, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,28 +84,12 @@ func TestFaultMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultMatrixRendererAndAblation: the printed fault experiments run
-// end to end and report sane aggregates.
+// TestFaultMatrixRendererAndAblation: the printed fault-rate sweep runs
+// end to end and covers the benign and hostile ends. The fault matrix's
+// aggregates are TestFaultMatrixHeadlineRecovery's and the lab's faults.*
+// signals'.
 func TestFaultMatrixRendererAndAblation(t *testing.T) {
 	var buf bytes.Buffer
-	m, err := FaultMatrix(&buf, DefaultMatrixWorkers(), 1, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["cells"] != 64 || m["recovered"]+m["rolled_back"] != 64 {
-		t.Errorf("outcome accounting broken: %+v", m)
-	}
-	if m["recovery_rate_pct"] < 99 {
-		t.Errorf("recovery rate %.1f%% < 99%%", m["recovery_rate_pct"])
-	}
-	if m["retries"] <= 0 || m["retransmit_mb"] <= 0 {
-		t.Errorf("no recovery activity recorded: %+v", m)
-	}
-	if !strings.Contains(buf.String(), "zero apps lost") {
-		t.Error("fault matrix output missing the no-loss line")
-	}
-
-	buf.Reset()
 	a := apps.ByPackage("com.king.candycrushsaga")
 	if a == nil {
 		t.Fatal("app catalog missing candy crush")

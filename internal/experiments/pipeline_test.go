@@ -17,11 +17,11 @@ import (
 //   - not a single transferred byte changes,
 //   - the matrix-wide average user-perceived saving is at least 15%.
 func TestPipelineMatrixSavings(t *testing.T) {
-	seq, err := RunMatrix()
+	seq, err := RunMatrixWorkers(DefaultMatrixWorkers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pip, err := RunMatrixOpts(migration.Options{Pipelined: true})
+	pip, err := RunMatrixWorkersOpts(DefaultMatrixWorkers(), migration.Options{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,3 +116,28 @@ func MatrixMetrics(cells []Cell) map[string]float64 {
 		"max_transferred_mb":      mb(maxWire),
 	}
 }
+
+// CommuterMetrics aggregates one commuter run per pair into the
+// headline delta-migration metrics, the commuter section of
+// BENCH_commuter.json: hop-1 and steady-state wire bytes averaged over
+// pairs, the steady state as a share of hop 1, the warm-hop cache hit
+// ratio, and the bytes the caches kept off the wire.
+func CommuterMetrics(runs []*CommuterRun, spec CommuterSpec) map[string]float64 {
+	var hop1, steady, hitRatio, notShipped float64
+	for _, r := range runs {
+		hop1 += mb(r.Hop1Bytes())
+		steady += mb(r.SteadyAvgBytes())
+		hitRatio += r.HitRatio()
+		notShipped += mb(r.NotShippedBytes())
+	}
+	n := float64(len(runs))
+	return map[string]float64{
+		"round_trips":            float64(spec.RoundTrips),
+		"dirty_rate_pct":         100 * spec.DirtyRate,
+		"hop1_avg_mb":            hop1 / n,
+		"hop2plus_avg_mb":        steady / n,
+		"hop2plus_over_hop1_pct": 100 * steady / hop1,
+		"hit_ratio_pct":          100 * hitRatio / n,
+		"not_shipped_mb":         notShipped / n,
+	}
+}

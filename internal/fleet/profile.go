@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
 
 	"flux/internal/apps"
 	"flux/internal/device"
@@ -80,10 +79,10 @@ func rolesInUse(devicesPerUser int) []int8 {
 }
 
 // buildProfiles measures one real migration per reachable class on a
-// workers-wide pool. The pool follows the deterministic pattern of
-// experiments.RunMatrixWorkers: jobs are indexed, results land by
-// index, and the first error in job order wins — so the profile table
-// (and everything downstream of it) is byte-identical at any width.
+// workers-wide experiments.ForEach pool: jobs are indexed, results land
+// by index, and the first error in job order wins — so the profile
+// table (and everything downstream of it) is byte-identical at any
+// width.
 func buildProfiles(spec *Spec, w *workload, workers int) (*profiles, error) {
 	roles := rolesInUse(spec.DevicesPerUser)
 	p := &profiles{
@@ -112,52 +111,32 @@ func buildProfiles(spec *Spec, w *workload, workers int) (*profiles, error) {
 	if workers < 1 {
 		workers = experiments.DefaultMatrixWorkers()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, len(jobs))
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ji := range ch {
-				j := jobs[ji]
-				a := apps.ByPackage(w.apps[j.app])
-				if a == nil {
-					errs[ji] = fmt.Errorf("fleet: unknown app %q", w.apps[j.app])
-					continue
-				}
-				pair := experiments.Pair{
-					Name:  modelName(j.src) + " to " + modelName(j.dst),
-					Home:  modelProfile(j.src),
-					Guest: modelProfile(j.dst),
-				}
-				rep, err := experiments.RunOneOpts(pair, *a, migration.Options{})
-				if err != nil {
-					errs[ji] = fmt.Errorf("fleet: profiling %s / %s: %w", a.Spec.Label, pair.Name, err)
-					continue
-				}
-				if spec.ChunkWire {
-					link := netsim.Link{A: modelRadio(j.src), B: modelRadio(j.dst)}
-					p.graphs[j.idx] = migration.ChunkedGraph(rep, link, int64(spec.ChunkKB)<<10)
-				} else {
-					p.graphs[j.idx] = migration.Graph(rep)
-				}
-				p.reps[j.idx] = rep
-			}
-		}()
-	}
-	for ji := range jobs {
-		ch <- ji
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := experiments.ForEach(workers, len(jobs), func(ji int) error {
+		j := jobs[ji]
+		a := apps.ByPackage(w.apps[j.app])
+		if a == nil {
+			return fmt.Errorf("fleet: unknown app %q", w.apps[j.app])
 		}
+		pair := experiments.Pair{
+			Name:  modelName(j.src) + " to " + modelName(j.dst),
+			Home:  modelProfile(j.src),
+			Guest: modelProfile(j.dst),
+		}
+		rep, err := experiments.RunOneOpts(pair, *a, migration.Options{})
+		if err != nil {
+			return fmt.Errorf("fleet: profiling %s / %s: %w", a.Spec.Label, pair.Name, err)
+		}
+		if spec.ChunkWire {
+			link := netsim.Link{A: modelRadio(j.src), B: modelRadio(j.dst)}
+			p.graphs[j.idx] = migration.ChunkedGraph(rep, link, int64(spec.ChunkKB)<<10)
+		} else {
+			p.graphs[j.idx] = migration.Graph(rep)
+		}
+		p.reps[j.idx] = rep
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"flux/internal/experiments"
-	"flux/internal/faults"
 	"flux/internal/fleet"
 	"flux/internal/migration"
 	"flux/internal/obs"
@@ -61,9 +60,9 @@ type runData struct {
 	pipelined []experiments.Cell // Options{Pipelined}
 	postcopy  []experiments.Cell // Options{PostCopy}
 
-	faulted       []experiments.FaultCell // headline-rate fault matrix
-	faultedRepeat []experiments.FaultCell // same seed re-run
-	faultedZero   []experiments.FaultCell // zero-rate fault matrix
+	faulted       []experiments.Cell // headline-rate fault matrix
+	faultedRepeat []experiments.Cell // same seed re-run
+	faultedZero   []experiments.Cell // zero-rate fault matrix
 
 	commuter    []*experiments.CommuterRun // sequential delta commuter
 	commuterPip []*experiments.CommuterRun // pipelined delta commuter
@@ -127,27 +126,26 @@ func (r *Runner) Run() (*Report, error) {
 		return nil, fmt.Errorf("lab: post-copy matrix: %w", err)
 	}
 	r.progressf("lab: fault matrix (rate=%.2f, seed=%d)\n", HeadlineFaultRate, spec.Seed)
-	plan := experiments.DefaultFaultPlan(HeadlineFaultRate)
-	if data.faulted, err = experiments.RunFaultMatrixWorkers(workers, spec.Seed, plan, migration.Options{}); err != nil {
+	if data.faulted, err = experiments.RunFaultMatrixWorkers(workers, spec.Seed, experiments.DefaultFaultPlan(HeadlineFaultRate)); err != nil {
 		return nil, fmt.Errorf("lab: fault matrix: %w", err)
 	}
-	if data.faultedRepeat, err = experiments.RunFaultMatrixWorkers(workers, spec.Seed, experiments.DefaultFaultPlan(HeadlineFaultRate), migration.Options{}); err != nil {
+	if data.faultedRepeat, err = experiments.RunFaultMatrixWorkers(workers, spec.Seed, experiments.DefaultFaultPlan(HeadlineFaultRate)); err != nil {
 		return nil, fmt.Errorf("lab: fault matrix repeat: %w", err)
 	}
-	if data.faultedZero, err = experiments.RunFaultMatrixWorkers(workers, spec.Seed, experiments.DefaultFaultPlan(0), migration.Options{}); err != nil {
+	if data.faultedZero, err = experiments.RunFaultMatrixWorkers(workers, spec.Seed, experiments.DefaultFaultPlan(0)); err != nil {
 		return nil, fmt.Errorf("lab: zero-rate fault matrix: %w", err)
 	}
 	r.progressf("lab: commuter itineraries (K=%d)\n", spec.Sweep.RoundTrips)
 	baseCommuter := experiments.DefaultCommuterSpec()
 	baseCommuter.RoundTrips = spec.Sweep.RoundTrips
 	baseCommuter.Seed = spec.Seed
-	if data.commuter, err = runCommuter(baseCommuter); err != nil {
-		return nil, err
+	if data.commuter, err = experiments.RunCommuter(workers, baseCommuter); err != nil {
+		return nil, fmt.Errorf("lab: commuter: %w", err)
 	}
 	pipCommuter := baseCommuter
 	pipCommuter.Pipelined = true
-	if data.commuterPip, err = runCommuter(pipCommuter); err != nil {
-		return nil, err
+	if data.commuterPip, err = experiments.RunCommuter(workers, pipCommuter); err != nil {
+		return nil, fmt.Errorf("lab: commuter: %w", err)
 	}
 	r.progressf("lab: traced migration\n")
 	if data.traced, data.tracedSpans, err = runTraced(); err != nil {
@@ -211,7 +209,7 @@ func (r *Runner) runSweep(spec Spec, workers int, data *runData) ([]CellStats, e
 					if err != nil {
 						return nil, fmt.Errorf("lab: sweep matrix cell: %w", err)
 					}
-					cells = append(cells, statsFromReports(params, reportsOf(mc), 0))
+					cells = append(cells, statsFromCells(params, mc))
 				}
 			}
 		case ScenarioFaults:
@@ -223,12 +221,11 @@ func (r *Runner) runSweep(spec Spec, workers int, data *runData) ([]CellStats, e
 					"rep":        strconv.Itoa(rep),
 				}
 				r.progressf("lab: sweep cell fault_rate=%g rep=%d\n", rate, rep)
-				fc, err := experiments.RunFaultMatrixWorkers(workers, seed, experiments.DefaultFaultPlan(rate), migration.Options{})
+				fc, err := experiments.RunFaultMatrixWorkers(workers, seed, experiments.DefaultFaultPlan(rate))
 				if err != nil {
 					return nil, fmt.Errorf("lab: sweep fault cell: %w", err)
 				}
-				reports, rolledBack := faultReportsOf(fc)
-				cells = append(cells, statsFromReports(params, reports, rolledBack))
+				cells = append(cells, statsFromCells(params, fc))
 			}
 		case ScenarioFleet:
 			for _, devices := range spec.Sweep.FleetDevices {
@@ -264,9 +261,9 @@ func (r *Runner) runSweep(spec Spec, workers int, data *runData) ([]CellStats, e
 							"rep":          strconv.Itoa(rep),
 						}
 						r.progressf("lab: sweep cell dirty=%g budget=%d pipelined=%v rep=%d\n", dirty, budget, pip, rep)
-						runs, err := runCommuter(cspec)
+						runs, err := experiments.RunCommuter(workers, cspec)
 						if err != nil {
-							return nil, err
+							return nil, fmt.Errorf("lab: commuter: %w", err)
 						}
 						cells = append(cells, statsFromReports(params, commuterReportsOf(runs), 0))
 					}
@@ -275,21 +272,6 @@ func (r *Runner) runSweep(spec Spec, workers int, data *runData) ([]CellStats, e
 		}
 	}
 	return cells, nil
-}
-
-// runCommuter drives the commuter itinerary across the four Figure-12
-// pairs sequentially (each pair's run is already a closed simulation).
-func runCommuter(spec experiments.CommuterSpec) ([]*experiments.CommuterRun, error) {
-	app := experiments.CommuterApp()
-	var runs []*experiments.CommuterRun
-	for _, p := range experiments.Figure12Pairs() {
-		run, err := experiments.RunCommuterPair(p, app, spec)
-		if err != nil {
-			return nil, fmt.Errorf("lab: commuter: %w", err)
-		}
-		runs = append(runs, run)
-	}
-	return runs, nil
 }
 
 // runTraced runs one migration with telemetry enabled and returns its
@@ -330,14 +312,11 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "Sweep cells (%d):\n", len(r.Cells))
-	fmt.Fprintf(w, "  %-62s %5s %9s %9s %9s %10s\n", "CELL", "MIGR", "TOTALp50", "TOTALp99", "USERp50", "WIRE")
+	fmt.Fprintf(w, "  %-62s %5s %9s %9s %9s %10s %6s %6s %6s\n",
+		"CELL", "MIGR", "TOTALp50", "TOTALp99", "USERp50", "WIRE", "ROLLBK", "RETRY", "HITS")
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "  %-62s %5d %8.2fs %8.2fs %8.2fs %8.2fMB\n",
-			c.ID, c.Migrations, c.TotalP50S, c.TotalP99S, c.UserP50S, float64(c.WireBytes)/(1<<20))
+		fmt.Fprintf(w, "  %-62s %5d %8.2fs %8.2fs %8.2fs %8.2fMB %6d %6d %6d\n",
+			c.ID, c.Migrations, c.TotalP50S, c.TotalP99S, c.UserP50S, float64(c.WireBytes)/(1<<20),
+			c.RolledBack, c.Retries, c.CacheHits+c.CacheRollingHits)
 	}
 }
-
-// Derive re-exports the fault seed derivation for spec-driven cells so
-// callers outside the package (tests, fluxlab) can predict per-cell
-// seeds.
-func Derive(seed int64, parts ...string) int64 { return faults.Derive(seed, parts...) }

@@ -181,8 +181,8 @@ func timingSignals(d *runData) []Signal {
 
 	// p50/p99 equality across widths.
 	params := map[string]string{"probe": "width"}
-	a := statsFromReports(params, reportsOf(d.baseline), 0)
-	b := statsFromReports(params, reportsOf(d.width1), 0)
+	a := statsFromCells(params, d.baseline)
+	b := statsFromCells(params, d.width1)
 	equal := a.StageP50S == b.StageP50S && a.StageP99S == b.StageP99S &&
 		a.TotalP50S == b.TotalP50S && a.TotalP99S == b.TotalP99S
 	out = append(out, sig("timings.width_invariance_p99", equal,
@@ -249,7 +249,7 @@ func determinismSignals(d *runData, rep *Report) []Signal {
 
 	probe := map[string]string{"probe": "determinism"}
 	canon := func(cells []experiments.Cell) string {
-		data, err := json.Marshal(statsFromReports(probe, reportsOf(cells), 0))
+		data, err := json.Marshal(statsFromCells(probe, cells))
 		if err != nil {
 			return "marshal-error: " + err.Error()
 		}

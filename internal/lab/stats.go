@@ -137,18 +137,9 @@ func statsFromReports(params map[string]string, reports []*migration.Report, rol
 	return cs
 }
 
-// reportsOf extracts the migration reports from matrix cells.
-func reportsOf(cells []experiments.Cell) []*migration.Report {
-	out := make([]*migration.Report, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, c.Report)
-	}
-	return out
-}
-
-// faultReportsOf splits fault cells into completed reports and the
-// rollback count.
-func faultReportsOf(cells []experiments.FaultCell) ([]*migration.Report, int) {
+// statsFromCells aggregates matrix cells into a CellStats, counting
+// clean rollbacks (fault matrices only) apart from completed reports.
+func statsFromCells(params map[string]string, cells []experiments.Cell) CellStats {
 	var reports []*migration.Report
 	rolledBack := 0
 	for _, c := range cells {
@@ -158,7 +149,7 @@ func faultReportsOf(cells []experiments.FaultCell) ([]*migration.Report, int) {
 		}
 		reports = append(reports, c.Report)
 	}
-	return reports, rolledBack
+	return statsFromReports(params, reports, rolledBack)
 }
 
 // statsFromFleet aggregates one fleet run into a CellStats. Fleet

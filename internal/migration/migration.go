@@ -238,8 +238,6 @@ type Options struct {
 	// Retry bounds fault recovery; the zero value means
 	// DefaultRetryPolicy. Ignored without Faults.
 	Retry RetryPolicy
-	// Engine overrides the replay engine (tests inject failing proxies).
-	Engine *replay.Engine
 	// Span optionally parents the migration's telemetry span tree (the
 	// evaluation matrix nests each cell's migration under a cell span).
 	// Nil starts a root span on the default tracer when telemetry is
@@ -258,11 +256,7 @@ type Migrator struct {
 
 // New builds a migrator for a device pair.
 func New(home, guest *device.Device, opts Options) *Migrator {
-	eng := opts.Engine
-	if eng == nil {
-		eng = replay.NewEngine()
-	}
-	return &Migrator{Home: home, Guest: guest, Opts: opts, engine: eng}
+	return &Migrator{Home: home, Guest: guest, Opts: opts, engine: replay.NewEngine()}
 }
 
 // advanceBoth moves both devices' virtual clocks: wall time passes on the

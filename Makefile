@@ -1,8 +1,9 @@
 # Flux build and verification entry points.
 #
-#   make verify      vet + fluxvet + build + full test suite + the fluxperf
-#                    module's vet and tests (tier-1 gate; vet and fluxvet
-#                    findings fail the build)
+#   make verify      gofmt + vet + fluxvet + build + full test suite + the
+#                    fluxperf module's vet and tests (tier-1 gate; any
+#                    unformatted file, vet or fluxvet finding fails it)
+#   make fmt         fail if gofmt would rewrite any tracked Go file
 #   make lint        fluxvet alone: decorator-spec analysis (layer 1) plus
 #                    the repo source invariants (layer 3)
 #   make race        -race pass over the concurrency-sensitive packages
@@ -33,11 +34,17 @@
 
 GO ?= go
 
-.PHONY: all verify vet lint build test bench-module race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify clean
+.PHONY: all verify fmt vet lint build test bench-module race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify clean
 
 all: verify
 
-verify: vet lint build test bench-module
+verify: fmt vet lint build test bench-module
+
+# Lists every tracked Go file gofmt would rewrite and fails if there is
+# one.
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -67,8 +74,8 @@ bench-module:
 # driver. Keep this green: the sharded record log, the worker-pool
 # evaluation driver, the telemetry ring/registry, the span-instrumented
 # migration pipeline (including its fault-recovery retry paths), the
-# concurrent fault injector, the parallel image marshaller, and the
-# memoized sync trees, and the mutex-guarded chunk store are only correct
+# concurrent fault injector, the image marshaller's worker pool, the
+# memoized sync trees and the mutex-guarded chunk store are only correct
 # if they are race-clean. So are the process-wide tables aidl.Parse
 # compiles and every Recorder, Dispatcher and replay Engine reads
 # (device's parallel-pairs test reads them from concurrent boots).
@@ -81,10 +88,10 @@ bench:
 	$(GO) test -bench='BenchmarkMatrixWorkers' -benchmem .
 
 # The streaming-pipeline hot paths: parallel FXC2 marshal (run with
-# -cpu 1,4 on multi-core hosts to see the worker-pool scaling), memoized
-# WireBytes, chunk partitioning, streamed link scheduling, and the
-# rsyncx plan builder — then the streamed-vs-sequential matrix itself,
-# whose pipeline.* signals gate byte identity and exact savings.
+# -cpu 1,4 on multi-core hosts to see the worker-pool scaling), chunk
+# partitioning, streamed link scheduling, and the rsyncx plan builder —
+# then the streamed-vs-sequential matrix itself, whose pipeline.*
+# signals gate byte identity and exact savings.
 bench-pipeline:
 	$(GO) test -bench='BenchmarkImage' -benchmem ./internal/cria/
 	$(GO) test -bench=. -benchmem ./internal/netsim/

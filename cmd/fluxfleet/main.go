@@ -36,7 +36,7 @@ func main() {
 
 func run() error {
 	var (
-		specPath   = flag.String("spec", "", "fleet spec file (YAML subset or JSON)")
+		specPath   = flag.String("spec", "", "fleet spec file (YAML subset)")
 		workers    = flag.Int("workers", 0, "profiling pool width (0 = one per CPU); never changes report bytes")
 		jsonPath   = flag.String("json", "", "write the report JSON here")
 		checkPath  = flag.String("check", "", "compare the report against this committed baseline")

@@ -156,16 +156,12 @@ func TestRunLogsEndToEnd(t *testing.T) {
 		t.Fatalf("want one replay-hazard for handle 7, got %v", fs)
 	}
 
-	// Restoring the handle clears it. (Marshal memoizes the wire bytes,
-	// so build a fresh image rather than mutating the first one.)
-	img2 := &cria.Image{
-		Pkg: "com.app",
-		Handles: append(img.Handles, cria.HandleRecord{
-			Handle: binder.Handle(7), Kind: cria.HandleSystemService,
-			ServiceName: "notification", Descriptor: itf.Name,
-		}),
-	}
-	data, err = img2.Marshal()
+	// Restoring the handle clears it.
+	img.Handles = append(img.Handles, cria.HandleRecord{
+		Handle: binder.Handle(7), Kind: cria.HandleSystemService,
+		ServiceName: "notification", Descriptor: itf.Name,
+	})
+	data, err = img.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,12 +388,23 @@ func TestServiceManagerNameOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.ServiceManager().NameOf(node); got != "notification" {
+	if got := d.ServiceManager().NameOf(node.ID()); got != "notification" {
 		t.Errorf("NameOf = %q", got)
 	}
 	other, _ := sys.Publish("IAnon", &echoService{})
-	if got := d.ServiceManager().NameOf(other); got != "" {
+	if got := d.ServiceManager().NameOf(other.ID()); got != "" {
 		t.Errorf("NameOf(anon) = %q, want empty", got)
+	}
+	// A node registered under two names resolves to the smaller one,
+	// whichever was registered first.
+	twice, _ := sys.Publish("ITwice", &echoService{})
+	for _, name := range []string{"zeta", "alpha"} {
+		if err := d.ServiceManager().Register(name, twice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.ServiceManager().NameOf(twice.ID()); got != "alpha" {
+		t.Errorf("NameOf(two names) = %q, want alpha", got)
 	}
 }
 

@@ -57,18 +57,21 @@ func (sm *ServiceManager) Lookup(name string) *Node {
 	return sm.names[name]
 }
 
-// NameOf returns the registration name of node, or "" if it is not a
-// registered system service. CRIA uses this to classify a handle as a
-// system-service reference and to record the name for guest-side rebinding.
-func (sm *ServiceManager) NameOf(node *Node) string {
+// NameOf returns the registration name of the node with id, or "" if it
+// is not a registered system service. A node registered under several
+// names resolves to the smallest, so the answer never depends on map
+// order. CRIA uses this to classify a handle as a system-service
+// reference and to record the name for guest-side rebinding.
+func (sm *ServiceManager) NameOf(id NodeID) string {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
+	var best string
 	for name, n := range sm.names {
-		if n == node {
-			return name
+		if n.id == id && (best == "" || name < best) {
+			best = name
 		}
 	}
-	return ""
+	return best
 }
 
 // Names returns all registered service names, sorted.

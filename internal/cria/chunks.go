@@ -89,10 +89,11 @@ type Chunk struct {
 }
 
 // Chunks partitions the image into ordered wire chunks of at most
-// chunkBytes raw bytes each: metadata first, then the record log, then
-// every memory segment in table order. Exactness invariants (tested):
+// chunkBytes raw bytes each: metadata (meta, the image's Marshal output)
+// first, then the record log, then every memory segment in table order.
+// Exactness invariants (tested):
 //
-//   - sum of Wire over all chunks == WireBytes()
+//   - sum of Wire over all chunks == WireBytes(meta)
 //   - sum of Wire over ChunkSegment chunks == CompressedPayloadBytes()
 //   - sum of Raw over ChunkSegment chunks == PayloadBytes()
 //
@@ -100,13 +101,9 @@ type Chunk struct {
 // (floor(C·cum/S) deltas), so they sum to the segment's CompressedSize
 // exactly regardless of the chunk size — including degenerate 1-byte
 // chunks.
-func (img *Image) Chunks(chunkBytes int64) ([]Chunk, error) {
+func (img *Image) Chunks(meta []byte, chunkBytes int64) ([]Chunk, error) {
 	if chunkBytes < 1 {
 		return nil, fmt.Errorf("cria: chunk size must be at least 1 byte, got %d", chunkBytes)
-	}
-	meta, err := img.Marshal()
-	if err != nil {
-		return nil, err
 	}
 	var chunks []Chunk
 	add := func(c Chunk) {

@@ -2,6 +2,8 @@ package cria_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -61,17 +63,14 @@ func TestChunksInvariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		img := tc.img
-		wire, err := img.WireBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
 		meta, err := img.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
+		wire := img.WireBytes(meta)
 		for _, cb := range tc.chunks {
 			t.Run(fmt.Sprintf("%s/chunk=%d", tc.name, cb), func(t *testing.T) {
-				chunks, err := img.Chunks(cb)
+				chunks, err := img.Chunks(meta, cb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,8 +132,12 @@ func TestChunksInvariants(t *testing.T) {
 
 func TestChunksRejectsBadSize(t *testing.T) {
 	img := checkpointImage(t)
+	meta, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cb := range []int64{0, -1, -1 << 20} {
-		if _, err := img.Chunks(cb); err == nil {
+		if _, err := img.Chunks(meta, cb); err == nil {
 			t.Errorf("Chunks(%d) accepted", cb)
 		}
 	}
@@ -148,52 +151,56 @@ func TestMarshalDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := append([]byte(nil), first...)
 	for i := 0; i < 5; i++ {
-		img.Invalidate() // force a fresh parallel encode
 		again, err := img.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(snapshot, again) {
-			t.Fatalf("marshal %d produced different bytes (%d vs %d)", i, len(snapshot), len(again))
+		if !bytes.Equal(first, again) {
+			t.Fatalf("marshal %d produced different bytes (%d vs %d)", i, len(first), len(again))
 		}
 	}
 }
 
-// TestMarshalMemoized: repeated Marshal/WireBytes calls share one cached
-// encoding until Invalidate.
-func TestMarshalMemoized(t *testing.T) {
-	img := checkpointImage(t)
-	a, err := img.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := img.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] != &b[0] {
-		t.Error("second Marshal re-encoded instead of returning the cache")
-	}
-	w1, err := img.WireBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.Invalidate()
-	c, err := img.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, c) {
-		t.Error("post-Invalidate Marshal differs")
-	}
-	w2, err := img.WireBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1 != w2 {
-		t.Errorf("WireBytes changed across Invalidate: %d vs %d", w1, w2)
+// TestContainerGolden pins the container bytes of a real checkpoint in
+// every revision Marshal writes, and that decoding and re-encoding
+// reproduces them. A digest change here is a wire-format change: it
+// moves every TransferredBytes figure downstream.
+func TestContainerGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		digests bool
+		anchor  []byte
+		sha256  string
+	}{
+		{"FXC2", false, nil, "bf1e1f10f250ec9262e6a40d6d7d9ee86d633f8f8e2b222da90f4f0b02b4d0f9"},
+		{"FXC3", true, nil, "ce4f3793c7ba26b5bb92fe1cd96d5b78c6381dbf88f21dafde81605cc6c41531"},
+		{"FXC4", false, []byte("anchor"), "8dc9d5d93edd8114357cf521b51907cbb7551db57b3d725fd03b083a9d7a7f2b"},
+		{"FXC4+digests", true, []byte("anchor"), "ed7df48cec81ee1690f3ed38ba7d0d7ec35a2a01563632150d3f70983b4990ec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := checkpointImage(t)
+			img.ContentDigests = tc.digests
+			img.LogAnchor = tc.anchor
+			wire, err := img.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sha256.Sum256(wire); hex.EncodeToString(got[:]) != tc.sha256 {
+				t.Errorf("container sha256 %x, want %s", got, tc.sha256)
+			}
+			back, err := cria.Unmarshal(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := back.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, wire) {
+				t.Errorf("Marshal(Unmarshal(b)) differs from b (%d vs %d bytes)", len(again), len(wire))
+			}
+		})
 	}
 }
 

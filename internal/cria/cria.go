@@ -11,10 +11,8 @@
 package cria
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"flux/internal/android"
@@ -89,41 +87,13 @@ type Image struct {
 	// Marshal emits the FXC4 container revision to carry it. Empty by
 	// default so anchor-free images keep FXC2/FXC3's exact wire bytes.
 	LogAnchor []byte
+	// ContentDigests selects the FXC3 container revision (or sets FXC4's
+	// digest flag): per-block SHA-256 content digests for the
+	// delta-migration chunk cache. Off by default so cache-disabled runs
+	// keep FXC2's exact wire bytes.
+	ContentDigests bool
 	// HomeVolumeSteps parameterizes the audio replay proxy.
 	HomeVolumeSteps int32
-
-	// mu guards the memoized serialization (see Marshal/WireBytes in
-	// marshal.go). Unexported fields are invisible to gob.
-	mu         sync.Mutex
-	cachedWire []byte
-	// contentDigests selects the FXC3 container revision: per-block
-	// SHA-256 content digests for the delta-migration chunk cache. Off by
-	// default so cache-disabled runs keep FXC2's exact wire bytes.
-	contentDigests bool
-}
-
-// SetContentDigests selects (or deselects) the FXC3 content-addressed
-// container revision for this image's Marshal output. Flipping it
-// invalidates any memoized serialization; call it before the first
-// WireBytes/Marshal on the migration hot path.
-func (img *Image) SetContentDigests(on bool) {
-	img.mu.Lock()
-	if img.contentDigests != on {
-		img.contentDigests = on
-		img.cachedWire = nil
-	}
-	img.mu.Unlock()
-}
-
-// SetLogAnchor attaches (or clears) the record-log anchor, invalidating
-// any memoized serialization — the container revision depends on it.
-func (img *Image) SetLogAnchor(anchor []byte) {
-	img.mu.Lock()
-	if !bytes.Equal(img.LogAnchor, anchor) {
-		img.LogAnchor = anchor
-		img.cachedWire = nil
-	}
-	img.mu.Unlock()
 }
 
 // ErrLogTampered reports a record log that does not verify against the
@@ -151,6 +121,10 @@ var ErrDeviceStateResident = errors.New("cria: device-specific state still resid
 // not migrated (paper §3.4: only app-specific SD directories travel).
 var ErrCommonSDCard = errors.New("cria: app holds open files on the common SD card area")
 
+// replayRestorable is the one interface whose unnamed system-owned
+// connections replay proxies rebuild instead of the checkpoint.
+const replayRestorable = "ISensorEventConnection"
+
 // Options configures a checkpoint.
 type Options struct {
 	// HomeDevice names the device taking the checkpoint.
@@ -163,9 +137,6 @@ type Options struct {
 	Now func() time.Time
 	// HomeVolumeSteps is the home audio step count.
 	HomeVolumeSteps int32
-	// ReplayRestorable lists interface descriptors whose unnamed system
-	// connections are rebuilt by replay proxies rather than checkpointed.
-	ReplayRestorable map[string]bool
 	// AllowMultiProcess enables process-tree checkpointing — the paper's
 	// future-work extension, off by default to match the evaluation.
 	AllowMultiProcess bool
@@ -173,9 +144,9 @@ type Options struct {
 	// (FXC4 container), so the guest verifies the log before replay. Off
 	// by default: anchor-free images keep their exact legacy wire bytes.
 	AnchorLog bool
-	// SystemPIDs identifies system-owned processes (system_server, pid 0)
-	// whose unnamed nodes may be replay-restorable.
-	SystemPIDs map[int]bool
+	// SystemPID is system_server's pid. Its unnamed nodes, and those of
+	// pid 0, may be replay-restorable.
+	SystemPID int
 	// Span optionally parents the checkpoint's telemetry sections (the
 	// migration pipeline passes its checkpoint stage span). Nil-safe.
 	Span *obs.Span
@@ -255,12 +226,12 @@ func Checkpoint(app *android.App, opts Options) (*Image, error) {
 		case appPIDs[he.OwnerPID]:
 			rec.Kind = HandleInternal
 		default:
-			name := nameOf(opts.ServiceManager, he)
+			name := opts.ServiceManager.NameOf(he.Node)
 			switch {
 			case name != "":
 				rec.Kind = HandleSystemService
 				rec.ServiceName = name
-			case opts.ReplayRestorable[he.Descriptor] && opts.SystemPIDs[he.OwnerPID]:
+			case he.Descriptor == replayRestorable && (he.OwnerPID == 0 || he.OwnerPID == opts.SystemPID):
 				rec.Kind = HandleReplayRestorable
 			default:
 				handleSec.End()
@@ -272,16 +243,6 @@ func Checkpoint(app *android.App, opts Options) (*Image, error) {
 	}
 	handleSec.Attr(obs.Int64("handles", int64(len(img.Handles)))).End()
 	return img, nil
-}
-
-// nameOf resolves a handle entry's node to its ServiceManager name.
-func nameOf(sm *binder.ServiceManager, he binder.HandleEntry) string {
-	for _, name := range sm.Names() {
-		if node := sm.Lookup(name); node != nil && node.ID() == he.Node {
-			return name
-		}
-	}
-	return ""
 }
 
 // PayloadBytes is the raw size of checkpointed memory.
@@ -306,9 +267,6 @@ func (img *Image) CompressedPayloadBytes() int64 {
 type RestoreOptions struct {
 	// Runtime is the guest device's framework runtime.
 	Runtime *android.Runtime
-	// Entries returns the deserialized record log (for callers that have
-	// already parsed it); nil means parse from the image.
-	Entries []*record.Entry
 	// Span optionally parents the restore's telemetry sections (the
 	// migration pipeline passes its restore stage span). Nil-safe.
 	Span *obs.Span
@@ -417,15 +375,12 @@ func Restore(img *Image, opts RestoreOptions) (*Restored, error) {
 		obs.Int64("handles", int64(len(img.Handles))),
 		obs.Int64("pending", int64(len(pending))),
 	).End()
-	entries := opts.Entries
-	if entries == nil {
-		logSec := opts.Span.Child("cria.record_log")
-		entries, err = record.UnmarshalEntries(img.RecordLog)
-		if err != nil {
-			logSec.End()
-			return nil, fmt.Errorf("cria: record log: %w", err)
-		}
-		logSec.Attr(obs.Int64("entries", int64(len(entries)))).End()
+	logSec := opts.Span.Child("cria.record_log")
+	entries, err := record.UnmarshalEntries(img.RecordLog)
+	if err != nil {
+		logSec.End()
+		return nil, fmt.Errorf("cria: record log: %w", err)
 	}
+	logSec.Attr(obs.Int64("entries", int64(len(entries)))).End()
 	return &Restored{App: app, Entries: entries, PendingHandles: pending}, nil
 }

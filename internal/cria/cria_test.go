@@ -61,10 +61,7 @@ func opts(dev *device.Device) cria.Options {
 		Recorder:        dev.Recorder,
 		Now:             dev.Kernel.Clock().Now,
 		HomeVolumeSteps: dev.System.Audio.MaxSteps(),
-		ReplayRestorable: map[string]bool{
-			"ISensorEventConnection": true,
-		},
-		SystemPIDs: map[int]bool{0: true, dev.System.Proc().PID(): true},
+		SystemPID:       dev.System.Proc().PID(),
 	}
 }
 

@@ -29,16 +29,16 @@ func fuzzImageBytes(tb testing.TB, digests bool, anchor []byte) []byte {
 			{Name: "heap", Size: 200_000, Entropy: 0.5},
 			{Name: "tex", Size: 77_000, Entropy: 0.3},
 		},
-		Runtime:   android.RuntimeState{SavedState: map[string]string{"a": "1", "b": "2"}},
-		RecordLog: []byte("fuzz-record-log"),
+		Runtime:        android.RuntimeState{SavedState: map[string]string{"a": "1", "b": "2"}},
+		RecordLog:      []byte("fuzz-record-log"),
+		LogAnchor:      anchor,
+		ContentDigests: digests,
 	}
-	img.SetContentDigests(digests)
-	img.SetLogAnchor(anchor)
 	data, err := img.Marshal()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return bytes.Clone(data)
+	return data
 }
 
 // containers is one valid image per container revision Unmarshal

@@ -3,8 +3,8 @@ package cria
 // Image serialization: a chunk-parallel container format.
 //
 // The seed serialized an image as one gob stream behind one DEFLATE
-// stream — strictly sequential, re-run on every WireBytes call. This file
-// replaces it with a parallel, memoized path:
+// stream, strictly sequential. This file replaces it with a parallel
+// path:
 //
 //   - The image is split into a *core* record (metadata, descriptor and
 //     handle tables, record log) and fixed-size shards of the memory
@@ -13,12 +13,18 @@ package cria
 //     bounded worker pool (GOMAXPROCS-wide), then reassembled in
 //     deterministic index order, so output bytes are identical at any
 //     parallelism.
+//   - The pool stays even though an average image is one core block and
+//     one shard. Running the same loop on the caller's goroutine writes
+//     the same bytes, but fluxperf then measured a peak live heap
+//     (heap_live_peak_mb) 15–30% higher on matrix-cold and
+//     commuter-delta, beyond the benchmark's 15% bound; the same loop on
+//     one spawned goroutine did not raise it. Why the hand-off matters is
+//     not known, so measure the peak before removing the pool.
 //   - flate writers/readers and scratch buffers are sync.Pool-backed: the
 //     steady-state Marshal path does not re-allocate the ~1 MB flate
 //     window per call (BenchmarkImageMarshal tracks allocs/op).
-//   - Marshal output is memoized on the Image; WireBytes — called on the
-//     migration hot path — reuses it instead of re-running gob+flate.
-//     Mutating an Image after a Marshal requires Invalidate().
+//   - Marshal is a pure function of the image. Migrate calls it once and
+//     hands the bytes to WireBytes, Chunks and the guest's Unmarshal.
 //   - The runtime snapshot's SavedState map is serialized as key-sorted
 //     pairs, making the wire bytes (and therefore CompressedImageBytes)
 //     deterministic across runs — gob's native map encoding is not.
@@ -63,8 +69,8 @@ const (
 	// the delta-migration chunk cache (internal/chunkstore); Unmarshal
 	// verifies it after inflating, so a poisoned cache entry whose framing
 	// still CRCs clean is caught deterministically. Produced only when the
-	// image opted in via SetContentDigests — FXC2 stays the default so
-	// cache-disabled runs are byte-identical to before.
+	// image sets ContentDigests — FXC2 stays the default so cache-disabled
+	// runs are byte-identical to before.
 	marshalMagicV3 = "FXC3"
 	// marshalMagicV4 tags the anchored container revision: after the
 	// magic come a uvarint flags word (bit 0 = per-block content
@@ -208,36 +214,12 @@ func inflate(comp []byte) ([]byte, error) {
 	return raw, nil
 }
 
-// Marshal serializes the image metadata and compresses it, memoizing the
-// result on the Image (Migrate computes WireBytes and then re-serializes
-// for the guest; both now share one encoding pass). The returned slice is
-// the shared cached buffer: treat it as read-only. Call Invalidate after
-// mutating the image. The returned wire size excludes the memory payload,
-// which the migration pipeline accounts separately via
-// CompressedPayloadBytes.
+// Marshal serializes the image metadata and compresses it into the
+// container revision the image selects: FXC4 when it carries a
+// LogAnchor, else FXC3 with ContentDigests, else FXC2. The returned wire
+// size excludes the memory payload, which the migration pipeline
+// accounts separately via CompressedPayloadBytes.
 func (img *Image) Marshal() ([]byte, error) {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if img.cachedWire != nil {
-		return img.cachedWire, nil
-	}
-	data, err := img.marshalLocked()
-	if err != nil {
-		return nil, err
-	}
-	img.cachedWire = data
-	return data, nil
-}
-
-// Invalidate drops the memoized Marshal/WireBytes result. Call it after
-// mutating any field of an already-serialized image.
-func (img *Image) Invalidate() {
-	img.mu.Lock()
-	img.cachedWire = nil
-	img.mu.Unlock()
-}
-
-func (img *Image) marshalLocked() ([]byte, error) {
 	// Shard the segment table into fixed-size runs.
 	var shards [][]kernel.MemSegment
 	for off := 0; off < len(img.Segments); off += marshalShardSegs {
@@ -276,7 +258,7 @@ func (img *Image) marshalLocked() ([]byte, error) {
 	// One job per core block and per segment shard; a GOMAXPROCS-bounded
 	// worker pool fills indexed slots so assembly order — and therefore
 	// the output bytes — is deterministic at any parallelism.
-	digests := img.contentDigests
+	digests := img.ContentDigests
 	type slot struct {
 		comp []byte
 		sum  [sha256.Size]byte
@@ -499,6 +481,7 @@ func Unmarshal(data []byte) (*Image, error) {
 		Runtime:         runtimeFromWire(core.Runtime),
 		RecordLog:       core.RecordLog,
 		LogAnchor:       anchor,
+		ContentDigests:  withDigest,
 		HomeVolumeSteps: core.HomeVolumeSteps,
 	}
 	for i := uint64(0); i < nShards; i++ {
@@ -515,14 +498,8 @@ func Unmarshal(data []byte) (*Image, error) {
 	return img, nil
 }
 
-// WireBytes is the image's total transfer size: compressed metadata +
-// compressed memory payload + record log. The metadata serialization is
-// memoized (see Marshal), so repeated calls — Migrate computes WireBytes
-// and later re-serializes the image for the guest — cost one encoding.
-func (img *Image) WireBytes() (int64, error) {
-	meta, err := img.Marshal()
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(meta)) + img.CompressedPayloadBytes() + int64(len(img.RecordLog)), nil
+// WireBytes is the image's total transfer size given its Marshal output
+// meta: compressed metadata + compressed memory payload + record log.
+func (img *Image) WireBytes(meta []byte) int64 {
+	return int64(len(meta)) + img.CompressedPayloadBytes() + int64(len(img.RecordLog))
 }

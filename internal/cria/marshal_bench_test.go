@@ -34,10 +34,10 @@ func benchImage(segs int) *cria.Image {
 	return img
 }
 
-// BenchmarkImageMarshal measures the full (non-memoized) serialization:
-// gob encode + parallel DEFLATE of core blocks and segment shards. Run
-// with -cpu 1,4 to see the worker-pool scaling; ReportAllocs tracks the
-// sync.Pool reuse of flate writers and scratch buffers.
+// BenchmarkImageMarshal measures the full serialization: gob encode +
+// parallel DEFLATE of core blocks and segment shards. Run with -cpu 1,4
+// to see the worker-pool scaling; ReportAllocs tracks the sync.Pool
+// reuse of flate writers and scratch buffers.
 func BenchmarkImageMarshal(b *testing.B) {
 	img := benchImage(2048)                  // 8 shards of 256 segments
 	if _, err := img.Marshal(); err != nil { // warm pools
@@ -46,41 +46,25 @@ func BenchmarkImageMarshal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img.Invalidate()
 		if _, err := img.Marshal(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkImageWireBytesMemoized measures the migration hot path:
-// WireBytes on an already-serialized image must not re-run gob+flate.
-func BenchmarkImageWireBytesMemoized(b *testing.B) {
-	img := benchImage(2048)
-	if _, err := img.WireBytes(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := img.WireBytes(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkImageChunks measures chunk-partition cost at the pipeline's
-// default chunk size (the metadata marshal is memoized, so this is the
-// pure partitioning arithmetic).
+// default chunk size (the metadata is marshalled once, outside the loop,
+// so this is the pure partitioning arithmetic).
 func BenchmarkImageChunks(b *testing.B) {
 	img := benchImage(2048)
-	if _, err := img.Marshal(); err != nil {
+	meta, err := img.Marshal()
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chunks, err := img.Chunks(256 << 10)
+		chunks, err := img.Chunks(meta, 256<<10)
 		if err != nil {
 			b.Fatal(err)
 		}

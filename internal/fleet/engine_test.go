@@ -11,7 +11,7 @@ import (
 
 // onePairSpec is the smallest possible fleet: one user, two devices
 // (phone + tablet), one migration of one app.
-func onePairSpec(chunked bool) Spec {
+func onePairSpec() Spec {
 	return Spec{
 		Name:           "one-pair",
 		Seed:           7,
@@ -19,7 +19,6 @@ func onePairSpec(chunked bool) Spec {
 		DevicesPerUser: 2,
 		UsersPerAP:     1,
 		Migrations:     1,
-		ChunkWire:      chunked,
 		Classes: []Class{{
 			Name:       "solo",
 			Share:      1,
@@ -51,28 +50,25 @@ func TestOnePairReproducesMigrate(t *testing.T) {
 		t.Fatalf("RunOneOpts: %v", err)
 	}
 
-	for _, chunked := range []bool{false, true} {
-		res, err := Run(onePairSpec(chunked), Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("chunked=%v: Run: %v", chunked, err)
-		}
-		if res.Report.Completed != 1 || res.Report.Superseded != 0 {
-			t.Fatalf("chunked=%v: completed=%d superseded=%d, want 1/0",
-				chunked, res.Report.Completed, res.Report.Superseded)
-		}
-		rec := res.Migs[0]
-		if rec.WaitNS != 0 {
-			t.Errorf("chunked=%v: uncontended migration waited %dns for admission", chunked, rec.WaitNS)
-		}
-		if got, want := rec.DoneNS-rec.AdmitNS, int64(rep.Timings.Total()); got != want {
-			t.Errorf("chunked=%v: fleet total %dns, Migrator.Migrate total %dns", chunked, got, want)
-		}
-		if got, want := rec.UserNS, int64(rep.Timings.UserPerceived()); got != want {
-			t.Errorf("chunked=%v: fleet user-perceived %dns, Migrator.Migrate %dns", chunked, got, want)
-		}
-		if got, want := res.Sim().wireBytes, rep.TransferredBytes; got != want {
-			t.Errorf("chunked=%v: fleet wire bytes %d, Migrator.Migrate %d", chunked, got, want)
-		}
+	res, err := Run(onePairSpec(), Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Report.Completed != 1 || res.Report.Superseded != 0 {
+		t.Fatalf("completed=%d superseded=%d, want 1/0", res.Report.Completed, res.Report.Superseded)
+	}
+	rec := res.Migs[0]
+	if rec.WaitNS != 0 {
+		t.Errorf("uncontended migration waited %dns for admission", rec.WaitNS)
+	}
+	if got, want := rec.DoneNS-rec.AdmitNS, int64(rep.Timings.Total()); got != want {
+		t.Errorf("fleet total %dns, Migrator.Migrate total %dns", got, want)
+	}
+	if got, want := rec.UserNS, int64(rep.Timings.UserPerceived()); got != want {
+		t.Errorf("fleet user-perceived %dns, Migrator.Migrate %dns", got, want)
+	}
+	if got, want := res.Sim().wireBytes, rep.TransferredBytes; got != want {
+		t.Errorf("fleet wire bytes %d, Migrator.Migrate %d", got, want)
 	}
 }
 
@@ -297,31 +293,6 @@ func BenchmarkFleet(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Run() // warm-up
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		s.Run()
-		events += s.Events()
-	}
-	b.StopTimer()
-	if b.Elapsed() > 0 {
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	}
-	b.ReportMetric(float64(s.Events()), "events/run")
-}
-
-// BenchmarkFleetChunked exercises the pipelined per-chunk wire path —
-// an order of magnitude more events per migration.
-func BenchmarkFleetChunked(b *testing.B) {
-	spec := ScaledSpec("bench-chunked", 60, 600, 42)
-	spec.ChunkWire = true
-	s, err := NewSim(spec, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Run()
 	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()

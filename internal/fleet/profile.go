@@ -126,12 +126,7 @@ func buildProfiles(spec *Spec, w *workload, workers int) (*profiles, error) {
 		if err != nil {
 			return fmt.Errorf("fleet: profiling %s / %s: %w", a.Spec.Label, pair.Name, err)
 		}
-		if spec.ChunkWire {
-			link := netsim.Link{A: modelRadio(j.src), B: modelRadio(j.dst)}
-			p.graphs[j.idx] = migration.ChunkedGraph(rep, link, int64(spec.ChunkKB)<<10)
-		} else {
-			p.graphs[j.idx] = migration.Graph(rep)
-		}
+		p.graphs[j.idx] = migration.Graph(rep)
 		p.reps[j.idx] = rep
 		return nil
 	})

@@ -3,9 +3,10 @@
 // A spec describes a device fleet (users × devices, grouped under
 // access points), a migration workload (user classes with Poisson or
 // Gamma arrival processes over app mixes, each with an SLO), and the
-// control policies (placement, per-AP admission). Specs ride the same
-// YAML subset fluxlab uses (internal/yamlite) plus JSON, and hash
-// canonically so a fleet report can prove which workload produced it.
+// control policies (placement, per-AP admission). Specs are written in
+// the YAML subset fluxlab uses (internal/yamlite) and hash canonically
+// (over their JSON form) so a fleet report can prove which workload
+// produced it.
 package fleet
 
 import (
@@ -96,13 +97,6 @@ type Spec struct {
 	// MaxConcurrentPerAP caps simultaneously active migrations per AP;
 	// 0 means unlimited.
 	MaxConcurrentPerAP int `json:"max_concurrent_per_ap"`
-	// ChunkWire splits each migration's transfer into per-chunk wire
-	// events (migration.ChunkedGraph), letting concurrent migrations
-	// interleave on the AP's radio band at chunk granularity.
-	ChunkWire bool `json:"chunk_wire,omitempty"`
-	// ChunkKB is the wire chunk size under ChunkWire, in KiB; 0 means
-	// the migration default (256 KiB).
-	ChunkKB int `json:"chunk_kb,omitempty"`
 	// Classes is the workload mix.
 	Classes []Class `json:"classes"`
 }
@@ -204,9 +198,6 @@ func (s Spec) Validate() error {
 	if s.MaxConcurrentPerAP < 0 {
 		return fmt.Errorf("fleet: spec %s: max_concurrent_per_ap %d is negative", s.Name, s.MaxConcurrentPerAP)
 	}
-	if s.ChunkKB < 0 {
-		return fmt.Errorf("fleet: spec %s: chunk_kb %d is negative", s.Name, s.ChunkKB)
-	}
 	var share float64
 	for _, c := range s.Classes {
 		if c.Name == "" {
@@ -257,23 +248,16 @@ func (s Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ParseSpec decodes a spec from JSON or the YAML subset, then applies
-// defaults and validates.
+// ParseSpec decodes a spec from the YAML subset, then applies defaults
+// and validates.
 func ParseSpec(data []byte) (Spec, error) {
+	doc, err := yamlite.Parse(data, "fleet: spec")
+	if err != nil {
+		return Spec{}, err
+	}
 	var s Spec
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(data, &s); err != nil {
-			return Spec{}, fmt.Errorf("fleet: parsing JSON spec: %w", err)
-		}
-	} else {
-		doc, err := yamlite.Parse(data, "fleet: spec")
-		if err != nil {
-			return Spec{}, err
-		}
-		if err := decodeSpec(doc, &s); err != nil {
-			return Spec{}, err
-		}
+	if err := decodeSpec(doc, &s); err != nil {
+		return Spec{}, err
 	}
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -330,10 +314,6 @@ func decodeSpec(doc yamlite.Map, s *Spec) error {
 			s.AdmissionBurst, err = yamlite.Int(v, label)
 		case key == "max_concurrent_per_ap":
 			s.MaxConcurrentPerAP, err = yamlite.Int(v, label)
-		case key == "chunk_wire":
-			s.ChunkWire, err = yamlite.Bool(v, label)
-		case key == "chunk_kb":
-			s.ChunkKB, err = yamlite.Int(v, label)
 		case key == "classes":
 			classNames, err = yamlite.List(v, label)
 		case strings.HasPrefix(key, "class_"):

@@ -187,9 +187,6 @@ type Options struct {
 	// AllowMultiProcess enables the paper's future-work process-tree
 	// checkpointing.
 	AllowMultiProcess bool
-	// NetworkFallback lets calls to guest-absent hardware forward to the
-	// home device over the network.
-	NetworkFallback bool
 	// SkipCompression ships the raw image (ablation).
 	SkipCompression bool
 	// PostCopy defers most of the memory payload: the transfer stage ships
@@ -381,21 +378,15 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	// ---- Stage 2: Checkpoint --------------------------------------------
 	sp = span.Child(StageCheckpoint.SpanName())
 	img, err := cria.Checkpoint(app, cria.Options{
-		Span:            sp,
-		HomeDevice:      m.Home.Name(),
-		ServiceManager:  m.Home.Kernel.Binder().ServiceManager(),
-		Recorder:        m.Home.Recorder,
-		Now:             m.Home.Kernel.Clock().Now,
-		HomeVolumeSteps: m.Home.System.Audio.MaxSteps(),
-		ReplayRestorable: map[string]bool{
-			"ISensorEventConnection": true,
-		},
+		Span:              sp,
+		HomeDevice:        m.Home.Name(),
+		ServiceManager:    m.Home.Kernel.Binder().ServiceManager(),
+		Recorder:          m.Home.Recorder,
+		Now:               m.Home.Kernel.Clock().Now,
+		HomeVolumeSteps:   m.Home.System.Audio.MaxSteps(),
 		AllowMultiProcess: m.Opts.AllowMultiProcess,
 		AnchorLog:         m.Opts.VerifyLog,
-		SystemPIDs: map[int]bool{
-			0:                          true,
-			m.Home.System.Proc().PID(): true,
-		},
+		SystemPID:         m.Home.System.Proc().PID(),
 	})
 	if err != nil {
 		sp.End()
@@ -403,24 +394,21 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	}
 	rep.StateBefore = m.Home.System.AppState(pkg)
 	rep.ImageBytes = img.PayloadBytes()
-	if m.Opts.Cache != nil {
-		// Delta migration ships the FXC3 container revision, whose
-		// per-block content digests the negotiation keys on. Set before
-		// WireBytes so every wire figure below reflects the digested
-		// container.
-		img.SetContentDigests(true)
-	}
-	imgWire, err := img.WireBytes()
+	// Delta migration ships the FXC3 container revision, whose per-block
+	// content digests the negotiation keys on. The one encoding below is
+	// what every wire figure counts and what the guest decodes.
+	img.ContentDigests = m.Opts.Cache != nil
+	imgBytes, err := img.Marshal()
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	rep.CompressedImageBytes = imgWire
+	rep.CompressedImageBytes = img.WireBytes(imgBytes)
 	rep.RecordLogBytes = int64(len(img.RecordLog))
 	var plan *pipelinePlan
 	var dp *deltaPlan
 	if m.Opts.Pipelined || m.Opts.Cache != nil {
-		chunks, cerr := img.Chunks(m.chunkBytes())
+		chunks, cerr := img.Chunks(imgBytes, m.chunkBytes())
 		if cerr != nil {
 			sp.End()
 			return nil, cerr
@@ -555,10 +543,6 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 
 	// Exercise the real serialization path: the guest decodes the image
 	// it received.
-	imgBytes, err := img.Marshal()
-	if err != nil {
-		return nil, err
-	}
 	if fr != nil && fr.inj.Fired(faults.ChunkCorrupt) > 0 {
 		// A chunk-corruption fault fired during transfer: prove the real
 		// container integrity layer would have caught it by flipping a
@@ -579,7 +563,6 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		// passed: a single flipped payload bit that re-frames cleanly.
 		// Only the anchor's hash chain can catch this.
 		img.RecordLog[len(img.RecordLog)/2] ^= 0x01
-		img.Invalidate()
 	}
 
 	// ---- Stage 4: Restore -----------------------------------------------
@@ -648,7 +631,6 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		Recorder:        m.Guest.Recorder,
 		CheckpointTime:  img.CheckpointTime,
 		HomeVolumeSteps: img.HomeVolumeSteps,
-		NetworkFallback: m.Opts.NetworkFallback,
 		Anchor:          img.LogAnchor,
 		Span:            sp,
 	}

@@ -12,11 +12,7 @@
 // timings and bytes bit for bit (tested).
 package migration
 
-import (
-	"time"
-
-	"flux/internal/netsim"
-)
+import "time"
 
 // StageResource names the serial resource a stage node occupies while
 // it runs. The fleet engine maps these onto per-device CPUs and per-AP
@@ -48,9 +44,9 @@ func (r StageResource) String() string {
 	return "resource(?)"
 }
 
-// StageNode is one schedulable unit of a migration: a stage (or one
-// wire chunk of the transfer stage), the resource it occupies, how long
-// it holds it, and the bytes it moves when it is a wire node.
+// StageNode is one schedulable unit of a migration: a stage, the
+// resource it occupies, how long it holds it, and the bytes it moves
+// when it is a wire node.
 type StageNode struct {
 	Stage    Stage
 	Resource StageResource
@@ -71,7 +67,7 @@ type StageGraph struct {
 }
 
 // Total is the graph's serial makespan absent contention; equals
-// Report.Timings.Total() for graphs built by Graph and ChunkedGraph.
+// Report.Timings.Total() for graphs built by Graph.
 func (g StageGraph) Total() time.Duration {
 	var sum time.Duration
 	for _, n := range g.Nodes {
@@ -107,67 +103,4 @@ func Graph(rep *Report) StageGraph {
 		},
 		TransferredBytes: rep.TransferredBytes,
 	}
-}
-
-// ChunkedGraph renders the Report with the transfer stage split into
-// per-chunk wire nodes (the pipelined scheduler's partition at
-// chunkBytes, via chunkWires), so the fleet engine can interleave
-// other migrations' wire time between a long transfer's chunks.
-// Per-chunk durations follow the link's chunk airtime proportions but
-// are integer-scaled so they sum to the measured transfer duration
-// exactly: ChunkedGraph(rep).Total() == Graph(rep).Total() bit for
-// bit, regardless of chunking.
-func ChunkedGraph(rep *Report, link netsim.Link, chunkBytes int64) StageGraph {
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultPipelineChunkBytes
-	}
-	if chunkBytes < MinPipelineChunkBytes {
-		chunkBytes = MinPipelineChunkBytes
-	}
-	wires := chunkWires(rep.TransferredBytes, chunkBytes)
-	transfer := rep.Timings[StageTransfer]
-	if len(wires) <= 1 {
-		return Graph(rep)
-	}
-	times := link.ChunkTimes(wires)
-	var sum time.Duration
-	for _, t := range times {
-		sum += t
-	}
-	nodes := make([]StageNode, 0, len(wires)+4)
-	nodes = append(nodes,
-		StageNode{Stage: StagePreparation, Resource: ResourceHomeCPU, Duration: rep.Timings[StagePreparation]},
-		StageNode{Stage: StageCheckpoint, Resource: ResourceHomeCPU, Duration: rep.Timings[StageCheckpoint]},
-	)
-	// Integer-proportional split of the measured transfer duration over
-	// the chunk airtimes; the last chunk absorbs the rounding remainder
-	// so the stage total is preserved exactly.
-	var assigned time.Duration
-	for i, t := range times {
-		var d time.Duration
-		if i == len(times)-1 {
-			d = transfer - assigned
-		} else if sum > 0 {
-			d = scaleDuration(transfer, t, sum)
-		}
-		assigned += d
-		nodes = append(nodes, StageNode{Stage: StageTransfer, Resource: ResourceWire, Duration: d, Bytes: wires[i]})
-	}
-	nodes = append(nodes,
-		StageNode{Stage: StageRestore, Resource: ResourceGuestCPU, Duration: rep.Timings[StageRestore]},
-		StageNode{Stage: StageReintegration, Resource: ResourceGuestCPU, Duration: rep.Timings[StageReintegration]},
-	)
-	return StageGraph{Nodes: nodes, TransferredBytes: rep.TransferredBytes}
-}
-
-// scaleDuration returns total*part/whole without intermediate overflow
-// (total can be seconds — ~1e9 ns — and part likewise; the naive
-// product overflows int64 above ~9.2e18).
-func scaleDuration(total, part, whole time.Duration) time.Duration {
-	if whole <= 0 {
-		return 0
-	}
-	q := int64(total) / int64(whole)
-	r := int64(total) % int64(whole)
-	return time.Duration(q*int64(part) + r*int64(part)/int64(whole))
 }

@@ -2,12 +2,10 @@ package migration_test
 
 import (
 	"testing"
-	"time"
 
 	"flux/internal/apps"
 	"flux/internal/experiments"
 	"flux/internal/migration"
-	"flux/internal/netsim"
 )
 
 // TestGraphReproducesReport pins the stage-graph extraction invariant:
@@ -48,43 +46,5 @@ func TestGraphReproducesReport(t *testing.T) {
 	}
 	if g.TransferredBytes != rep.TransferredBytes {
 		t.Errorf("TransferredBytes %d, want %d", g.TransferredBytes, rep.TransferredBytes)
-	}
-}
-
-// TestChunkedGraphPreservesTotals pins the chunked variant's exactness:
-// splitting the transfer stage into per-chunk wire nodes changes the
-// schedule's granularity, never its totals — Total, UserPerceived, and
-// the summed wire bytes all match the unchunked graph bit for bit.
-func TestChunkedGraphPreservesTotals(t *testing.T) {
-	rep, err := experiments.RunOne(experiments.Figure12Pairs()[1], *apps.ByPackage("com.king.candycrushsaga"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := netsim.Link{A: netsim.Radio80211n5G, B: netsim.Radio80211n5G}
-	g := migration.ChunkedGraph(rep, link, 256<<10)
-	if got, want := g.Total(), rep.Timings.Total(); got != want {
-		t.Fatalf("chunked Total %v, want %v", got, want)
-	}
-	if got, want := g.UserPerceived(), rep.Timings.UserPerceived(); got != want {
-		t.Fatalf("chunked UserPerceived %v, want %v", got, want)
-	}
-	var wireNodes int
-	var wireBytes int64
-	var wireDur time.Duration
-	for _, n := range g.Nodes {
-		if n.Resource == migration.ResourceWire {
-			wireNodes++
-			wireBytes += n.Bytes
-			wireDur += n.Duration
-		}
-	}
-	if wireNodes < 2 {
-		t.Fatalf("expected multiple wire chunks, got %d", wireNodes)
-	}
-	if wireBytes != rep.TransferredBytes {
-		t.Errorf("wire bytes %d, want %d", wireBytes, rep.TransferredBytes)
-	}
-	if wireDur != rep.Timings[migration.StageTransfer] {
-		t.Errorf("wire duration %v, want %v", wireDur, rep.Timings[migration.StageTransfer])
 	}
 }

@@ -178,23 +178,17 @@ func (l Link) ModelTime(n int64) time.Duration {
 // inside one negotiated session.
 const StreamChunkOverhead = 500 * time.Microsecond
 
-// ChunkTimes returns the wire duration of each chunk in a streamed
-// transfer: chunk 0 carries the link setup latency, every later chunk a
-// StreamChunkOverhead. Per-chunk airtime is computed from cumulative
-// payload deltas, so the total telescopes to exactly
+// AppendChunkTimes appends to dst the wire duration of each chunk in a
+// streamed transfer: chunk 0 carries the link setup latency, every later
+// chunk a StreamChunkOverhead. Per-chunk airtime is computed from
+// cumulative payload deltas, so the total telescopes to exactly
 //
 //	TransferTime(sum) + (len(chunks)-1) * StreamChunkOverhead
 //
 // — chunking never changes total airtime, only adds framing (tested
-// equivalence). Negative chunk sizes count as zero.
-func (l Link) ChunkTimes(chunks []int64) []time.Duration {
-	return l.AppendChunkTimes(make([]time.Duration, 0, len(chunks)), chunks)
-}
-
-// AppendChunkTimes is ChunkTimes appending into dst — the zero-
-// allocation form for hot paths that ship one chunk schedule per
-// migration across thousands of migrations (the pipelined scheduler,
-// the fleet engine). Pass dst[:0] of a retained buffer to reuse it.
+// equivalence). Negative chunk sizes count as zero. The pipelined
+// scheduler passes dst[:0] of a retained buffer, so the schedule costs
+// no allocation per migration.
 func (l Link) AppendChunkTimes(dst []time.Duration, chunks []int64) []time.Duration {
 	bw := l.Bandwidth()
 	var cum int64
@@ -232,9 +226,9 @@ func (l Link) AppendChunkTimes(dst []time.Duration, chunks []int64) []time.Durat
 // StreamTime(nil) == TransferTime(0) == Latency(), with identical
 // MetricTransfers / MetricTransferBytes deltas (tested).
 func (l Link) StreamTime(chunks []int64) time.Duration {
-	// The per-chunk schedule telescopes exactly (ChunkTimes computes
-	// chunk airtime as cumulative payload-time deltas), so the stream
-	// total is closed-form — no per-chunk slice needed, zero
+	// The per-chunk schedule telescopes exactly (AppendChunkTimes
+	// computes chunk airtime as cumulative payload-time deltas), so the
+	// stream total is closed-form — no per-chunk slice needed, zero
 	// allocations on this path (BenchmarkStreamTime asserts it).
 	d := l.Latency() // chunk 0 (or the degenerate empty stream's session setup)
 	var total int64

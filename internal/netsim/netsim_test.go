@@ -153,7 +153,7 @@ func TestStreamEquivalence(t *testing.T) {
 			sum += c
 		}
 		var streamed time.Duration
-		for _, d := range l.ChunkTimes(chunks) {
+		for _, d := range l.AppendChunkTimes(nil, chunks) {
 			streamed += d
 		}
 		want := l.ModelTime(sum) + time.Duration(len(chunks)-1)*StreamChunkOverhead
@@ -181,7 +181,7 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 			}
 		}
 		var streamed time.Duration
-		for _, d := range l.ChunkTimes(chunks) {
+		for _, d := range l.AppendChunkTimes(nil, chunks) {
 			streamed += d
 		}
 		want := l.ModelTime(sum) + time.Duration(len(chunks)-1)*StreamChunkOverhead
@@ -204,11 +204,11 @@ func TestStreamTimeEmpty(t *testing.T) {
 	}
 	chunks := []int64{4096, 0, 100_000}
 	var want time.Duration
-	for _, d := range l.ChunkTimes(chunks) {
+	for _, d := range l.AppendChunkTimes(nil, chunks) {
 		want += d
 	}
 	if got := l.StreamTime(chunks); got != want {
-		t.Errorf("StreamTime %v != Σ ChunkTimes %v", got, want)
+		t.Errorf("StreamTime %v != Σ AppendChunkTimes %v", got, want)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestStreamTimeEmptyMetrics(t *testing.T) {
 // chunks only the per-chunk framing overhead.
 func TestChunkTimesFirstCarriesLatency(t *testing.T) {
 	l := Link{A: Radio80211n5G, B: Radio80211n24G}
-	times := l.ChunkTimes([]int64{0, 0, 0})
+	times := l.AppendChunkTimes(nil, []int64{0, 0, 0})
 	if times[0] != l.Latency() {
 		t.Errorf("first chunk %v, want setup latency %v", times[0], l.Latency())
 	}
@@ -270,23 +270,6 @@ func TestModelTimeMatchesTransferTime(t *testing.T) {
 	for _, n := range []int64{-5, 0, 1, 4096, 56 << 20} {
 		if got, want := l.ModelTime(n), l.TransferTime(n); got != want {
 			t.Errorf("ModelTime(%d) = %v, TransferTime = %v", n, got, want)
-		}
-	}
-}
-
-// BenchmarkChunkTimes measures the streamed-schedule arithmetic at the
-// pipeline's typical lane count (~50 chunks per migration).
-func BenchmarkChunkTimes(b *testing.B) {
-	l := Link{A: Radio80211n5G, B: Radio80211n24G}
-	chunks := make([]int64, 50)
-	for i := range chunks {
-		chunks[i] = 256 << 10
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if times := l.ChunkTimes(chunks); len(times) != len(chunks) {
-			b.Fatal("bad schedule")
 		}
 	}
 }

@@ -72,9 +72,6 @@ func newAlarmManagerService(s *System) *AlarmManagerService {
 	return a
 }
 
-// ServiceName implements AppStater.
-func (a *AlarmManagerService) ServiceName() string { return "alarm" }
-
 func (a *AlarmManagerService) set(call *binder.Call, m *aidl.Method) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {

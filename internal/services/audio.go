@@ -96,9 +96,6 @@ func newAudioService(s *System, steps int) *AudioService {
 	return a
 }
 
-// ServiceName implements AppStater.
-func (a *AudioService) ServiceName() string { return "audio" }
-
 // MaxSteps returns the device's volume step count — the quantity the
 // adaptive replay proxy needs from both sides.
 func (a *AudioService) MaxSteps() int32 { return a.maxSteps }

@@ -71,7 +71,6 @@ func newWifiService(s *System) *WifiService {
 	return w
 }
 
-func (w *WifiService) ServiceName() string { return "wifi" }
 func (w *WifiService) AppState(pkg string) map[string]string {
 	return w.kv.snapshot(pkg)
 }
@@ -128,7 +127,6 @@ func newConnectivityManagerService(s *System, network string) *ConnectivityManag
 	return c
 }
 
-func (c *ConnectivityManagerService) ServiceName() string { return "connectivity" }
 func (c *ConnectivityManagerService) AppState(pkg string) map[string]string {
 	return c.kv.snapshot(pkg)
 }
@@ -195,7 +193,6 @@ func newLocationManagerService(s *System) *LocationManagerService {
 	return l
 }
 
-func (l *LocationManagerService) ServiceName() string { return "location" }
 func (l *LocationManagerService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := l.subs.render(pkg); v != "" {
@@ -280,7 +277,6 @@ func newPowerManagerService(s *System) *PowerManagerService {
 	return p
 }
 
-func (p *PowerManagerService) ServiceName() string { return "power" }
 func (p *PowerManagerService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := p.locks.render(pkg); v != "" {
@@ -367,7 +363,6 @@ func newVibratorService(s *System) *VibratorService {
 	return v
 }
 
-func (v *VibratorService) ServiceName() string { return "vibrator" }
 func (v *VibratorService) AppState(pkg string) map[string]string {
 	return v.kv.snapshot(pkg)
 }
@@ -441,7 +436,6 @@ func newInputMethodManagerService(s *System) *InputMethodManagerService {
 	return im
 }
 
-func (im *InputMethodManagerService) ServiceName() string { return "input_method" }
 func (im *InputMethodManagerService) AppState(pkg string) map[string]string {
 	return im.kv.snapshot(pkg)
 }
@@ -489,7 +483,6 @@ func newInputManagerService(s *System) *InputManagerService {
 	return in
 }
 
-func (in *InputManagerService) ServiceName() string { return "input" }
 func (in *InputManagerService) AppState(pkg string) map[string]string {
 	return in.kv.snapshot(pkg)
 }
@@ -550,7 +543,6 @@ func newCountryDetectorService(s *System) *CountryDetectorService {
 	return c
 }
 
-func (c *CountryDetectorService) ServiceName() string { return "country_detector" }
 func (c *CountryDetectorService) AppState(pkg string) map[string]string {
 	return c.kv.snapshot(pkg)
 }
@@ -613,7 +605,6 @@ func newCameraManagerService(s *System) *CameraManagerService {
 	return c
 }
 
-func (c *CameraManagerService) ServiceName() string { return "camera" }
 func (c *CameraManagerService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := c.open.render(pkg); v != "" {
@@ -678,7 +669,6 @@ func newBluetoothService(s *System) *BluetoothService {
 	return b
 }
 
-func (b *BluetoothService) ServiceName() string { return "bluetooth_manager" }
 func (b *BluetoothService) AppState(pkg string) map[string]string {
 	return b.kv.snapshot(pkg)
 }
@@ -727,7 +717,6 @@ func newSerialService(s *System) *SerialService {
 	return sr
 }
 
-func (sr *SerialService) ServiceName() string { return "serial" }
 func (sr *SerialService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := sr.open.render(pkg); v != "" {
@@ -798,7 +787,6 @@ func newUsbService(s *System) *UsbService {
 	return u
 }
 
-func (u *UsbService) ServiceName() string { return "usb" }
 func (u *UsbService) AppState(pkg string) map[string]string {
 	out := u.kv.snapshot(pkg)
 	if v := u.grants.render(pkg); v != "" {

@@ -55,9 +55,6 @@ func newNotificationManagerService(s *System) *NotificationManagerService {
 	return n
 }
 
-// ServiceName implements AppStater.
-func (n *NotificationManagerService) ServiceName() string { return "notification" }
-
 func (n *NotificationManagerService) enqueue(call *binder.Call, m *aidl.Method) error {
 	pkg, err := n.sys.callerPkg(call)
 	if err != nil {

@@ -97,9 +97,6 @@ func newSensorService(s *System) *SensorService {
 	return sv
 }
 
-// ServiceName implements AppStater.
-func (sv *SensorService) ServiceName() string { return "sensorservice" }
-
 func (sv *SensorService) createConnection(call *binder.Call, m *aidl.Method) error {
 	pkg, err := sv.sys.callerPkg(call)
 	if err != nil {

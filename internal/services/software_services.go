@@ -86,7 +86,6 @@ func newActivityManagerService(s *System) *ActivityManagerService {
 	return a
 }
 
-func (a *ActivityManagerService) ServiceName() string { return "activity" }
 func (a *ActivityManagerService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := a.receivers.render(pkg); v != "" {
@@ -150,7 +149,6 @@ func newClipboardService(s *System) *ClipboardService {
 	return c
 }
 
-func (c *ClipboardService) ServiceName() string { return "clipboard" }
 func (c *ClipboardService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if c.owner == pkg && c.clip != "" {
@@ -224,7 +222,6 @@ func newKeyguardService(s *System) *KeyguardService {
 	return k
 }
 
-func (k *KeyguardService) ServiceName() string { return "keyguard" }
 func (k *KeyguardService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := k.tokens.render(pkg); v != "" {
@@ -285,7 +282,6 @@ func newNsdService(s *System) *NsdService {
 	return n
 }
 
-func (n *NsdService) ServiceName() string { return "servicediscovery" }
 func (n *NsdService) AppState(pkg string) map[string]string {
 	out := make(map[string]string)
 	if v := n.regs.render(pkg); v != "" {
@@ -342,7 +338,6 @@ func newTextServicesManagerService(s *System) *TextServicesManagerService {
 	return t
 }
 
-func (t *TextServicesManagerService) ServiceName() string { return "textservices" }
 func (t *TextServicesManagerService) AppState(pkg string) map[string]string {
 	return t.kv.snapshot(pkg)
 }
@@ -421,7 +416,6 @@ func newUiModeManagerService(s *System) *UiModeManagerService {
 	return u
 }
 
-func (u *UiModeManagerService) ServiceName() string { return "uimode" }
 func (u *UiModeManagerService) AppState(pkg string) map[string]string {
 	return u.kv.snapshot(pkg)
 }

@@ -24,8 +24,6 @@ import (
 // criterion that "the app can interact with system services right where it
 // left off".
 type AppStater interface {
-	// ServiceName returns the ServiceManager registration name.
-	ServiceName() string
 	// AppState returns a canonical key→value rendering of the service's
 	// state for one app. Device-specific values must be normalized out.
 	AppState(pkg string) map[string]string
@@ -263,18 +261,24 @@ func (s *System) Catalog() []Registration {
 }
 
 // AppState aggregates every service's state for one app into a canonical
-// map keyed "service/key". It is the equality witness migration tests use.
+// map keyed "service/key", where service is the ServiceManager name the
+// service registered under. It is the equality witness migration tests
+// use.
 func (s *System) AppState(pkg string) map[string]string {
+	type named struct {
+		name string
+		st   AppStater
+	}
 	s.mu.Lock()
-	staters := make([]AppStater, 0, len(s.staters))
-	for _, st := range s.staters {
-		staters = append(staters, st)
+	staters := make([]named, 0, len(s.staters))
+	for name, st := range s.staters {
+		staters = append(staters, named{name, st})
 	}
 	s.mu.Unlock()
 	out := make(map[string]string)
-	for _, st := range staters {
-		for k, v := range st.AppState(pkg) {
-			out[st.ServiceName()+"/"+k] = v
+	for _, n := range staters {
+		for k, v := range n.st.AppState(pkg) {
+			out[n.name+"/"+k] = v
 		}
 	}
 	return out

@@ -21,10 +21,11 @@
 #                    -run TestCommittedBaselines -update`)
 #   make lab         run the committed smoke spec through fluxlab and diff
 #                    the fresh report against the committed trajectory
-#   make fleet       fleet engine gate: package benchmarks (events/sec,
-#                    allocs), the smoke report diffed byte-for-byte against
-#                    BENCH_fleet.json, and the 10k-device scale spec at two
-#                    profiling widths
+#   make fleet       fleet engine gate: package benchmarks (events/sec and
+#                    allocs on a 6,000-migration spec and the 10k-device
+#                    spec), the 0-alloc test, the smoke report compared
+#                    byte-for-byte with BENCH_fleet.json, and the 10k-device
+#                    scale spec at two profiling widths
 #   make profile     CPU+heap profiles of the fleet scale run and the full
 #                    fluxbench evaluation (writes *.pprof)
 #   make trace-demo  run one telemetry-enabled migration and write a
@@ -125,11 +126,12 @@ lab:
 	$(GO) run ./cmd/fluxlab run -q -record /tmp/flux-lab-smoke.json lab/specs/smoke.yaml > /dev/null
 	$(GO) run ./cmd/fluxlab diff BENCH_trajectory.json /tmp/flux-lab-smoke.json
 
-# The fleet discrete-event engine gate: hot-path benchmarks (≥1M
-# simulated events/sec, 0 allocs/op steady state), the smoke workload
-# diffed byte-for-byte against the committed baseline, and the
-# 10k-device / 50k-migration scale spec at two profiling widths (the
-# reports must be identical — determinism is structural).
+# The fleet discrete-event engine gate: hot-path benchmarks that report
+# simulated events/sec (budget ≥1M) on a 6,000-migration spec and on the
+# 10k-device spec, TestRunSteadyStateAllocs asserting 0 allocs per run,
+# the smoke workload compared byte-for-byte with the committed baseline,
+# and the 10k-device / 50k-migration scale spec at two profiling widths
+# (the reports must be identical — determinism is structural).
 fleet:
 	$(GO) test -bench='BenchmarkFleet' -benchmem -run TestRunSteadyStateAllocs ./internal/fleet/
 	$(GO) run ./cmd/fluxfleet -spec fleet/specs/smoke.yaml -v -check BENCH_fleet.json > /dev/null

@@ -7,7 +7,7 @@
 //
 //	fluxfleet -spec fleet/specs/smoke.yaml              # run, report on stdout
 //	fluxfleet -spec ... -json BENCH_fleet.json          # also write the report file
-//	fluxfleet -spec ... -check BENCH_fleet.json         # diff against a committed baseline
+//	fluxfleet -spec ... -check BENCH_fleet.json         # byte-compare against a committed baseline
 //	fluxfleet -spec ... -workers 4                      # profiling pool width (report bytes never change)
 //	fluxfleet -spec ... -v                              # progress + wall-clock events/sec on stderr
 //	fluxfleet -spec ... -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -39,7 +39,7 @@ func run() error {
 		specPath   = flag.String("spec", "", "fleet spec file (YAML subset)")
 		workers    = flag.Int("workers", 0, "profiling pool width (0 = one per CPU); never changes report bytes")
 		jsonPath   = flag.String("json", "", "write the report JSON here")
-		checkPath  = flag.String("check", "", "compare the report against this committed baseline")
+		checkPath  = flag.String("check", "", "compare the report byte for byte with this committed baseline")
 		verbose    = flag.Bool("v", false, "progress and wall-clock throughput on stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile here")
 		memProfile = flag.String("memprofile", "", "write a heap profile here")
@@ -90,11 +90,7 @@ func run() error {
 		}
 	}
 	if *checkPath != "" {
-		baseline, err := fleet.LoadReport(*checkPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.Check(baseline); err != nil {
+		if err := rep.CheckFile(*checkPath); err != nil {
 			return err
 		}
 		if *verbose {

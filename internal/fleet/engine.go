@@ -1,13 +1,19 @@
 // The fleet engine: a shared-clock discrete-event loop driving N
-// devices and M concurrent migrations on one binary-heap event queue.
+// devices and M concurrent migrations. The loop merges the workload's
+// time-sorted arrivals, read through a cursor, with one binary-heap
+// event queue.
 //
-// Hot-path engineering notes (the ≥1M events/sec, 0 allocs/op budget —
-// BenchmarkFleet asserts both):
+// Hot-path engineering notes (the ≥1M events/sec, 0 allocs/op budget:
+// BenchmarkFleet reports events/sec, TestRunSteadyStateAllocs asserts
+// the 0 allocs):
 //
+//   - Arrivals never enter the heap: it holds only the events of
+//     migrations in flight, so its size, and each pop's cost, do not
+//     grow with the length of the run.
 //   - Events are plain values in a hand-rolled binary heap. No
 //     container/heap: its interface methods box every Push into an
 //     allocation. The heap's backing array is preallocated at build
-//     time and retained across runs.
+//     time, at its bound, and retained across runs.
 //   - Wait queues are intrusive: a migration waiting on a busy
 //     resource (or on AP admission) is linked through mig.next — the
 //     preallocated migs slice doubles as the free-list, so enqueue and
@@ -29,8 +35,7 @@ import (
 
 // Event kinds.
 const (
-	evArrive uint8 = iota
-	evStart
+	evStart uint8 = iota
 	evNodeDone
 )
 
@@ -95,7 +100,7 @@ type mig struct {
 
 // Sim is one fleet simulation: immutable topology plus the mutable
 // event state. Build once (NewSim), then Reset+Run any number of
-// times — Run allocates nothing after the first warm-up run.
+// times — Run allocates nothing, the first run included.
 type Sim struct {
 	spec  Spec
 	wl    *workload
@@ -221,14 +226,15 @@ func (s *Sim) build() {
 	s.prevHolder = make([]int32, spec.Users*len(s.wl.apps))
 	s.inflight = make([]bool, spec.Users*len(s.wl.apps))
 	s.load = make([]int32, s.nDevices)
-	// Every arrival is pre-pushed, and each active migration holds at
-	// most one scheduled event, so len(arrivals) + a small admission
-	// margin bounds the heap.
-	s.heap = make([]event, 0, len(s.wl.arrivals)+int(s.nAPs)*8+64)
+	// Only admitted migrations schedule events, each holds at most one
+	// (an evStart or an evNodeDone), and each (user, app) key has at
+	// most one in flight, so the heap never outgrows this.
+	s.heap = make([]event, 0, min(len(s.wl.arrivals), spec.Users*len(s.wl.apps)))
 }
 
-// Reset rewinds the Sim to virtual time zero with the same workload.
-// Allocation-free: every structure was preallocated by build.
+// Reset rewinds the Sim to virtual time zero with the same workload:
+// the event queue empties and the next Run reads the arrivals from the
+// first. Allocation-free: every structure was preallocated by build.
 func (s *Sim) Reset() {
 	for i := range s.res {
 		s.res[i] = resource{busy: nilIdx, qHead: nilIdx, qTail: nilIdx}
@@ -260,14 +266,8 @@ func (s *Sim) Reset() {
 	}
 	clear(s.inflight)
 	clear(s.load)
-	// Arrivals are time-sorted, so pushing them in order with
-	// ascending seq yields an already-valid heap.
 	s.heap = s.heap[:0]
 	s.seq = 0
-	for i := range s.wl.arrivals {
-		s.heap = append(s.heap, event{at: s.wl.arrivals[i].at, seq: s.seq, idx: int32(i), kind: evArrive})
-		s.seq++
-	}
 	s.now = 0
 	s.events = 0
 	s.completed = 0
@@ -330,16 +330,24 @@ func (s *Sim) pop() event {
 
 // ---- Run loop -----------------------------------------------------------
 
-// Run drains the event queue. Zero allocations in steady state
-// (TestRunSteadyStateAllocs); single-threaded by design.
+// Run drains the arrival stream and the event queue. At equal times an
+// arrival goes first, and arrivals go in workload order; engine events
+// keep their push order. Zero allocations (TestRunSteadyStateAllocs);
+// single-threaded by design.
 func (s *Sim) Run() {
-	for len(s.heap) > 0 {
+	arrivals := s.wl.arrivals
+	next := 0
+	for next < len(arrivals) || len(s.heap) > 0 {
+		s.events++
+		if next < len(arrivals) && (len(s.heap) == 0 || arrivals[next].at <= s.heap[0].at) {
+			s.now = arrivals[next].at
+			s.arrive(int32(next))
+			next++
+			continue
+		}
 		ev := s.pop()
 		s.now = ev.at
-		s.events++
 		switch ev.kind {
-		case evArrive:
-			s.arrive(ev.idx)
 		case evStart:
 			s.startMig(ev.idx)
 		default:

@@ -2,7 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
+	"time"
 
 	"flux/internal/apps"
 	"flux/internal/experiments"
@@ -120,21 +124,72 @@ func TestTerminalConservation(t *testing.T) {
 	}
 }
 
-// TestRunSteadyStateAllocs pins the tentpole's hot-path budget: after
-// one warm-up, Reset+Run allocates nothing.
+// TestRunSteadyStateAllocs pins the engine's hot-path budget: a fresh
+// Sim's first Run allocates nothing, and neither does any Reset+Run
+// after it.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	spec := ScaledSpec("allocs", 12, 200, 5)
-	s, err := NewSim(spec, 0)
-	if err != nil {
-		t.Fatal(err)
+	// AllocsPerRun's warm-up call consumes the first fresh Sim.
+	fresh := make([]*Sim, 2)
+	for i := range fresh {
+		s, err := NewSim(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = s
 	}
-	s.Run() // warm-up: lets the heap settle at its high-water capacity
-	allocs := testing.AllocsPerRun(10, func() {
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		fresh[next].Run()
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh Sim's first Run allocated %.1f objects, want 0", allocs)
+	}
+	s := fresh[0]
+	allocs = testing.AllocsPerRun(10, func() {
 		s.Reset()
 		s.Run()
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Reset+Run allocated %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestTieOrder pins the order of events that fall on the same instant:
+// arrivals first, in workload order, then engine events in the order
+// they were scheduled. Four arrivals share each whole second, the GCRA
+// period is 1 s and every stage node lasts 1 s, so arrivals, admission
+// grants and stage completions coincide throughout; any other tie
+// order moves the per-migration records.
+func TestTieOrder(t *testing.T) {
+	spec := ScaledSpec("ties", 48, 600, 3)
+	spec.AdmissionRatePerMin = 60
+	s, err := NewSim(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.wl.arrivals {
+		s.wl.arrivals[i].at = int64(i/4) * 1e9
+	}
+	for pi := range s.profs.graphs {
+		for ni := range s.profs.graphs[pi].Nodes {
+			s.profs.graphs[pi].Nodes[ni].Duration = time.Second
+		}
+	}
+	s.Reset()
+	s.Run()
+	h := sha256.New()
+	for i := range s.migs {
+		m := &s.migs[i]
+		fmt.Fprintln(h, m.arriveNS, m.admitNS, m.ckptDoneNS, m.doneNS, m.userNS, m.waitNS, m.src, m.dst, m.state)
+	}
+	if s.events != 3217 || s.completed != 332 {
+		t.Errorf("events=%d completed=%d, want 3217 and 332", s.events, s.completed)
+	}
+	const want = "dc9060f6795ecf7abb1cc72ef566c7711bde3a03a3e76c92a06d52603c440440"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("per-migration records hash %s, want %s", got, want)
 	}
 }
 
@@ -283,27 +338,39 @@ func TestSupersede(t *testing.T) {
 	}
 }
 
-// BenchmarkFleet is the committed hot-path baseline: simulated
-// events/sec on one thread, allocations per run. The engine's budget
-// is ≥1M events/sec and 0 allocs/op in steady state.
+// BenchmarkFleet measures the engine's hot path: simulated events/sec
+// on one thread and allocations per Reset+Run, on a 6,000-migration
+// scaled spec and on the shipped 10k-device, 50k-migration spec. The
+// engine's budget is ≥1M events/sec; TestRunSteadyStateAllocs asserts
+// its 0 allocs.
 func BenchmarkFleet(b *testing.B) {
-	spec := ScaledSpec("bench", 300, 6000, 42)
-	s, err := NewSim(spec, 0)
+	scale, err := LoadSpec("../../fleet/specs/scale-10k.yaml")
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Run() // warm-up
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		s.Run()
-		events += s.Events()
+	for _, bc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"scaled-6000", ScaledSpec("bench", 300, 6000, 42)},
+		{"scale-10k", scale},
+	} {
+		s, err := NewSim(bc.spec, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			var events uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Reset()
+				s.Run()
+				events += s.Events()
+			}
+			if b.Elapsed() > 0 {
+				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+			}
+			b.ReportMetric(float64(s.Events()), "events/run")
+		})
 	}
-	b.StopTimer()
-	if b.Elapsed() > 0 {
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	}
-	b.ReportMetric(float64(s.Events()), "events/run")
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -88,9 +89,20 @@ func (s *Sim) Report() *Report {
 		WireMB:     float64(s.wireBytes) / (1 << 20),
 	}
 
-	// Per-class latency distributions.
+	// Per-class latency distributions, each sized to the class's
+	// completion count up front.
+	done := make([]int, len(s.spec.Classes))
+	for i := range s.migs {
+		if m := &s.migs[i]; m.state == stateDone {
+			done[m.class]++
+		}
+	}
 	userNS := make([][]int64, len(s.spec.Classes))
 	waitNS := make([][]int64, len(s.spec.Classes))
+	for ci, n := range done {
+		userNS[ci] = make([]int64, 0, n)
+		waitNS[ci] = make([]int64, 0, n)
+	}
 	met := make([]int, len(s.spec.Classes))
 	// Per-user totals for the fairness index.
 	uSum := make([]float64, s.spec.Users)
@@ -167,33 +179,21 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-// LoadReport reads a previously written report.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
+// CheckFile compares the rendered report byte for byte with a committed
+// baseline file. Every field is a deterministic function of (spec,
+// seed), so any difference, a stale extra field in the baseline
+// included, is a real change.
+func (r *Report) CheckFile(path string) error {
+	want, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: reading report: %w", err)
+		return fmt.Errorf("fleet: reading baseline: %w", err)
 	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("fleet: parsing %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// Check compares a fresh report against a committed baseline. Virtual-
-// time quantities must match exactly — they are deterministic functions
-// of (spec, seed), so any drift is a real behaviour change.
-func (r *Report) Check(baseline *Report) error {
 	fresh, err := r.Render()
 	if err != nil {
 		return err
 	}
-	want, err := baseline.Render()
-	if err != nil {
-		return err
-	}
-	if string(fresh) != string(want) {
-		return fmt.Errorf("fleet: report drifted from baseline (spec %s seed %d): regenerate the baseline if the change is intended", r.Name, r.Seed)
+	if !bytes.Equal(fresh, want) {
+		return fmt.Errorf("fleet: report differs from baseline %s (spec %s seed %d): regenerate the baseline if the change is intended", path, r.Name, r.Seed)
 	}
 	return nil
 }

@@ -30,8 +30,9 @@
 #                    fluxbench evaluation (writes *.pprof)
 #   make trace-demo  run one telemetry-enabled migration and write a
 #                    sample Chrome trace (trace-demo.json) + stage report
-#   make log-verify  seglog smoke: record a log, verify its hash chain
-#                    and anchor, flip one bit, assert detection
+#   make log-verify  seglog smoke: record a log, recompute its CRCs, hash
+#                    chain, segment roots and anchor, flip one bit, assert
+#                    that verification refuses the file
 
 GO ?= go
 

@@ -137,22 +137,26 @@ func New(p Profile) (*Device, error) {
 		return nil, fmt.Errorf("device: %s has non-positive CPU factor", p.Name)
 	}
 	k := kernel.New(p.KernelVersion)
+	// The runtime needs only the kernel and starts no process, so it
+	// comes first and hands its pid resolver and broadcast hook to the
+	// recorder and the services as they are built.
+	rt := android.NewRuntime(k, android.RuntimeOptions{Screen: p.Screen, GPU: p.GPU})
+	pkgOf := rt.PackageOf
 	rec := record.NewRecorder(record.NewLog(), record.Config{
 		Now:       k.Clock().Now,
-		PackageOf: func(int) (string, bool) { return "", false }, // replaced below
+		PackageOf: pkgOf,
 	})
 	sys, err := services.Boot(services.Config{
 		Kernel:      k,
 		Recorder:    rec,
+		Broadcast:   rt.Broadcast,
+		PackageOf:   pkgOf,
 		VolumeSteps: p.VolumeSteps,
 		NetworkName: "wifi:" + p.Name,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rt := android.NewRuntime(k, android.RuntimeOptions{Screen: p.Screen, GPU: p.GPU})
-	sys.SetPackageResolver(rt.PackageOf)
-	sys.SetBroadcast(rt.Broadcast)
 
 	d := &Device{
 		profile:    p,
@@ -165,9 +169,6 @@ func New(p Profile) (*Device, error) {
 		installs:   make(map[string]*Install),
 		paired:     make(map[string]bool),
 	}
-	// The recorder was built before the runtime existed; give it the real
-	// pid resolver now, and start observing transactions.
-	rec.SetPackageResolver(rt.PackageOf)
 	k.Binder().AddInterposer(rec)
 	return d, nil
 }

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // SpecSchemaVersion versions the experiment-spec layout.
@@ -108,7 +107,7 @@ func DefaultCriteria() Criteria {
 
 // Spec is one declarative experiment: what to run, how wide to sweep,
 // and what counts as success. Specs are plain data — YAML (the subset
-// parseYAML accepts), JSON, or a Go literal — and hash canonically, so a
+// parseYAML accepts) or a Go literal — and hash canonically, so a
 // trajectory record can prove which experiment produced it.
 type Spec struct {
 	// Schema versions the spec layout.
@@ -286,23 +285,16 @@ func (s Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ParseSpec decodes a spec from JSON or the YAML subset the shipped
-// specs use, then validates it.
+// ParseSpec decodes a spec from the YAML subset the shipped specs use,
+// then validates it.
 func ParseSpec(data []byte) (Spec, error) {
+	doc, err := parseYAML(data)
+	if err != nil {
+		return Spec{}, err
+	}
 	var s Spec
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(data, &s); err != nil {
-			return Spec{}, fmt.Errorf("lab: parsing JSON spec: %w", err)
-		}
-	} else {
-		doc, err := parseYAML(data)
-		if err != nil {
-			return Spec{}, err
-		}
-		if err := decodeSpec(doc, &s); err != nil {
-			return Spec{}, err
-		}
+	if err := decodeSpec(doc, &s); err != nil {
+		return Spec{}, err
 	}
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {

@@ -41,26 +41,33 @@ func TestParseSpecYAML(t *testing.T) {
 	}
 }
 
+// TestSpecHashFormatIndependent: the YAML spec and the same spec
+// written as a Go literal hash identically, and a JSON document is not
+// a spec.
 func TestSpecHashFormatIndependent(t *testing.T) {
 	yaml, err := ParseSpec([]byte(smokeYAML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonSpec, err := ParseSpec([]byte(`{
-		"name": "smoke", "scenario": "matrix", "seed": 7, "repetitions": 2,
-		"sweep": {"workers": [1, 0], "pipelined": [false, true]},
-		"criteria": {"max_stage_mape_pct": 4.5}
-	}`))
-	if err != nil {
-		t.Fatal(err)
+	literal := Spec{
+		Name: "smoke", Scenario: ScenarioMatrix, Seed: 7, Repetitions: 2,
+		Sweep:    Sweep{Workers: []int{1, 0}, Pipelined: []bool{false, true}},
+		Criteria: Criteria{MaxStageMAPEPct: 4.5},
 	}
-	if yaml.Hash() != jsonSpec.Hash() {
-		t.Errorf("equivalent YAML and JSON specs hash differently:\n  %s\n  %s", yaml.Hash(), jsonSpec.Hash())
+	if yaml.Hash() != literal.Hash() {
+		t.Errorf("equivalent YAML and Go-literal specs hash differently:\n  %s\n  %s", yaml.Hash(), literal.Hash())
 	}
 	other := yaml
 	other.Seed = 8
 	if other.Hash() == yaml.Hash() {
 		t.Error("different seeds hash identically")
+	}
+	if _, err := ParseSpec([]byte(`{
+		"name": "smoke", "scenario": "matrix", "seed": 7, "repetitions": 2,
+		"sweep": {"workers": [1, 0], "pipelined": [false, true]},
+		"criteria": {"max_stage_mape_pct": 4.5}
+	}`)); err == nil {
+		t.Error("ParseSpec accepted a JSON document")
 	}
 }
 

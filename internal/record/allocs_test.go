@@ -45,3 +45,28 @@ func TestDecoratedCallAllocs(t *testing.T) {
 		t.Fatalf("one decorated call allocated %.0f objects, pinned at %d; re-pin only for a deliberate change", allocs, pinned)
 	}
 }
+
+// TestAnchorWireAllocs bounds what cutting a checkpoint anchor
+// allocates: the split wire records, the hashing state and the anchor
+// itself, none of it per entry, so a 1,000-entry blob costs what a
+// 10-entry one does.
+func TestAnchorWireAllocs(t *testing.T) {
+	const bound = 7
+	measure := func(n int) float64 {
+		l := NewLog()
+		for i := 0; i < n; i++ {
+			l.Append(sampleEntry("com.a", "set", i))
+		}
+		blob := l.MarshalApp("com.a")
+		return testing.AllocsPerRun(20, func() {
+			if _, err := AnchorWire(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(10), measure(1000)
+	t.Logf("AnchorWire allocations: %.0f at 10 entries, %.0f at 1,000", small, large)
+	if large > bound || large != small {
+		t.Fatalf("AnchorWire allocated %.0f objects at 1,000 entries and %.0f at 10; want at most %d at both", large, small, bound)
+	}
+}

@@ -105,13 +105,31 @@ func (l *Log) Append(e *Entry) {
 	// Assigning the sequence under the shard lock guarantees per-shard
 	// append order equals sequence order, which AppEntries relies on.
 	e.Seq = l.nextSeq.Add(1)
+	s.addLocked(e)
+	s.mu.Unlock()
+}
+
+// restore adds an entry read back from a saved log, keeping its saved
+// sequence number; later Appends continue after the largest one. It
+// serves LoadFile, which fills a fresh log before anyone else sees it.
+func (l *Log) restore(e *Entry) {
+	s := l.shard(e.App)
+	s.mu.Lock()
+	s.addLocked(e)
+	s.mu.Unlock()
+	if e.Seq > l.nextSeq.Load() {
+		l.nextSeq.Store(e.Seq)
+	}
+}
+
+// addLocked appends a live entry and indexes it. Caller holds s.mu.
+func (s *appShard) addLocked(e *Entry) {
 	e.dead = false
 	s.entries = append(s.entries, e)
 	k := methodKey{e.Interface, e.Method}
 	s.index[k] = append(s.index[k], e)
 	s.live++
 	s.bytes += e.Size()
-	s.mu.Unlock()
 }
 
 // removeLocked tombstones e. Caller holds s.mu and is responsible for
@@ -141,44 +159,6 @@ func (s *appShard) compactLocked() {
 	}
 	s.entries = kept
 	s.dead = 0
-}
-
-// Remove deletes entries matching pred for the given app, returning how
-// many were removed. It scans the whole shard; the recorder's hot path
-// uses PruneMatching instead, which consults the method index.
-func (l *Log) Remove(app string, pred func(*Entry) bool) int {
-	s := l.peek(app)
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed := 0
-	for _, e := range s.entries {
-		if e.dead || !pred(e) {
-			continue
-		}
-		s.removeLocked(e)
-		removed++
-	}
-	if removed > 0 {
-		for k, bucket := range s.index {
-			kept := bucket[:0]
-			for _, e := range bucket {
-				if !e.dead {
-					kept = append(kept, e)
-				}
-			}
-			if len(kept) == 0 {
-				delete(s.index, k)
-			} else {
-				s.index[k] = kept
-			}
-		}
-		s.compactLocked()
-		l.pruneDropped.Add(uint64(removed))
-	}
-	return removed
 }
 
 // PruneMatching deletes the app's entries of the named methods on iface

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -80,8 +81,7 @@ func TestLoadFileRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadFileRejectsJunk: LoadFile and RecoverFile accept only seglog
-// streams. Junk, a missing file and a well-formed file in the retired
+// TestLoadFileRejectsJunk: LoadFile accepts only seglog streams. Junk, a missing file and a well-formed file in the retired
 // whole-blob "FLXL" container (magic, version byte, per-app blobs,
 // trailing CRC32) are all refused.
 func TestLoadFileRejectsJunk(t *testing.T) {
@@ -93,9 +93,6 @@ func TestLoadFileRejectsJunk(t *testing.T) {
 		}
 		if _, err := LoadFile(path); err == nil {
 			t.Errorf("LoadFile accepted %s", name)
-		}
-		if _, _, err := RecoverFile(path); err == nil {
-			t.Errorf("RecoverFile accepted %s", name)
 		}
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing")); err == nil {
@@ -124,7 +121,7 @@ func legacyV1File() []byte {
 
 // TestLoadFileReadsLegacyV1: a v1 "FLXL" file is read and refused by
 // seglog's magic check — as a foreign stream, not an I/O failure — and
-// neither LoadFile nor RecoverFile hands back a partial log.
+// LoadFile hands back no partial log.
 func TestLoadFileReadsLegacyV1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.flxl")
 	if err := os.WriteFile(path, legacyV1File(), 0o600); err != nil {
@@ -134,15 +131,11 @@ func TestLoadFileReadsLegacyV1(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bad magic") || l != nil {
 		t.Errorf("LoadFile(v1) = %v, %v; want nil log and a bad-magic error", l, err)
 	}
-	l, _, err = RecoverFile(path)
-	if err == nil || !strings.Contains(err.Error(), "bad magic") || l != nil {
-		t.Errorf("RecoverFile(v1) = %v, %v; want nil log and a bad-magic error", l, err)
-	}
 }
 
-// TestRecoverFileHealsTornTail: a crash mid-write leaves a torn v2
-// file; RecoverFile must come back with a prefix, never an error.
-func TestRecoverFileHealsTornTail(t *testing.T) {
+// TestLoadFileRefusesTornTail: a file cut short anywhere in its last
+// frames is refused, never read as a prefix.
+func TestLoadFileRefusesTornTail(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 12; i++ {
 		l.Append(sampleEntry("com.a", "set", i))
@@ -156,23 +149,45 @@ func TestRecoverFileHealsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strict load refuses the torn file; tolerant recovery heals it.
 	torn := filepath.Join(dir, "torn.flxg")
-	if err := os.WriteFile(torn, data[:len(data)-7], 0o600); err != nil {
+	for _, cut := range []int{1, 7, 100, 200} {
+		if err := os.WriteFile(torn, data[:len(data)-cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(torn); err == nil {
+			t.Fatalf("LoadFile accepted a file missing its last %d bytes", cut)
+		}
+	}
+}
+
+// TestLoadFileKeepsSeq: a saved log whose pruning left gaps in the
+// sequence numbers loads with the same numbers, and a later Append
+// continues after the largest.
+func TestLoadFileKeepsSeq(t *testing.T) {
+	l := NewLog()
+	for i, m := range []string{"keep", "drop", "keep", "drop", "keep", "keep"} {
+		l.Append(sampleEntry("com.a", m, i))
+	}
+	l.PruneMatching("com.a", "INotificationManager", []string{"drop"}, func(*Entry) bool { return true })
+	path := filepath.Join(t.TempDir(), "record.flxg")
+	if err := l.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(torn); err == nil {
-		t.Fatal("strict LoadFile accepted a torn file")
-	}
-	back, rec, err := RecoverFile(torn)
+	back, err := LoadFile(path)
 	if err != nil {
-		t.Fatalf("RecoverFile: %v", err)
+		t.Fatal(err)
 	}
-	if !rec.Truncated {
-		t.Error("recovery did not report truncation")
+	var seqs []uint64
+	for _, e := range back.AppEntries("com.a") {
+		seqs = append(seqs, e.Seq)
 	}
-	if got := back.Len(); got == 0 || got > 12 {
-		t.Errorf("recovered %d entries", got)
+	if fmt.Sprint(seqs) != "[1 3 5 6]" {
+		t.Fatalf("loaded sequence numbers %v, want [1 3 5 6]", seqs)
+	}
+	e := sampleEntry("com.a", "keep", 7)
+	back.Append(e)
+	if e.Seq != 7 {
+		t.Fatalf("Append after LoadFile assigned seq %d, want 7", e.Seq)
 	}
 }
 

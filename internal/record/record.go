@@ -292,11 +292,11 @@ type registeredInterface struct {
 // Recorder implements Selective Record. Install it on a device's Binder
 // driver with driver.AddInterposer(recorder).
 type Recorder struct {
-	log *Log
-	now func() time.Time
+	log   *Log
+	now   func() time.Time
+	pkgOf func(pid int) (string, bool)
 
 	mu         sync.RWMutex
-	pkgOf      func(pid int) (string, bool)
 	interfaces map[string]*registeredInterface // by descriptor
 	paused     map[string]bool                 // apps with recording paused (mid-migration)
 
@@ -333,15 +333,6 @@ func NewRecorder(log *Log, cfg Config) *Recorder {
 
 // Log returns the recorder's backing call log.
 func (r *Recorder) Log() *Log { return r.log }
-
-// SetPackageResolver replaces the pid→package hook. The device assembly
-// needs this because the recorder must exist before the framework runtime
-// that provides the real resolver.
-func (r *Recorder) SetPackageResolver(fn func(pid int) (string, bool)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pkgOf = fn
-}
 
 // RegisterInterface makes the recorder aware of a decorated service
 // interface registered under the given ServiceManager name. itf must come
@@ -411,12 +402,11 @@ func (r *Recorder) Stats() Stats {
 func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *binder.Call) {
 	r.mu.RLock()
 	reg, ok := r.interfaces[node.Descriptor()]
-	pkgOf := r.pkgOf
 	r.mu.RUnlock()
 	if !ok {
 		return
 	}
-	app, ok := pkgOf(callingPID)
+	app, ok := r.pkgOf(callingPID)
 	if !ok {
 		return
 	}

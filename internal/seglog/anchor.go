@@ -11,7 +11,7 @@ import (
 // outside seglog streams, embedded in CRIA images).
 const anchorMagic = "FLXA"
 
-// SegmentRoot is one sealed segment's summary inside an anchor.
+// SegmentRoot is one segment's summary inside an anchor.
 type SegmentRoot struct {
 	// Leaves is the segment's leaf count.
 	Leaves uint32
@@ -19,23 +19,65 @@ type SegmentRoot struct {
 	Root [HashSize]byte
 }
 
-// Anchor is a compact commitment to a log's sealed prefix: the total
-// sealed leaf count, the hash-chain head at that boundary, and every
-// sealed segment's Merkle root. ~40 bytes + 36 per segment — small
-// enough to ride inside a CRIA image, strong enough that VerifyPayloads
-// against it detects any single flipped bit in gigabytes of log.
+// Anchor is a compact commitment to a payload list: the leaf count,
+// the hash-chain head, and every segment's Merkle root. ~50 bytes + 36
+// per segment — small enough to ride inside a CRIA image, strong enough
+// that Verify against it detects any single flipped bit in gigabytes of
+// log.
 type Anchor struct {
 	Version byte
 	// Leaves is the number of leaves the anchor covers.
 	Leaves uint64
 	// Head is the chain head after leaf Leaves-1 (zero when empty).
 	Head [HashSize]byte
-	// Roots lists sealed segments in order.
+	// Roots lists the segments in order.
 	Roots []SegmentRoot
 }
 
-// IsZero reports whether the anchor covers nothing.
-func (a Anchor) IsZero() bool { return a.Leaves == 0 && len(a.Roots) == 0 }
+// AnchorOf computes the anchor over payloads: it runs the hash chain
+// and reduces each segment of SegmentLeaves leaves (the last one holds
+// the remainder) to its Merkle root.
+func AnchorOf(payloads [][]byte) Anchor {
+	a := Anchor{
+		Version: Version,
+		Leaves:  uint64(len(payloads)),
+		Roots:   make([]SegmentRoot, 0, (len(payloads)+SegmentLeaves-1)/SegmentLeaves),
+	}
+	h := newHasher()
+	leaves := make([][HashSize]byte, min(len(payloads), SegmentLeaves))
+	for start := 0; start < len(payloads); start += SegmentLeaves {
+		seg := payloads[start:min(start+SegmentLeaves, len(payloads))]
+		for i, p := range seg {
+			h.leaf(&a.Head, p)
+			leaves[i] = a.Head
+		}
+		a.Roots = append(a.Roots, SegmentRoot{Leaves: uint32(len(seg)), Root: h.root(leaves[:len(seg)])})
+	}
+	return a
+}
+
+// Verify checks that payloads is exactly the list the anchor commits
+// to: it recomputes the anchor and compares count, head and every
+// segment root. Any flipped bit, dropped, added or reordered entry
+// fails with ErrTampered.
+func Verify(payloads [][]byte, a Anchor) error {
+	if uint64(len(payloads)) != a.Leaves {
+		return fmt.Errorf("%w: anchor covers %d entries, log has %d", ErrTampered, a.Leaves, len(payloads))
+	}
+	got := AnchorOf(payloads)
+	if got.Head != a.Head {
+		return fmt.Errorf("%w: chain head mismatch", ErrTampered)
+	}
+	if len(got.Roots) != len(a.Roots) {
+		return fmt.Errorf("%w: anchor lists %d segments, log has %d", ErrTampered, len(a.Roots), len(got.Roots))
+	}
+	for i, r := range got.Roots {
+		if r != a.Roots[i] {
+			return fmt.Errorf("%w: segment %d root mismatch", ErrTampered, i)
+		}
+	}
+	return nil
+}
 
 // Marshal serializes the anchor:
 //
@@ -95,26 +137,4 @@ func ParseAnchor(data []byte) (Anchor, error) {
 		off += HashSize
 	}
 	return a, nil
-}
-
-// matches checks the anchor against the log state at the point the
-// anchor frame appears in a stream: it must commit to exactly the
-// sealed prefix decoded so far.
-func (a Anchor) matches(l *Log) error {
-	sealed := l.sealedLeavesLocked()
-	if a.Leaves != uint64(sealed) {
-		return fmt.Errorf("%w: anchor covers %d leaves, stream sealed %d", ErrTampered, a.Leaves, sealed)
-	}
-	if sealed > 0 && a.Head != l.leaves[sealed-1] {
-		return fmt.Errorf("%w: anchor head mismatch", ErrTampered)
-	}
-	if len(a.Roots) != len(l.seals) {
-		return fmt.Errorf("%w: anchor lists %d segments, stream sealed %d", ErrTampered, len(a.Roots), len(l.seals))
-	}
-	for i, r := range a.Roots {
-		if int(r.Leaves) != l.seals[i].Count || r.Root != l.seals[i].Root {
-			return fmt.Errorf("%w: anchor segment %d disagrees with stream seal", ErrTampered, i)
-		}
-	}
-	return nil
 }

@@ -2,166 +2,54 @@ package seglog
 
 import (
 	"crypto/sha256"
-	"errors"
-	"fmt"
+	"hash"
 )
 
-// interiorPrefix domain-separates interior nodes from leaves so a
-// proof cannot pass an interior hash off as a leaf (second-preimage
-// hardening, the usual certificate-transparency trick).
-const interiorPrefix = 0x01
+// interiorPrefix domain-separates interior nodes from leaves so an
+// interior hash cannot pass for a leaf (second-preimage hardening, the
+// usual certificate-transparency trick).
+var interiorPrefix = []byte{0x01}
 
-// merkleRoot computes the root over a segment's leaf hashes. An odd
-// node at any level is promoted unchanged (no duplication), matching
-// the proof shape produced by provePath. One leaf hashes to itself;
-// zero leaves never occur (seals require a non-empty segment).
-func merkleRoot(leaves [][HashSize]byte) [HashSize]byte {
-	if len(leaves) == 0 {
-		return [HashSize]byte{}
-	}
-	level := append([][HashSize]byte(nil), leaves...)
+// hasher computes chain leaves and Merkle nodes through one reused
+// SHA-256 state, so hashing a list allocates nothing per entry.
+type hasher struct {
+	h   hash.Hash
+	sum []byte
+}
+
+func newHasher() *hasher {
+	return &hasher{h: sha256.New(), sum: make([]byte, 0, HashSize)}
+}
+
+// leaf advances the chain: *head = SHA-256(payload ‖ *head).
+func (x *hasher) leaf(head *[HashSize]byte, payload []byte) {
+	x.h.Reset()
+	x.h.Write(payload)
+	x.h.Write(head[:])
+	x.sum = x.h.Sum(x.sum[:0])
+	copy(head[:], x.sum)
+}
+
+// root reduces a segment's leaf hashes to their Merkle root in place,
+// overwriting level. An odd node at any level is promoted unchanged (no
+// duplication); one leaf is its own root.
+func (x *hasher) root(level [][HashSize]byte) [HashSize]byte {
 	for len(level) > 1 {
-		next := level[:0]
+		next := 0
 		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				break
+			if i+1 < len(level) {
+				x.h.Reset()
+				x.h.Write(interiorPrefix)
+				x.h.Write(level[i][:])
+				x.h.Write(level[i+1][:])
+				x.sum = x.h.Sum(x.sum[:0])
+				copy(level[next][:], x.sum)
+			} else {
+				level[next] = level[i]
 			}
-			next = append(next, interiorHash(level[i], level[i+1]))
+			next++
 		}
-		level = next
+		level = level[:next]
 	}
 	return level[0]
 }
-
-func interiorHash(left, right [HashSize]byte) [HashSize]byte {
-	h := sha256.New()
-	h.Write([]byte{interiorPrefix})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out [HashSize]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// ProofNode is one sibling hash on the path from a leaf to its segment
-// root. Left reports whether the sibling sits to the left of the
-// running hash.
-type ProofNode struct {
-	Hash [HashSize]byte
-	Left bool
-}
-
-// Proof authenticates one leaf against a segment root: O(log n) sibling
-// hashes instead of the whole segment.
-type Proof struct {
-	// Segment is the sealed segment's index.
-	Segment uint32
-	// Index is the leaf's position within the segment.
-	Index uint32
-	// Leaf is the leaf hash being proven.
-	Leaf [HashSize]byte
-	// Path lists sibling hashes bottom-up.
-	Path []ProofNode
-}
-
-// Prove builds an inclusion proof for absolute leaf i. The leaf must
-// fall inside a sealed segment — the open tail has no root to prove
-// against.
-func (l *Log) Prove(i int) (Proof, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 || i >= len(l.leaves) {
-		return Proof{}, fmt.Errorf("seglog: leaf %d out of range (have %d)", i, len(l.leaves))
-	}
-	for _, s := range l.seals {
-		if i >= s.Start && i < s.Start+s.Count {
-			return Proof{
-				Segment: uint32(s.Index),
-				Index:   uint32(i - s.Start),
-				Leaf:    l.leaves[i],
-				Path:    provePath(l.leaves[s.Start:s.Start+s.Count], i-s.Start),
-			}, nil
-		}
-	}
-	return Proof{}, fmt.Errorf("seglog: leaf %d is in the unsealed tail", i)
-}
-
-// provePath collects the sibling hashes for leaf idx within a segment.
-func provePath(leaves [][HashSize]byte, idx int) []ProofNode {
-	var path []ProofNode
-	level := append([][HashSize]byte(nil), leaves...)
-	for len(level) > 1 {
-		sib := idx ^ 1
-		if sib < len(level) {
-			path = append(path, ProofNode{Hash: level[sib], Left: sib < idx})
-		}
-		next := level[:0]
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				break
-			}
-			next = append(next, interiorHash(level[i], level[i+1]))
-		}
-		level = next
-		idx /= 2
-	}
-	return path
-}
-
-// VerifyInclusion checks a proof against a segment root: fold the path
-// into the leaf and compare. It authenticates the leaf hash; callers
-// holding the payload first recompute the leaf via the chain.
-func VerifyInclusion(p Proof, root [HashSize]byte) bool {
-	h := p.Leaf
-	for _, n := range p.Path {
-		if n.Left {
-			h = interiorHash(n.Hash, h)
-		} else {
-			h = interiorHash(h, n.Hash)
-		}
-	}
-	return h == root
-}
-
-// VerifyPayloads checks that payloads is exactly the sequence the
-// anchor commits to: it replays the hash chain over the payloads,
-// recomputes every segment's Merkle root, and compares roots, head,
-// and count against the anchor. Any flipped bit, dropped entry,
-// reordering, or addition fails. Payloads beyond the anchored prefix
-// (appended after the anchor was cut) are permitted and unverified —
-// the anchor covers sealed history only.
-func VerifyPayloads(payloads [][]byte, a Anchor) error {
-	if uint64(len(payloads)) < a.Leaves {
-		return fmt.Errorf("%w: anchor covers %d entries, log has %d", ErrTampered, a.Leaves, len(payloads))
-	}
-	var chain [HashSize]byte
-	leaves := make([][HashSize]byte, a.Leaves)
-	for i := range leaves {
-		chain = leafHash(payloads[i], chain)
-		leaves[i] = chain
-	}
-	if a.Leaves > 0 && chain != a.Head {
-		return fmt.Errorf("%w: chain head mismatch", ErrTampered)
-	}
-	var off uint64
-	for i, r := range a.Roots {
-		end := off + uint64(r.Leaves)
-		if r.Leaves == 0 || end > a.Leaves {
-			return fmt.Errorf("%w: anchor segment %d covers %d leaves beyond the anchored prefix", ErrTampered, i, r.Leaves)
-		}
-		if got := merkleRoot(leaves[off:end]); got != r.Root {
-			return fmt.Errorf("%w: segment %d root mismatch", ErrTampered, i)
-		}
-		off = end
-	}
-	if off != a.Leaves {
-		return fmt.Errorf("%w: anchor roots cover %d of %d leaves", ErrTampered, off, a.Leaves)
-	}
-	return nil
-}
-
-// errNoAnchor distinguishes "nothing to verify against" from a failed
-// verification.
-var errNoAnchor = errors.New("seglog: empty anchor")

@@ -112,7 +112,7 @@ func (a *AlarmManagerService) fire(pkg, operation string) {
 	}
 	delete(a.alarms[pkg], operation)
 	a.mu.Unlock()
-	a.sys.broadcast(android.Intent{
+	a.sys.cfg.Broadcast(android.Intent{
 		Action: android.ActionAlarmFired,
 		Pkg:    pkg,
 		Extras: map[string]string{"operation": operation},

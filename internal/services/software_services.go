@@ -73,7 +73,7 @@ func newActivityManagerService(s *System) *ActivityManagerService {
 		Handle("broadcastIntent", func(call *binder.Call, m *aidl.Method) error {
 			action := call.Data.MustString()
 			payload := call.Data.MustString()
-			s.broadcast(android.Intent{Action: action, Extras: map[string]string{"payload": payload}})
+			s.cfg.Broadcast(android.Intent{Action: action, Extras: map[string]string{"payload": payload}})
 			return nil
 		}).
 		Handle("moveTaskToBack", nop).

@@ -9,7 +9,6 @@ package services
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"flux/internal/aidl"
 	"flux/internal/android"
@@ -80,11 +79,11 @@ type System struct {
 	// but the pairing phase pseudo-installs through it (paper §3.1).
 	Packages *PackageManagerService
 
-	mu      sync.Mutex
+	// Boot fills these and nothing changes them after, so they are read
+	// without a lock.
 	staters map[string]AppStater
 	catalog []registration
 	itfs    map[string]*aidl.Interface // by descriptor, for telemetry method names
-	pkgOfFn func(pid int) (string, bool)
 }
 
 // Registration describes one booted service for Table 2 reporting.
@@ -130,7 +129,6 @@ func Boot(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, proc: proc, staters: make(map[string]AppStater), itfs: make(map[string]*aidl.Interface)}
-	s.pkgOfFn = cfg.PackageOf
 	// Give the Binder driver's telemetry tap human-readable method names
 	// instead of raw transaction codes.
 	cfg.Kernel.Binder().SetMethodNamer(s.methodName)
@@ -162,29 +160,6 @@ func Boot(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// SetPackageResolver installs the pid→package hook after the android
-// runtime exists (the runtime needs the kernel, the services need the
-// runtime's resolver; this breaks the construction cycle).
-func (s *System) SetPackageResolver(fn func(pid int) (string, bool)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pkgOfFn = fn
-}
-
-// SetBroadcast installs the intent-delivery hook.
-func (s *System) SetBroadcast(fn func(android.Intent) int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.Broadcast = fn
-}
-
-func (s *System) broadcast(in android.Intent) int {
-	s.mu.Lock()
-	fn := s.cfg.Broadcast
-	s.mu.Unlock()
-	return fn(in)
-}
-
 // Proc returns the system_server process.
 func (s *System) Proc() *kernel.Process { return s.proc }
 
@@ -193,13 +168,10 @@ func (s *System) Kernel() *kernel.Kernel { return s.cfg.Kernel }
 
 // callerPkg resolves the calling pid of a transaction to a package name.
 func (s *System) callerPkg(call *binder.Call) (string, error) {
-	s.mu.Lock()
-	fn := s.pkgOfFn
-	s.mu.Unlock()
-	if fn == nil {
+	if s.cfg.PackageOf == nil {
 		return "", fmt.Errorf("services: no package resolver installed")
 	}
-	pkg, ok := fn(call.CallingPID)
+	pkg, ok := s.cfg.PackageOf(call.CallingPID)
 	if !ok {
 		return "", fmt.Errorf("services: cannot resolve pid %d to a package", call.CallingPID)
 	}
@@ -215,8 +187,6 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 	if s.cfg.Recorder != nil {
 		s.cfg.Recorder.RegisterInterface(name, itf)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if stater != nil {
 		s.staters[name] = stater
 	}
@@ -235,9 +205,7 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 // name via the booted services' AIDL catalog — the binder.MethodNamer
 // backing telemetry labels.
 func (s *System) methodName(descriptor string, code uint32) (string, bool) {
-	s.mu.Lock()
 	itf := s.itfs[descriptor]
-	s.mu.Unlock()
 	if itf == nil {
 		return "", false
 	}
@@ -249,8 +217,6 @@ func (s *System) methodName(descriptor string, code uint32) (string, bool) {
 
 // Catalog returns the Table 2 registrations sorted by name.
 func (s *System) Catalog() []Registration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Registration, len(s.catalog))
 	for i, r := range s.catalog {
 		out[i] = r.Registration
@@ -265,20 +231,10 @@ func (s *System) Catalog() []Registration {
 // service registered under. It is the equality witness migration tests
 // use.
 func (s *System) AppState(pkg string) map[string]string {
-	type named struct {
-		name string
-		st   AppStater
-	}
-	s.mu.Lock()
-	staters := make([]named, 0, len(s.staters))
-	for name, st := range s.staters {
-		staters = append(staters, named{name, st})
-	}
-	s.mu.Unlock()
 	out := make(map[string]string)
-	for _, n := range staters {
-		for k, v := range n.st.AppState(pkg) {
-			out[n.name+"/"+k] = v
+	for name, st := range s.staters {
+		for k, v := range st.AppState(pkg) {
+			out[name+"/"+k] = v
 		}
 	}
 	return out
@@ -286,13 +242,7 @@ func (s *System) AppState(pkg string) map[string]string {
 
 // ForgetApp drops every service's state for an app after it migrates away.
 func (s *System) ForgetApp(pkg string) {
-	s.mu.Lock()
-	staters := make([]AppStater, 0, len(s.staters))
 	for _, st := range s.staters {
-		staters = append(staters, st)
-	}
-	s.mu.Unlock()
-	for _, st := range staters {
 		st.ForgetApp(pkg)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"flux/internal/aidl"
 	"flux/internal/binder"
 	"flux/internal/record"
+	"flux/internal/seglog"
 )
 
 // notifSrc is the Figure 7 shape: cancel(id) annihilates against the
@@ -230,5 +231,29 @@ func TestLintLogFileRefusesUnverifiedLogs(t *testing.T) {
 
 	if _, err := LintLogFile(filepath.Join(dir, "missing"), specs, LogLintOptions{}); err == nil {
 		t.Fatal("missing file linted without an I/O error")
+	}
+}
+
+// TestLintLogFileKeepsSavedSeq: a loaded file keeps the sequence numbers
+// it was saved with, so findings cite them and a file that repeats one
+// fails log-order.
+func TestLintLogFileKeepsSavedSeq(t *testing.T) {
+	itf := aidl.MustParse(notifSrc)
+	specs := map[string]*aidl.Interface{itf.Name: itf}
+	wires := [][]byte{
+		record.EntryWire(entry(t, itf, 4, "enqueueNotification", 3, int32(1), aidl.Object("a"))),
+		record.EntryWire(entry(t, itf, 9, "enqueueNotification", 3, int32(2), aidl.Object("b"))),
+		record.EntryWire(entry(t, itf, 9, "enqueueNotification", 3, int32(3), aidl.Object("c"))),
+	}
+	path := filepath.Join(t.TempDir(), "dup.flxg")
+	if err := os.WriteFile(path, seglog.Marshal(wires), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := LintLogFile(path, specs, LogLintOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := findAll(fs, "log-order"); len(fs) != 1 || len(got) != 1 || got[0].Line != 9 {
+		t.Fatalf("want one log-order finding at seq 9, got %v", fs)
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // The durability pass guards the crash-safety contract of the
-// persistence packages (atomicio, seglog, record): data is durable only
+// persistence packages (atomicio and record write files; seglog only
+// encodes, and stays in scope so it keeps to that): data is durable only
 // when every error on the path to the disk is observed. Three shapes are
 // flagged:
 //

@@ -10,12 +10,12 @@ import (
 
 // The lock-order pass extracts mutex-acquisition orders across the
 // lock-heavy packages (the PR-9 ordered all-shard sweep in
-// internal/record, seglog.File, the obs shards) and flags any two code
+// internal/record, the chunk store, the obs shards) and flags any two code
 // paths that acquire the same pair of locks in opposite orders — the
 // classic AB/BA deadlock shape, statically.
 //
 // A lock is identified by the struct type that carries it plus the field
-// path ("record.Log.shardMu", "seglog.Log.mu"), so every instance of a
+// path ("record.Log.shardMu", "record.appShard.mu"), so every instance of a
 // type shares one identity; acquiring many instances of the *same* lock
 // identity (the sorted all-shard sweep) is deliberately not an edge —
 // instances are indistinguishable statically, and the sweep's sort is

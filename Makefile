@@ -74,7 +74,7 @@ bench-module:
 
 # The packages with lock-free/sharded hot paths and the parallel matrix
 # driver. Keep this green: the sharded record log, the worker-pool
-# evaluation driver, the telemetry ring/registry, the span-instrumented
+# evaluation driver, the telemetry span ring, the span-instrumented
 # migration pipeline (including its fault-recovery retry paths), the
 # concurrent fault injector, the image marshaller's worker pool, the
 # memoized sync trees and the mutex-guarded chunk store are only correct

@@ -6,12 +6,11 @@
 // Usage:
 //
 //	fluxd -app com.netflix.mediaclient -from nexus4 -to nexus7-2013
-//	fluxd -app com.whatsapp -trace trace.json -metrics
+//	fluxd -app com.whatsapp -trace trace.json
 //	fluxd -list
 //
 // -trace writes the migration's span tree as Chrome trace-event JSON
-// (load it at chrome://tracing or https://ui.perfetto.dev); -metrics
-// prints the telemetry registry in Prometheus text exposition format.
+// (load it at chrome://tracing or https://ui.perfetto.dev).
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 		to        = flag.String("to", "nexus7-2013", "guest device model")
 		list      = flag.Bool("list", false, "list migratable evaluation apps")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON file of the migration's span tree")
-		metrics   = flag.Bool("metrics", false, "print telemetry metrics in Prometheus text format after the run")
 	)
 	flag.Parse()
 	if *list {
@@ -51,7 +49,7 @@ func main() {
 		}
 		return
 	}
-	if *tracePath != "" || *metrics {
+	if *tracePath != "" {
 		obs.SetEnabled(true)
 	}
 	if err := run(*appPkg, *from, *to); err != nil {
@@ -65,13 +63,6 @@ func main() {
 		}
 		total, dropped := obs.T().Stats()
 		fmt.Printf("\nwrote %s (%d spans, %d dropped)\n", *tracePath, total-dropped, dropped)
-	}
-	if *metrics {
-		fmt.Println("\n# telemetry (Prometheus text exposition)")
-		if err := obs.M().WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "fluxd: writing metrics:", err)
-			os.Exit(1)
-		}
 	}
 }
 

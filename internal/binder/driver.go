@@ -13,10 +13,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"flux/internal/obs"
 )
 
 // Handle is a process-local integer naming a reference to a Binder node.
@@ -87,11 +83,6 @@ type Driver struct {
 	// modify a published one, so transact reads it under mu and iterates
 	// it after unlocking without copying.
 	interposers []Interposer
-
-	// namer resolves (descriptor, code) to a method name for telemetry
-	// labels; see SetMethodNamer in telemetry.go. Kept in an
-	// atomic.Value so the telemetry tap never takes d.mu.
-	namer atomic.Value // *namerBox
 }
 
 // Interposer observes transactions in flight. It runs on the caller's side
@@ -388,14 +379,6 @@ func (p *Proc) TransactOneWay(h Handle, code uint32, data *Parcel) error {
 
 func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parcel, error) {
 	d := p.driver
-	// Telemetry tap (internal/obs): the disabled path is this one atomic
-	// load; the timestamp is only taken when telemetry is on.
-	telemetry := obs.Enabled()
-	var txStart time.Time
-	if telemetry {
-		//fluxvet:allow wallclock — telemetry measures real dispatch latency; it never feeds the virtual clock
-		txStart = time.Now()
-	}
 	d.mu.Lock()
 	if p.dead {
 		d.mu.Unlock()
@@ -483,9 +466,6 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 		for _, ip := range ips {
 			ip.ObserveTransaction(p.pid, node, call)
 		}
-	}
-	if telemetry {
-		d.recordTransaction(node, code, data, call.Reply, txStart)
 	}
 	return call.Reply, nil
 }

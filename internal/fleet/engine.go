@@ -18,9 +18,8 @@
 //     resource (or on AP admission) is linked through mig.next — the
 //     preallocated migs slice doubles as the free-list, so enqueue and
 //     dequeue never allocate.
-//   - Sim values are recycled through a sync.Pool (fleet.Run); a
-//     pooled Sim re-runs a same-shaped spec without reallocating its
-//     event pool, migration records, or resource tables.
+//   - A Sim re-runs its spec after Reset without reallocating its
+//     event heap, migration records, or resource tables.
 //   - All randomness is consumed during workload generation; the
 //     event loop is a deterministic replay. Single-threaded by
 //     design — worker width only parallelizes the profiling phase, so
@@ -122,13 +121,12 @@ type Sim struct {
 	maxConc   int32 // per-AP concurrency cap; 0 = unlimited
 
 	// Mutable per-run state.
-	res        []resource // device CPUs, then 2 bands per AP
-	aps        []apState
-	migs       []mig
-	holder     []int32 // (user, app) → device currently holding the app
-	prevHolder []int32 // (user, app) → previous holder (pair-affinity)
-	inflight   []bool
-	load       []int32 // device → active migrations touching it
+	res      []resource // device CPUs, then 2 bands per AP
+	aps      []apState
+	migs     []mig
+	holder   []int32 // (user, app) → device currently holding the app
+	inflight []bool
+	load     []int32 // device → active migrations touching it
 
 	heap []event
 	seq  uint64
@@ -223,7 +221,6 @@ func (s *Sim) build() {
 	s.aps = make([]apState, s.nAPs)
 	s.migs = make([]mig, len(s.wl.arrivals))
 	s.holder = make([]int32, spec.Users*len(s.wl.apps))
-	s.prevHolder = make([]int32, spec.Users*len(s.wl.apps))
 	s.inflight = make([]bool, spec.Users*len(s.wl.apps))
 	s.load = make([]int32, s.nDevices)
 	// Only admitted migrations schedule events, each holds at most one
@@ -261,7 +258,6 @@ func (s *Sim) Reset() {
 		for a := int32(0); a < nApps; a++ {
 			// Every (user, app) starts on the user's phone.
 			s.holder[u*nApps+a] = s.userDev0[u]
-			s.prevHolder[u*nApps+a] = nilIdx
 		}
 	}
 	clear(s.inflight)
@@ -509,7 +505,6 @@ func (s *Sim) hopEnd(idx int32) {
 	m.userNS += s.now - m.ckptDoneNS
 	s.wireBytes += s.profs.graphs[m.prof].TransferredBytes
 	k := s.key(m)
-	s.prevHolder[k] = m.src
 	s.holder[k] = m.dst
 	s.load[m.src]--
 	m.hop++

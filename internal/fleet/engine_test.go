@@ -283,18 +283,6 @@ func TestPlacementPolicies(t *testing.T) {
 		t.Fatalf("least-loaded: placed on %d despite load, want 2", got)
 	}
 
-	// Pair-affinity: returns to the previous holder when valid.
-	s = newSim(PlacementPairAffinity)
-	m = &mig{user: 0, src: 0}
-	s.prevHolder[s.key(m)] = 2
-	if got := s.place(m); got != 2 {
-		t.Fatalf("pair-affinity: placed on %d, want previous holder 2", got)
-	}
-	s.prevHolder[s.key(m)] = 0 // previous holder == src: fall back
-	if got := s.place(m); got != 1 {
-		t.Fatalf("pair-affinity fallback: placed on %d, want least-loaded 1", got)
-	}
-
 	// Bandwidth-aware: from the phone, the 5 GHz tablet beats the
 	// 2.4 GHz TV regardless of load.
 	s = newSim(PlacementBandwidthAware)

@@ -1,9 +1,5 @@
 package fleet
 
-import (
-	"sync"
-)
-
 // Options tunes a fleet run without affecting its results.
 type Options struct {
 	// Workers sets the profiling pool width (≤ 0: matrix default).
@@ -37,32 +33,13 @@ type Result struct {
 // test hooks, not part of the stable surface.
 func (r *Result) Sim() *Sim { return r.sim }
 
-// simPool recycles engines across Run calls for same-shaped repeat
-// runs (sweeps, benchmarks). A pooled Sim whose spec hash matches is
-// Reset and re-driven without reallocating its event heap, migration
-// records, or resource tables.
-var simPool sync.Pool
-
-// Run builds (or recycles) a Sim for the spec, drives it to
-// completion, and returns the report plus per-migration records.
+// Run builds a Sim for the spec, drives it to completion, and returns
+// the report plus per-migration records. Callers that re-run one spec
+// keep the Sim from NewSim and Reset it instead.
 func Run(spec Spec, opts Options) (*Result, error) {
-	spec = spec.withDefaults()
-	var s *Sim
-	if v := simPool.Get(); v != nil {
-		if cached := v.(*Sim); cached.spec.Hash() == spec.Hash() {
-			s = cached
-			s.Reset()
-		} else {
-			// Different shape: return it for some other caller.
-			simPool.Put(v)
-		}
-	}
-	if s == nil {
-		var err error
-		s, err = NewSim(spec, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
+	s, err := NewSim(spec, opts.Workers)
+	if err != nil {
+		return nil, err
 	}
 	s.Run()
 	res := &Result{Report: s.Report(), sim: s}
@@ -81,6 +58,5 @@ func Run(spec Spec, opts Options) (*Result, error) {
 			Superseded: m.state == stateSuperseded,
 		}
 	}
-	simPool.Put(s)
 	return res, nil
 }

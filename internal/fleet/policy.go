@@ -11,16 +11,7 @@ package fleet
 func (s *Sim) place(m *mig) int32 {
 	first := s.userDev0[m.user]
 	n := int32(s.spec.DevicesPerUser)
-	switch s.spec.Placement {
-	case PlacementPairAffinity:
-		// Sticky pairs: returning an app to the device it last lived
-		// on keeps warm state (delta chunks, caches) relevant. Fall
-		// back to least-loaded when there is no valid previous holder.
-		prev := s.prevHolder[s.key(m)]
-		if prev != nilIdx && prev != m.src {
-			return prev
-		}
-	case PlacementBandwidthAware:
+	if s.spec.Placement == PlacementBandwidthAware {
 		// Fastest pipe first: maximize the measured link bandwidth of
 		// (source model, candidate model); ties go to the lowest index.
 		best := nilIdx

@@ -27,7 +27,6 @@ const SpecSchemaVersion = 1
 // Placement policy names (see policy.go).
 const (
 	PlacementLeastLoaded    = "least-loaded"
-	PlacementPairAffinity   = "pair-affinity"
 	PlacementBandwidthAware = "bandwidth-aware"
 )
 
@@ -87,7 +86,7 @@ type Spec struct {
 	// Migrations is the total migration-request count across classes.
 	Migrations int `json:"migrations"`
 	// Placement picks the destination device of each hop:
-	// least-loaded, pair-affinity, or bandwidth-aware.
+	// least-loaded or bandwidth-aware.
 	Placement string `json:"placement"`
 	// AdmissionRatePerMin is the per-AP token-bucket refill rate on
 	// migration admissions (GCRA); 0 disables rate limiting.
@@ -188,9 +187,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("fleet: spec %s: migrations %d < 1", s.Name, s.Migrations)
 	}
 	switch s.Placement {
-	case PlacementLeastLoaded, PlacementPairAffinity, PlacementBandwidthAware:
+	case PlacementLeastLoaded, PlacementBandwidthAware:
 	default:
-		return fmt.Errorf("fleet: spec %s: unknown placement %q (least-loaded, pair-affinity, bandwidth-aware)", s.Name, s.Placement)
+		return fmt.Errorf("fleet: spec %s: unknown placement %q (least-loaded, bandwidth-aware)", s.Name, s.Placement)
 	}
 	if s.AdmissionRatePerMin < 0 {
 		return fmt.Errorf("fleet: spec %s: admission_rate_per_min %g is negative", s.Name, s.AdmissionRatePerMin)

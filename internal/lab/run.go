@@ -276,8 +276,8 @@ func (r *Runner) runSweep(spec Spec, workers int, data *runData) ([]CellStats, e
 
 // runTraced runs one migration with telemetry enabled and returns its
 // report plus the captured span tree, for the span-equality signal. The
-// global tracer and registry are reset around the run and telemetry is
-// restored to its prior enablement.
+// global tracer is reset around the run and telemetry is restored to its
+// prior enablement.
 func runTraced() (*migration.Report, []obs.SpanData, error) {
 	wasEnabled := obs.Enabled()
 	obs.SetEnabled(true)

@@ -38,44 +38,14 @@ import (
 	"flux/internal/chunkstore"
 	"flux/internal/cria"
 	"flux/internal/faults"
-	"flux/internal/netsim"
 	"flux/internal/obs"
 	"flux/internal/rsyncx"
-)
-
-// Delta-migration cache telemetry.
-const (
-	// MetricCacheHits counts chunks served from the guest's cache.
-	MetricCacheHits = "flux_migration_cache_hits_total"
-	// MetricCacheMisses counts chunks the guest did not hold.
-	MetricCacheMisses = "flux_migration_cache_misses_total"
-	// MetricCacheRolling counts chunks shipped as rolling deltas against
-	// the previous content generation.
-	MetricCacheRolling = "flux_migration_cache_rolling_total"
-	// MetricCacheNotShippedBytes counts wire bytes the cache kept off the
-	// air (full bytes for hits, saved bytes for rolling deltas).
-	MetricCacheNotShippedBytes = "flux_migration_cache_not_shipped_bytes_total"
-	// MetricCacheDeltaBytes counts rolling-delta literal bytes shipped.
-	MetricCacheDeltaBytes = "flux_migration_cache_delta_bytes_total"
-	// MetricCachePoisoned counts cached chunks that failed digest
-	// verification and were re-fetched.
-	MetricCachePoisoned = "flux_migration_cache_poisoned_total"
 )
 
 // SpanCacheLookup is the instant span emitted per negotiated chunk under
 // the transfer stage span (fluxstat skips it in the flame, like
 // pipeline.chunk).
 const SpanCacheLookup = "cache.lookup"
-
-func init() {
-	m := obs.M()
-	m.Describe(MetricCacheHits, "Migration chunks served from the guest's content-addressed cache.")
-	m.Describe(MetricCacheMisses, "Migration chunks absent from the guest's cache.")
-	m.Describe(MetricCacheRolling, "Migration chunks shipped as rolling deltas against the previous generation.")
-	m.Describe(MetricCacheNotShippedBytes, "Wire bytes the delta-migration cache kept off the air.")
-	m.Describe(MetricCacheDeltaBytes, "Rolling-delta literal bytes shipped by delta migrations.")
-	m.Describe(MetricCachePoisoned, "Cached chunks that failed digest verification and were re-fetched.")
-}
 
 // Negotiation wire-format constants: the home advertises one fixed
 // header plus (digest, size) per chunk; the guest answers with a header,
@@ -272,15 +242,9 @@ func (dp *deltaPlan) poisonOverhead(fr *faultRun, sp *obs.Span) time.Duration {
 	return overhead
 }
 
-// negotiationModelTime is the negotiation's duration without telemetry
-// side effects (the counterfactual used by PipelineSavings).
-func (dp *deltaPlan) negotiationModelTime(link netsim.Link) time.Duration {
-	return link.Latency() + link.AirTime(dp.negUp) + link.AirTime(dp.negDown)
-}
-
 // record copies the negotiation outcome into the report, stamps the
-// transfer stage span, emits one cache.lookup instant span per negotiated
-// chunk, and bumps the cache metric family.
+// transfer stage span and emits one cache.lookup instant span per
+// negotiated chunk.
 func (dp *deltaPlan) record(rep *Report, sp *obs.Span) {
 	chunks := len(dp.fates)
 	rep.CacheHits = dp.hits
@@ -311,20 +275,5 @@ func (dp *deltaPlan) record(rep *Report, sp *obs.Span) {
 			obs.Int64("cache_delta_bytes", dp.deltaBytes),
 			obs.Int64("cache_negotiation_bytes", dp.negUp+dp.negDown),
 		)
-	}
-	if obs.Enabled() {
-		m := obs.M()
-		m.Counter(MetricCacheHits).Add(uint64(dp.hits))
-		m.Counter(MetricCacheMisses).Add(uint64(dp.misses))
-		m.Counter(MetricCacheRolling).Add(uint64(dp.rollingHits))
-		if dp.poisoned > 0 {
-			m.Counter(MetricCachePoisoned).Add(uint64(dp.poisoned))
-		}
-		if dp.notShipped > 0 {
-			m.Counter(MetricCacheNotShippedBytes).Add(uint64(dp.notShipped))
-		}
-		if dp.deltaBytes > 0 {
-			m.Counter(MetricCacheDeltaBytes).Add(uint64(dp.deltaBytes))
-		}
 	}
 }

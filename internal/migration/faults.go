@@ -159,7 +159,7 @@ func (fr *faultRun) chunkFault() (faults.Site, bool) {
 }
 
 // account emits the per-event telemetry: one fault.retry span under the
-// stage span and the fault/retry metric family.
+// stage span.
 func (fr *faultRun) account(sp *obs.Span, stage Stage, site faults.Site, attempt int, backoff, cost time.Duration, resentBytes int64) {
 	if sp != nil {
 		sp.Child(SpanFaultRetry,
@@ -170,16 +170,6 @@ func (fr *faultRun) account(sp *obs.Span, stage Stage, site faults.Site, attempt
 			obs.Int64("recovery_us", cost.Microseconds()),
 			obs.Int64("resent_bytes", resentBytes),
 		).End()
-	}
-	if !obs.Enabled() {
-		return
-	}
-	m := obs.M()
-	m.Counter(MetricFaultInjections, "site", string(site)).Inc()
-	m.Counter(MetricRetryAttempts, "stage", stage.String()).Inc()
-	m.Histogram(MetricRetryBackoffSeconds, obs.DurationBuckets).Observe(backoff.Seconds())
-	if resentBytes > 0 {
-		m.Counter(MetricRetryRetransmitBytes).Add(uint64(resentBytes))
 	}
 }
 
@@ -286,9 +276,6 @@ func (m *Migrator) rollback(rep *Report, homeApp, guestApp *android.App, cause e
 	}
 	rep.Outcome = OutcomeRolledBack
 	rep.FaultEvents = m.Opts.Faults.Stats()
-	if obs.Enabled() {
-		obs.M().Counter(MetricFaultRollbacks).Inc()
-	}
 	return rep, fmt.Errorf("%w: %v", ErrRolledBack, cause)
 }
 

@@ -4,8 +4,8 @@ package migration_test
 // the home device, and the zero-fault no-drift guarantee.
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,7 +206,7 @@ func TestStageTimeoutRollsBack(t *testing.T) {
 
 // TestZeroFaultNoDrift: a disabled injector (nil, or non-nil with an
 // empty plan) produces a migration bit-identical to one without the
-// fault subsystem — same timings, same bytes, same metrics dump.
+// fault subsystem — same timings, same bytes, same span tree.
 func TestZeroFaultNoDrift(t *testing.T) {
 	obs.SetEnabled(true)
 	defer func() {
@@ -221,29 +221,22 @@ func TestZeroFaultNoDrift(t *testing.T) {
 		if err != nil {
 			t.Fatalf("clean migration failed: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := obs.M().WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
+		// Name, virtual duration and attributes of every span, in tree
+		// order; wall times and span ids differ between any two runs.
+		var tree strings.Builder
+		for _, s := range obs.SortTree(obs.T().Snapshot()) {
+			fmt.Fprintf(&tree, "%s %v %v\n", s.Name, s.Virt(), s.Attrs)
 		}
-		// Keep only the virtual-clock families (flux_migration_*,
-		// flux_net_*): binder/service histograms observe wall time and
-		// differ between any two runs.
-		var kept []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.Contains(line, "flux_migration_") || strings.Contains(line, "flux_net_") {
-				kept = append(kept, line)
-			}
-		}
-		return rep, strings.Join(kept, "\n")
+		return rep, tree.String()
 	}
 
-	base, baseMetrics := run(migration.Options{})
+	base, baseTree := run(migration.Options{})
 	for name, opts := range map[string]migration.Options{
 		"nil-injector":   {Faults: nil},
 		"empty-plan":     {Faults: faults.New(1, nil)},
 		"zero-prob-plan": {Faults: faults.New(1, faults.Plan{faults.LinkFlap: {Probability: 0}})},
 	} {
-		rep, metrics := run(opts)
+		rep, tree := run(opts)
 		if rep.Timings != base.Timings {
 			t.Errorf("%s: timings drifted: %v != %v", name, rep.Timings, base.Timings)
 		}
@@ -253,54 +246,51 @@ func TestZeroFaultNoDrift(t *testing.T) {
 		if rep.Retries != 0 || rep.RetransmitBytes != 0 || rep.FaultEvents != nil {
 			t.Errorf("%s: fault fields populated on a zero-fault run: %+v", name, rep)
 		}
-		if metrics != baseMetrics {
-			t.Errorf("%s: metrics dump drifted from the fault-free run", name)
+		if tree != baseTree {
+			t.Errorf("%s: span tree drifted from the fault-free run:\n%s\nwant:\n%s", name, tree, baseTree)
 		}
 	}
 }
 
-// TestFaultMetricsAndOutcomeLabel: recovered runs account injections and
-// retransmitted bytes; rolled-back runs land on the rolled-back result
-// label and the rollback counter.
-func TestFaultMetricsAndOutcomeLabel(t *testing.T) {
+// TestFaultRetrySpans: every recovered fault emits one fault.retry span
+// under its stage span, and the spans' resent bytes add up to the
+// report's RetransmitBytes.
+func TestFaultRetrySpans(t *testing.T) {
 	obs.SetEnabled(true)
 	defer func() {
 		obs.SetEnabled(false)
 		obs.Reset()
 	}()
 	obs.Reset()
-	m := obs.M()
 
 	inj := faults.New(7, faults.Plan{faults.ChunkCorrupt: {Probability: 1, Count: 2}})
 	rep, err := migrateWith(t, faultWorld(t), migration.Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counter(migration.MetricFaultInjections, "site", "chunk.corrupt").Value(); got != 2 {
-		t.Errorf("fault injections counter = %d, want 2", got)
+	var retries int
+	var resent int64
+	for _, s := range obs.T().Snapshot() {
+		if s.Name != migration.SpanFaultRetry {
+			continue
+		}
+		retries++
+		attrs := make(map[string]any, len(s.Attrs))
+		for _, a := range s.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["site"] != string(faults.ChunkCorrupt) || attrs["stage"] != migration.StageTransfer.String() {
+			t.Errorf("fault.retry span site=%v stage=%v, want %s in %s",
+				attrs["site"], attrs["stage"], faults.ChunkCorrupt, migration.StageTransfer)
+		}
+		n, _ := attrs["resent_bytes"].(int64)
+		resent += n
 	}
-	if got := m.Counter(migration.MetricRetryAttempts, "stage", "Transfer").Value(); got != 2 {
-		t.Errorf("retry attempts counter = %d, want 2", got)
+	if retries != 2 {
+		t.Errorf("%d fault.retry spans, want 2", retries)
 	}
-	if got := m.Counter(migration.MetricRetryRetransmitBytes).Value(); got != uint64(rep.RetransmitBytes) {
-		t.Errorf("retransmit counter = %d, report says %d", got, rep.RetransmitBytes)
-	}
-
-	w := faultWorld(t)
-	_, err = migrateWith(t, w, migration.Options{
-		Faults: faults.New(1, faults.Plan{faults.RestoreFail: {Probability: 1}}),
-	})
-	if !errors.Is(err, migration.ErrRolledBack) {
-		t.Fatalf("expected rollback, got %v", err)
-	}
-	if got := m.Counter(migration.MetricFaultRollbacks).Value(); got != 1 {
-		t.Errorf("rollback counter = %d, want 1", got)
-	}
-	if got := m.Counter(migration.MetricMigrations, "result", migration.OutcomeRolledBack).Value(); got != 1 {
-		t.Errorf("rolled-back result label = %d, want 1", got)
-	}
-	if got := m.Counter(migration.MetricMigrations, "result", "error").Value(); got != 0 {
-		t.Errorf("rollback double-counted as plain error (%d)", got)
+	if resent != rep.RetransmitBytes {
+		t.Errorf("fault.retry spans resent %d bytes, report says %d", resent, rep.RetransmitBytes)
 	}
 }
 

@@ -278,13 +278,6 @@ func (m *Migrator) chunkBytes() int64 {
 	return cb
 }
 
-// cpuTime models CPU-bound work of `bytes` at `rate` bytes/sec on a 1.0
-// device, scaled by the device's CPU factor, plus fixed overhead.
-func cpuTime(fixed time.Duration, bytes int64, ratePerSec int64, cpuFactor float64) time.Duration {
-	work := time.Duration(float64(bytes) / (float64(ratePerSec) * cpuFactor) * float64(time.Second))
-	return fixed + work
-}
-
 // guestAPILevel is the API ceiling of the guest's Android version; all
 // evaluation devices run KitKat (API 19).
 func apiLevel(androidVersion string) int {
@@ -341,7 +334,6 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		if err != nil {
 			span.Attr(obs.String("error", err.Error()))
 		}
-		recordOutcome(rep, err)
 		span.End()
 	}()
 
@@ -367,7 +359,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		sp.End()
 		return nil, fmt.Errorf("migration: eglUnload: %w", err)
 	}
-	prepWork := cpuTime(prepFixed, texBytes, prepRate, homeCPU)
+	prepWork := prepFixed + cpuWork(texBytes, prepRate, homeCPU)
 	m.advanceBoth(prepWork)
 	rep.Timings[StagePreparation] = idle + prepWork
 	sp.Attr(
@@ -433,7 +425,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 			cpuWork(rep.ImageBytes, ckptPipeRate, homeCPU) +
 			cpuWork(dp.compRaw, compPipeRate, homeCPU)
 	default:
-		ckptDur = cpuTime(ckptFixed, rep.ImageBytes, ckptRate, homeCPU)
+		ckptDur = ckptFixed + cpuWork(rep.ImageBytes, ckptRate, homeCPU)
 	}
 	m.advanceBoth(ckptDur)
 	rep.Timings[StageCheckpoint] = ckptDur
@@ -459,7 +451,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	var negDur time.Duration
 	if dp != nil {
 		// Only the negotiated ship set crosses the wire; the digest
-		// exchange itself is priced and accounted on the link.
+		// exchange itself is priced on the link.
 		imageWire = dp.shippedImageWire
 		negDur = link.NegotiateTime(dp.negUp, dp.negDown)
 	}
@@ -480,20 +472,11 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		// as chunk lanes overlapping compression on one side and restore on
 		// the other; PostCopy never defers bytes out of the stream.
 		plan.scheduleStream(rep.DataDeltaBytes+apkDelta, link, guestCPU, negDur)
-		// Account the stream on the link's telemetry. The makespan comes
-		// from the schedule: stalls waiting on compression are the
-		// pipeline's, not the link's, so StreamTime's return is unused.
-		// Cache-hit lanes never touch the wire and take no stream slot.
-		link.StreamTime(plan.shippedWires())
+		// The makespan comes from the schedule: stalls waiting on
+		// compression are the pipeline's, not the link's.
 		transferDur = plan.XferDone - plan.CompDone
 		rep.PipelineChunks = len(plan.Lanes)
 		plan.emitChunkSpans(sp)
-		if obs.Enabled() {
-			mm := obs.M()
-			mm.Counter(MetricPipelineChunks).Add(uint64(len(plan.Lanes)))
-			mm.Histogram(MetricPipelineStallSeconds, obs.DurationBuckets, "kind", "wire").Observe(plan.WireStall.Seconds())
-			mm.Histogram(MetricPipelineStallSeconds, obs.DurationBuckets, "kind", "restore").Observe(plan.RstrStall.Seconds())
-		}
 		sp.Attr(
 			obs.Int64("pipeline_chunks", int64(len(plan.Lanes))),
 			obs.Int64("pipeline_wire_stall_us", plan.WireStall.Microseconds()),
@@ -597,7 +580,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	if plan != nil {
 		restoreDur = plan.RstrDone - plan.XferDone
 	} else {
-		restoreDur = cpuTime(rstrFixed, rep.ImageBytes, rstrRate, guestCPU)
+		restoreDur = seqRestore(rep.ImageBytes, guestCPU)
 	}
 	restoreDur += restoreOverhead
 	m.advanceBoth(restoreDur)
@@ -667,21 +650,11 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 			// measure pipelining, not the cache.
 			seqWire = rep.DataDeltaBytes + apkDelta + dp.shippedImageWire
 		}
-		seq := sequentialUserPerceived(link, seqWire, rep.ImageBytes, texBytes, len(restored.Entries), guestCPU)
-		if dp != nil {
-			seq += dp.negotiationModelTime(link)
-		}
+		// negDur is zero without a cache.
+		seq := sequentialUserPerceived(link, seqWire, rep.ImageBytes, texBytes, len(restored.Entries), guestCPU) + negDur
 		rep.PipelineSavings = seq - plan.userPerceived(reintDur)
-		if obs.Enabled() {
-			saved := rep.PipelineSavings
-			if saved < 0 {
-				saved = 0
-			}
-			obs.M().Histogram(MetricPipelineSavedSeconds, obs.DurationBuckets).Observe(saved.Seconds())
-		}
 	} else {
-		reintDur = cpuTime(reintFixed, texBytes, reintTexRate, guestCPU) +
-			time.Duration(len(restored.Entries))*replayPerEntry
+		reintDur = seqReint(texBytes, len(restored.Entries), guestCPU)
 		if residual > 0 {
 			// The residual payload streams while restore and reintegration
 			// run; only the part that outlasts them extends the

@@ -71,29 +71,9 @@ const (
 	DefaultPipelineWorkingSet = 0.3
 )
 
-// Pipeline telemetry.
-const (
-	// MetricPipelineChunks counts wire chunks shipped by pipelined
-	// migrations.
-	MetricPipelineChunks = "flux_migration_pipeline_chunks_total"
-	// MetricPipelineStallSeconds is the virtual time the wire (or the
-	// guest's restore) sat idle waiting for the producing stage, by kind.
-	MetricPipelineStallSeconds = "flux_migration_pipeline_stall_seconds"
-	// MetricPipelineSavedSeconds is the user-perceived time saved versus
-	// the sequential model.
-	MetricPipelineSavedSeconds = "flux_migration_pipeline_saved_seconds"
-)
-
 // SpanPipelineChunk is the instant span emitted per wire chunk under the
 // transfer stage span; its attributes carry the chunk's lane offsets.
 const SpanPipelineChunk = "pipeline.chunk"
-
-func init() {
-	m := obs.M()
-	m.Describe(MetricPipelineChunks, "Wire chunks shipped by pipelined migrations.")
-	m.Describe(MetricPipelineStallSeconds, "Virtual pipeline stall time by kind (wire, restore).")
-	m.Describe(MetricPipelineSavedSeconds, "User-perceived virtual time saved by pipelining vs the sequential model.")
-}
 
 // chunkLane is one chunk's schedule on the shared virtual timeline. All
 // offsets are relative to the start of the checkpoint stage.
@@ -134,9 +114,9 @@ type pipelinePlan struct {
 	wsIndex int
 
 	// shipped caches shippedWires: the transfer stage consults the
-	// shipped set up to three times per migration (stream scheduling,
-	// link accounting, fault recovery), and recomputing it allocated a
-	// slice each time × thousands of migrations under the fleet engine.
+	// shipped set up to twice per migration (stream scheduling, fault
+	// recovery), and recomputing it allocated a slice each time ×
+	// thousands of migrations under the fleet engine.
 	// Invalidated (nil) whenever Lanes changes.
 	shipped []int64
 	// wireDur is the retained chunk-schedule buffer scheduleStream
@@ -206,6 +186,18 @@ func cpuWork(n, rate int64, cpuFactor float64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / (float64(rate) * cpuFactor) * float64(time.Second))
+}
+
+// seqRestore is the stop-and-copy restore stage: the wrapper standup
+// plus restoring the whole image on the guest.
+func seqRestore(imageBytes int64, guestCPU float64) time.Duration {
+	return rstrFixed + cpuWork(imageBytes, rstrRate, guestCPU)
+}
+
+// seqReint is the stop-and-copy reintegration stage: the replay engine's
+// fixed cost, the texture rebuild, and one replay slot per log entry.
+func seqReint(texBytes int64, entries int, guestCPU float64) time.Duration {
+	return reintFixed + cpuWork(texBytes, reintTexRate, guestCPU) + time.Duration(entries)*replayPerEntry
 }
 
 func maxDur(a, b time.Duration) time.Duration {
@@ -332,12 +324,10 @@ func (p *pipelinePlan) userPerceived(reintTail time.Duration) time.Duration {
 
 // sequentialUserPerceived is the counterfactual the savings are measured
 // against: the seed's stop-and-copy model with the same inputs (no
-// post-copy deferral).
+// post-copy deferral), built from the formulas a sequential Migrate
+// prices its stages with.
 func sequentialUserPerceived(link netsim.Link, wire, imageBytes, texBytes int64, entries int, guestCPU float64) time.Duration {
-	transfer := link.ModelTime(wire)
-	restore := rstrFixed + cpuWork(imageBytes, rstrRate, guestCPU)
-	reint := reintFixed + cpuWork(texBytes, reintTexRate, guestCPU) + time.Duration(entries)*replayPerEntry
-	return transfer + restore + reint
+	return link.TransferTime(wire) + seqRestore(imageBytes, guestCPU) + seqReint(texBytes, entries, guestCPU)
 }
 
 // emitChunkSpans attaches one instant span per lane under the transfer

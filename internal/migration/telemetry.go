@@ -1,41 +1,13 @@
 package migration
 
-import "flux/internal/obs"
-
 // Migration telemetry: each Migrate run is one span tree (root "migrate"
-// with one child per Figure 13 stage), and the registry accumulates
-// per-stage duration histograms on the VIRTUAL time axis — the axis the
-// paper's evaluation measures. Stage spans inherit the home device's
+// with one child per Figure 13 stage) on the VIRTUAL time axis — the axis
+// the paper's evaluation measures. Stage spans inherit the home device's
 // virtual clock, and every clock advance of a stage happens inside its
 // span, so a stage span's virtual duration equals its Timings entry
-// exactly (fluxstat asserts this, and timings_test.go locks it in).
-const (
-	// MetricMigrations counts Migrate runs by result (ok / error).
-	MetricMigrations = "flux_migrations_total"
-	// MetricStageSeconds is the per-stage virtual duration histogram.
-	MetricStageSeconds = "flux_migration_stage_seconds"
-	// MetricBytes counts bytes moved or produced by migrations, by kind
-	// (transferred, image, compressed_image, record_log, data_delta,
-	// apk_delta, postcopy_residual).
-	MetricBytes = "flux_migration_bytes_total"
-)
-
-// Fault-recovery telemetry (populated only when Options.Faults injects).
-const (
-	// MetricFaultInjections counts injected faults by site.
-	MetricFaultInjections = "flux_migration_fault_injections_total"
-	// MetricFaultRollbacks counts migrations that exhausted recovery and
-	// rolled back to the home device.
-	MetricFaultRollbacks = "flux_migration_fault_rollbacks_total"
-	// MetricRetryAttempts counts recovery retries by stage.
-	MetricRetryAttempts = "flux_migration_retry_attempts_total"
-	// MetricRetryBackoffSeconds is the per-retry backoff histogram on
-	// the virtual clock.
-	MetricRetryBackoffSeconds = "flux_migration_retry_backoff_seconds"
-	// MetricRetryRetransmitBytes counts chunk bytes reshipped by
-	// transfer recovery.
-	MetricRetryRetransmitBytes = "flux_migration_retry_retransmit_bytes_total"
-)
+// exactly (fluxstat asserts this, and timings_test.go locks it in). The
+// counts and bytes behind each stage are Report fields and span
+// attributes.
 
 // Span names of the migration tree, shared with fluxstat's breakdown.
 const (
@@ -80,53 +52,4 @@ func Stages() []Stage {
 		out = append(out, s)
 	}
 	return out
-}
-
-func init() {
-	m := obs.M()
-	m.Describe(MetricMigrations, "Migrations attempted, by result.")
-	m.Describe(MetricStageSeconds, "Per-stage migration duration on the virtual clock, in seconds.")
-	m.Describe(MetricBytes, "Bytes moved or produced by migrations, by kind.")
-	m.Describe(MetricFaultInjections, "Injected migration faults, by site.")
-	m.Describe(MetricFaultRollbacks, "Migrations rolled back to the home device after exhausting recovery.")
-	m.Describe(MetricRetryAttempts, "Fault-recovery retries, by stage.")
-	m.Describe(MetricRetryBackoffSeconds, "Per-retry backoff on the virtual clock, in seconds.")
-	m.Describe(MetricRetryRetransmitBytes, "Chunk bytes reshipped by transfer fault recovery.")
-}
-
-// recordOutcome accounts one finished Migrate run.
-func recordOutcome(rep *Report, err error) {
-	if !obs.Enabled() {
-		return
-	}
-	m := obs.M()
-	if err != nil {
-		result := "error"
-		if rep != nil && rep.Outcome == OutcomeRolledBack {
-			result = OutcomeRolledBack
-		}
-		m.Counter(MetricMigrations, "result", result).Inc()
-		return
-	}
-	m.Counter(MetricMigrations, "result", "ok").Inc()
-	for _, s := range Stages() {
-		m.Histogram(MetricStageSeconds, obs.DurationBuckets, "stage", s.String()).
-			Observe(rep.Timings[s].Seconds())
-	}
-	for _, kind := range []struct {
-		name string
-		n    int64
-	}{
-		{"transferred", rep.TransferredBytes},
-		{"image", rep.ImageBytes},
-		{"compressed_image", rep.CompressedImageBytes},
-		{"record_log", rep.RecordLogBytes},
-		{"data_delta", rep.DataDeltaBytes},
-		{"apk_delta", rep.APKDeltaBytes},
-		{"postcopy_residual", rep.PostCopyResidualBytes},
-	} {
-		if kind.n > 0 {
-			m.Counter(MetricBytes, "kind", kind.name).Add(uint64(kind.n))
-		}
-	}
 }

@@ -25,38 +25,6 @@ func TestAppendChunkTimesMatchesChunkTimes(t *testing.T) {
 	}
 }
 
-// TestStreamTimeClosedForm: the allocation-free StreamTime equals the
-// summed per-chunk schedule bit for bit (the telescoping invariant).
-func TestStreamTimeClosedForm(t *testing.T) {
-	for _, l := range []Link{
-		{A: Radio80211n5G, B: Radio80211n5G},
-		{A: Radio80211n5G, B: Radio80211n24G},
-		{A: Radio80211n24G, B: Radio80211n24G},
-		{A: Radio{Name: "dead"}, B: Radio{Name: "dead"}},
-	} {
-		for _, chunks := range [][]int64{
-			nil,
-			{},
-			{0},
-			{-1, -2},
-			{256 << 10},
-			{256 << 10, 256 << 10, 100<<10 + 1, 0, 9},
-		} {
-			var want time.Duration
-			if len(chunks) == 0 {
-				want = l.Latency()
-			} else {
-				for _, d := range l.AppendChunkTimes(nil, chunks) {
-					want += d
-				}
-			}
-			if got := l.StreamTime(chunks); got != want {
-				t.Errorf("%s StreamTime(%v) = %v, want summed schedule %v", l, chunks, got, want)
-			}
-		}
-	}
-}
-
 // BenchmarkAppendChunkTimes is the zero-allocation schedule used by the
 // hot paths (pipelined scheduler, fleet engine): allocs/op must be 0.
 func BenchmarkAppendChunkTimes(b *testing.B) {
@@ -72,23 +40,6 @@ func BenchmarkAppendChunkTimes(b *testing.B) {
 		buf = l.AppendChunkTimes(buf[:0], chunks)
 		if len(buf) != len(chunks) {
 			b.Fatal("bad schedule")
-		}
-	}
-}
-
-// BenchmarkStreamTime: the closed-form stream total; allocs/op must
-// be 0 (telemetry disabled).
-func BenchmarkStreamTime(b *testing.B) {
-	l := Link{A: Radio80211n5G, B: Radio80211n24G}
-	chunks := make([]int64, 50)
-	for i := range chunks {
-		chunks[i] = 256 << 10
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if l.StreamTime(chunks) <= 0 {
-			b.Fatal("bad stream time")
 		}
 	}
 }

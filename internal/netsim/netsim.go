@@ -3,43 +3,14 @@
 // (2012) pinned to the crowded 2.4 GHz band; transfer time dominating
 // migration time is the headline shape of Figure 13, so the link model —
 // effective bandwidth, per-transfer setup latency — is what reproduces it.
+// Every price is a pure function of the link and the byte counts, so the
+// migration's real and counterfactual paths call the same functions.
 package netsim
 
 import (
 	"fmt"
 	"time"
-
-	"flux/internal/obs"
 )
-
-// Link telemetry: every TransferTime computation accounts one simulated
-// transfer — count, payload bytes, and modelled duration — labeled by the
-// radio pair so congested-band links are distinguishable.
-const (
-	// MetricTransfers counts simulated link transfers by link.
-	MetricTransfers = "flux_net_transfers_total"
-	// MetricTransferBytes counts payload bytes shipped, by link.
-	MetricTransferBytes = "flux_net_transfer_bytes_total"
-	// MetricTransferSeconds is the modelled transfer duration histogram.
-	MetricTransferSeconds = "flux_net_transfer_seconds"
-	// MetricStreamChunks counts chunks shipped by streamed transfers.
-	MetricStreamChunks = "flux_net_stream_chunks_total"
-	// MetricNegotiations counts delta-migration cache negotiations by link.
-	MetricNegotiations = "flux_net_negotiations_total"
-	// MetricNegotiationBytes counts digest-advertisement bytes (both
-	// directions) exchanged by delta-migration negotiations, by link.
-	MetricNegotiationBytes = "flux_net_negotiation_bytes_total"
-)
-
-func init() {
-	m := obs.M()
-	m.Describe(MetricTransfers, "Simulated wireless transfers, by link.")
-	m.Describe(MetricTransferBytes, "Payload bytes shipped over simulated links.")
-	m.Describe(MetricTransferSeconds, "Modelled transfer durations on the virtual clock, in seconds.")
-	m.Describe(MetricStreamChunks, "Chunks shipped by streamed (chunked) link transfers.")
-	m.Describe(MetricNegotiations, "Delta-migration cache negotiations, by link.")
-	m.Describe(MetricNegotiationBytes, "Digest-advertisement bytes exchanged by delta-migration negotiations.")
-}
 
 // Radio describes one device's WiFi adapter as deployed (i.e. effective
 // rates on the evaluation network, not the datasheet rate).
@@ -94,23 +65,13 @@ func (l Link) Latency() time.Duration {
 	return l.B.SetupLatency
 }
 
-// TransferTime returns how long shipping n bytes takes on the link.
+// TransferTime returns how long shipping n bytes takes on the link:
+// one setup latency plus the payload's airtime. Negative sizes count as
+// zero, and a zero-bandwidth link costs only the setup latency.
 func (l Link) TransferTime(n int64) time.Duration {
 	if n < 0 {
 		n = 0
 	}
-	d := l.transferTime(n)
-	if obs.Enabled() {
-		m := obs.M()
-		label := l.A.Name + "<->" + l.B.Name
-		m.Counter(MetricTransfers, "link", label).Inc()
-		m.Counter(MetricTransferBytes, "link", label).Add(uint64(n))
-		m.Histogram(MetricTransferSeconds, obs.DurationBuckets, "link", label).Observe(d.Seconds())
-	}
-	return d
-}
-
-func (l Link) transferTime(n int64) time.Duration {
 	bw := l.Bandwidth()
 	if bw <= 0 {
 		return l.Latency()
@@ -124,9 +85,9 @@ func payloadTime(n, bw int64) time.Duration {
 }
 
 // AirTime is the pure on-air duration of n bytes on the link — no setup
-// latency, no per-chunk framing, no telemetry. The migration fault model
-// uses it to price individual chunk retransmissions. Non-positive sizes
-// (and zero-bandwidth links) cost nothing.
+// latency, no per-chunk framing. The migration fault model uses it to
+// price individual chunk retransmissions. Non-positive sizes (and
+// zero-bandwidth links) cost nothing.
 func (l Link) AirTime(n int64) time.Duration {
 	if n <= 0 {
 		return 0
@@ -142,34 +103,10 @@ func (l Link) AirTime(n int64) time.Duration {
 // the home device advertises the image's chunk digests (up bytes), the
 // guest answers with its have-set and rolling-delta signatures (down
 // bytes). One extra round trip inside the already-negotiated session —
-// a single setup latency plus the airtime of both directions. Accounts
-// one negotiation and its bytes on the link counters.
+// a single setup latency plus the airtime of both directions (negative
+// sizes cost nothing).
 func (l Link) NegotiateTime(up, down int64) time.Duration {
-	if up < 0 {
-		up = 0
-	}
-	if down < 0 {
-		down = 0
-	}
-	d := l.Latency() + l.AirTime(up) + l.AirTime(down)
-	if obs.Enabled() {
-		m := obs.M()
-		label := l.A.Name + "<->" + l.B.Name
-		m.Counter(MetricNegotiations, "link", label).Inc()
-		m.Counter(MetricNegotiationBytes, "link", label).Add(uint64(up + down))
-	}
-	return d
-}
-
-// ModelTime is TransferTime without the telemetry side effects: the
-// modelled duration of shipping n bytes. The migration pipeline uses it
-// to compute counterfactual (sequential-baseline) durations without
-// inflating the transfer counters.
-func (l Link) ModelTime(n int64) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	return l.transferTime(n)
+	return l.Latency() + l.AirTime(up) + l.AirTime(down)
 }
 
 // StreamChunkOverhead is the per-chunk framing/acknowledgement cost of a
@@ -212,46 +149,6 @@ func (l Link) AppendChunkTimes(dst []time.Duration, chunks []int64) []time.Durat
 		dst = append(dst, d)
 	}
 	return dst
-}
-
-// StreamTime returns how long shipping the chunk stream takes on the
-// link, assuming the sender always has the next chunk ready (pipeline
-// stalls are the scheduler's concern, not the link's). Equals
-// TransferTime of the summed payload plus per-chunk overhead.
-//
-// Empty-stream semantics are explicit and match TransferTime(0): opening
-// a stream negotiates a session even when nothing is sent, so an empty
-// stream costs exactly the setup latency and accounts exactly one
-// transfer with zero payload bytes and zero chunks —
-// StreamTime(nil) == TransferTime(0) == Latency(), with identical
-// MetricTransfers / MetricTransferBytes deltas (tested).
-func (l Link) StreamTime(chunks []int64) time.Duration {
-	// The per-chunk schedule telescopes exactly (AppendChunkTimes
-	// computes chunk airtime as cumulative payload-time deltas), so the
-	// stream total is closed-form — no per-chunk slice needed, zero
-	// allocations on this path (BenchmarkStreamTime asserts it).
-	d := l.Latency() // chunk 0 (or the degenerate empty stream's session setup)
-	var total int64
-	if len(chunks) > 0 {
-		for _, c := range chunks {
-			if c > 0 {
-				total += c
-			}
-		}
-		if bw := l.Bandwidth(); bw > 0 {
-			d += payloadTime(total, bw)
-		}
-		d += time.Duration(len(chunks)-1) * StreamChunkOverhead
-	}
-	if obs.Enabled() {
-		m := obs.M()
-		label := l.A.Name + "<->" + l.B.Name
-		m.Counter(MetricTransfers, "link", label).Inc()
-		m.Counter(MetricTransferBytes, "link", label).Add(uint64(total))
-		m.Counter(MetricStreamChunks, "link", label).Add(uint64(len(chunks)))
-		m.Histogram(MetricTransferSeconds, obs.DurationBuckets, "link", label).Observe(d.Seconds())
-	}
-	return d
 }
 
 // String describes the link.

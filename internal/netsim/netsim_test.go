@@ -4,8 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"flux/internal/obs"
 )
 
 func TestLinkBandwidthBoundedBySlowerRadio(t *testing.T) {
@@ -47,8 +45,8 @@ func TestBandwidthSharedBandTax(t *testing.T) {
 func TestAirTime(t *testing.T) {
 	l := Link{A: Radio80211n5G, B: Radio80211n5G}
 	n := int64(1 << 20)
-	if got, want := l.AirTime(n), l.ModelTime(n)-l.Latency(); got != want {
-		t.Errorf("AirTime(%d) = %v, want ModelTime-Latency %v", n, got, want)
+	if got, want := l.AirTime(n), l.TransferTime(n)-l.Latency(); got != want {
+		t.Errorf("AirTime(%d) = %v, want TransferTime-Latency %v", n, got, want)
 	}
 	if l.AirTime(0) != 0 || l.AirTime(-7) != 0 {
 		t.Error("degenerate AirTime not zero")
@@ -138,27 +136,34 @@ func TestLinkString(t *testing.T) {
 // transfer costs exactly the classic TransferTime of the summed payload
 // plus per-chunk framing — chunking never changes total airtime.
 func TestStreamEquivalence(t *testing.T) {
-	l := Link{A: Radio80211n5G, B: Radio80211n24G}
 	cases := [][]int64{
 		{100},
 		{1 << 20},
 		{512 << 10, 512 << 10},
 		{1, 1, 1, 1, 1},
 		{0, 1 << 20, 0},
+		{-1, -2},
 		{3, 1000, 70_000, 123_456, 7},
 	}
-	for _, chunks := range cases {
-		var sum int64
-		for _, c := range chunks {
-			sum += c
-		}
-		var streamed time.Duration
-		for _, d := range l.AppendChunkTimes(nil, chunks) {
-			streamed += d
-		}
-		want := l.ModelTime(sum) + time.Duration(len(chunks)-1)*StreamChunkOverhead
-		if streamed != want {
-			t.Errorf("chunks %v: streamed %v != TransferTime(sum)+overhead %v", chunks, streamed, want)
+	for _, l := range []Link{
+		{A: Radio80211n5G, B: Radio80211n24G},
+		{A: Radio{Name: "dead"}, B: Radio{Name: "dead"}}, // zero bandwidth
+	} {
+		for _, chunks := range cases {
+			var sum int64
+			for _, c := range chunks {
+				if c > 0 {
+					sum += c
+				}
+			}
+			var streamed time.Duration
+			for _, d := range l.AppendChunkTimes(nil, chunks) {
+				streamed += d
+			}
+			want := l.TransferTime(sum) + time.Duration(len(chunks)-1)*StreamChunkOverhead
+			if streamed != want {
+				t.Errorf("%s chunks %v: streamed %v != TransferTime(sum)+overhead %v", l, chunks, streamed, want)
+			}
 		}
 	}
 }
@@ -184,67 +189,11 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 		for _, d := range l.AppendChunkTimes(nil, chunks) {
 			streamed += d
 		}
-		want := l.ModelTime(sum) + time.Duration(len(chunks)-1)*StreamChunkOverhead
+		want := l.TransferTime(sum) + time.Duration(len(chunks)-1)*StreamChunkOverhead
 		return streamed == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestStreamTimeEmptyAndMetrics: an empty stream costs the setup latency;
-// StreamTime equals the summed chunk times otherwise.
-func TestStreamTimeEmpty(t *testing.T) {
-	l := Link{A: Radio80211n5G, B: Radio80211n5G}
-	if got := l.StreamTime(nil); got != l.Latency() {
-		t.Errorf("empty stream = %v, want latency %v", got, l.Latency())
-	}
-	if got, want := l.StreamTime(nil), l.TransferTime(0); got != want {
-		t.Errorf("StreamTime(nil) = %v inconsistent with TransferTime(0) = %v", got, want)
-	}
-	chunks := []int64{4096, 0, 100_000}
-	var want time.Duration
-	for _, d := range l.AppendChunkTimes(nil, chunks) {
-		want += d
-	}
-	if got := l.StreamTime(chunks); got != want {
-		t.Errorf("StreamTime %v != Σ AppendChunkTimes %v", got, want)
-	}
-}
-
-// TestStreamTimeEmptyMetrics pins the explicit empty-stream accounting:
-// one transfer, zero payload bytes, zero chunks — exactly the deltas
-// TransferTime(0) produces (plus the stream-chunk counter it does not
-// touch staying at zero).
-func TestStreamTimeEmptyMetrics(t *testing.T) {
-	obs.SetEnabled(true)
-	defer func() {
-		obs.SetEnabled(false)
-		obs.Reset()
-	}()
-	obs.Reset()
-	l := Link{A: Radio80211n5G, B: Radio80211n5G}
-	label := l.A.Name + "<->" + l.B.Name
-	m := obs.M()
-
-	l.StreamTime(nil)
-	streamXfers := m.Counter(MetricTransfers, "link", label).Value()
-	streamBytes := m.Counter(MetricTransferBytes, "link", label).Value()
-	streamChunks := m.Counter(MetricStreamChunks, "link", label).Value()
-
-	obs.Reset()
-	l.TransferTime(0)
-	classicXfers := m.Counter(MetricTransfers, "link", label).Value()
-	classicBytes := m.Counter(MetricTransferBytes, "link", label).Value()
-
-	if streamXfers != classicXfers || streamXfers != 1 {
-		t.Errorf("empty stream accounted %d transfers, TransferTime(0) %d, want 1", streamXfers, classicXfers)
-	}
-	if streamBytes != classicBytes || streamBytes != 0 {
-		t.Errorf("empty stream accounted %d bytes, TransferTime(0) %d, want 0", streamBytes, classicBytes)
-	}
-	if streamChunks != 0 {
-		t.Errorf("empty stream accounted %d chunks, want 0", streamChunks)
 	}
 }
 
@@ -259,17 +208,6 @@ func TestChunkTimesFirstCarriesLatency(t *testing.T) {
 	for i := 1; i < len(times); i++ {
 		if times[i] != StreamChunkOverhead {
 			t.Errorf("chunk %d = %v, want framing overhead %v", i, times[i], StreamChunkOverhead)
-		}
-	}
-}
-
-// TestModelTimeMatchesTransferTime: the metrics-free counterfactual path
-// computes the same duration as the accounted one.
-func TestModelTimeMatchesTransferTime(t *testing.T) {
-	l := Link{A: Radio80211n5G, B: Radio80211n24G}
-	for _, n := range []int64{-5, 0, 1, 4096, 56 << 20} {
-		if got, want := l.ModelTime(n), l.TransferTime(n); got != want {
-			t.Errorf("ModelTime(%d) = %v, TransferTime = %v", n, got, want)
 		}
 	}
 }

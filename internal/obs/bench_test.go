@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// The overhead budget: instrumentation sites on the record/Binder hot
-// path do `if obs.Enabled() { ... }`, so the disabled cost is one atomic
-// bool load — these benchmarks pin that down, and the enabled cases
-// bound what turning telemetry on costs.
+// The overhead budget: a disabled tracer hands out nil spans, so the
+// disabled cost of a span site is one atomic bool load — these
+// benchmarks pin that down, and the enabled cases bound what turning
+// telemetry on costs.
 
 func BenchmarkEnabledCheckDisabled(b *testing.B) {
 	SetEnabled(false)
@@ -41,43 +41,6 @@ func BenchmarkEnabledSpanStartEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Start("span", Int64("k", 1)).End()
 	}
-}
-
-func BenchmarkCounterIncCachedHandle(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("flux_bench_total", "service", "alarm")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterIncLookup(b *testing.B) {
-	r := NewRegistry()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Counter("flux_bench_total", "service", "alarm").Inc()
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("flux_bench_seconds", DurationBuckets)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.0003)
-	}
-}
-
-func BenchmarkHistogramObserveParallel(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("flux_bench_par_seconds", DurationBuckets)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			h.Observe(0.0003)
-		}
-	})
 }
 
 func BenchmarkSnapshot1kSpans(b *testing.B) {

@@ -4,16 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"strings"
 	"time"
 )
-
-// ---------------------------------------------------------------------------
-// Chrome trace-event JSON
-// ---------------------------------------------------------------------------
 
 // chromeEvent is one entry of the Chrome trace-event format's
 // traceEvents array (the subset chrome://tracing and Perfetto render).
@@ -118,264 +112,6 @@ func (t *Tracer) WriteChromeTraceFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text exposition
-// ---------------------------------------------------------------------------
-
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): # HELP / # TYPE headers for every family, one
-// line per series, histograms as cumulative _bucket/_sum/_count series.
-// Metric and label names are sanitized to the format's charset and label
-// values escaped per the spec, so a hostile or merely unusual
-// instrumentation string (spaces, dashes, quotes, newlines) can never
-// corrupt the exposition.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, fam := range r.Snapshot() {
-		name := sanitizeMetricName(fam.Name)
-		help := fam.Help
-		if help == "" {
-			help = fam.Name
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			name, escapeHelp(help), name, fam.Type); err != nil {
-			return err
-		}
-		for _, pt := range fam.Series {
-			if err := writePromSeries(w, name, fam, pt); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writePromSeries(w io.Writer, name string, fam FamilySnapshot, pt SeriesPoint) error {
-	if fam.Type != TypeHistogram {
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, promLabels(pt.Labels, "", 0), promFloat(pt.Value))
-		return err
-	}
-	if pt.Hist == nil {
-		return nil
-	}
-	cum := uint64(0)
-	for i, ub := range pt.Hist.Buckets {
-		cum += pt.Hist.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(pt.Labels, "le", ub), cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(pt.Labels, "le", math.Inf(1)), pt.Hist.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabels(pt.Labels, "", 0), promFloat(pt.Hist.Sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(pt.Labels, "", 0), pt.Hist.Count)
-	return err
-}
-
-// promLabels renders {k="v",...}, optionally appending an le bound.
-func promLabels(labels []string, leKey string, le float64) string {
-	if len(labels) == 0 && leKey == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(sanitizeLabelName(labels[i]))
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(labels[i+1]))
-		b.WriteByte('"')
-	}
-	if leKey != "" {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(leKey)
-		b.WriteString(`="`)
-		b.WriteString(promFloat(le))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// sanitizeMetricName maps a family name onto the exposition format's
-// metric charset [a-zA-Z_:][a-zA-Z0-9_:]*, replacing every other byte
-// with '_'. An empty name becomes "_".
-func sanitizeMetricName(s string) string {
-	return sanitizeName(s, true)
-}
-
-// sanitizeLabelName maps a label key onto [a-zA-Z_][a-zA-Z0-9_]* (no
-// colons — those are reserved for metric names).
-func sanitizeLabelName(s string) string {
-	return sanitizeName(s, false)
-}
-
-func sanitizeName(s string, allowColon bool) string {
-	if s == "" {
-		return "_"
-	}
-	ok := func(c byte, first bool) bool {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-			return true
-		case c == ':':
-			return allowColon
-		case c >= '0' && c <= '9':
-			return !first
-		}
-		return false
-	}
-	clean := true
-	for i := 0; i < len(s); i++ {
-		if !ok(s[i], i == 0) {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return s
-	}
-	out := []byte(s)
-	for i := range out {
-		if !ok(out[i], i == 0) {
-			out[i] = '_'
-		}
-	}
-	return string(out)
-}
-
-// escapeLabelValue escapes a label value per the exposition format:
-// backslash, double-quote, and newline get backslash escapes; everything
-// else — including raw UTF-8 — passes through untouched. (The previous
-// %q rendering also escaped tabs and non-ASCII, which scrapers then
-// showed double-escaped.)
-func escapeLabelValue(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
-}
-
-// promFloat renders a float the way Prometheus expects: integers
-// without a decimal point, +Inf spelled out.
-func promFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case v == math.Trunc(v) && math.Abs(v) < 1e15:
-		return fmt.Sprintf("%d", int64(v))
-	default:
-		return fmt.Sprintf("%g", v)
-	}
-}
-
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// ---------------------------------------------------------------------------
-// Plain JSON dump
-// ---------------------------------------------------------------------------
-
-type jsonSpan struct {
-	ID     uint64         `json:"id"`
-	Parent uint64         `json:"parent,omitempty"`
-	Name   string         `json:"name"`
-	WallUS int64          `json:"wall_us"`
-	VirtUS int64          `json:"virt_us"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
-}
-
-type jsonSeries struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  *float64          `json:"value,omitempty"`
-	Sum    *float64          `json:"sum,omitempty"`
-	Count  *uint64           `json:"count,omitempty"`
-}
-
-type jsonMetric struct {
-	Type   string       `json:"type"`
-	Help   string       `json:"help,omitempty"`
-	Series []jsonSeries `json:"series"`
-}
-
-type jsonDump struct {
-	Spans   []jsonSpan            `json:"spans"`
-	Metrics map[string]jsonMetric `json:"metrics"`
-}
-
-// WriteJSON dumps spans and metrics as one plain JSON document — the
-// exporter for tooling that wants neither the Chrome schema nor
-// Prometheus scraping.
-func WriteJSON(w io.Writer, spans []SpanData, metrics []FamilySnapshot) error {
-	dump := jsonDump{Metrics: make(map[string]jsonMetric)}
-	for _, s := range spans {
-		js := jsonSpan{
-			ID:     s.ID,
-			Parent: s.Parent,
-			Name:   s.Name,
-			WallUS: s.Wall().Microseconds(),
-			VirtUS: s.Virt().Microseconds(),
-		}
-		if len(s.Attrs) > 0 {
-			js.Attrs = make(map[string]any, len(s.Attrs))
-			for _, a := range s.Attrs {
-				js.Attrs[a.Key] = a.Value
-			}
-		}
-		dump.Spans = append(dump.Spans, js)
-	}
-	for _, fam := range metrics {
-		jm := jsonMetric{Type: fam.Type.String(), Help: fam.Help}
-		for _, pt := range fam.Series {
-			js := jsonSeries{}
-			if len(pt.Labels) > 0 {
-				js.Labels = make(map[string]string, len(pt.Labels)/2)
-				for i := 0; i+1 < len(pt.Labels); i += 2 {
-					js.Labels[pt.Labels[i]] = pt.Labels[i+1]
-				}
-			}
-			if fam.Type == TypeHistogram {
-				if pt.Hist != nil {
-					sum, count := pt.Hist.Sum, pt.Hist.Count
-					js.Sum, js.Count = &sum, &count
-				}
-			} else {
-				v := pt.Value
-				js.Value = &v
-			}
-			jm.Series = append(jm.Series, js)
-		}
-		dump.Metrics[fam.Name] = jm
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(dump)
 }
 
 // SortTree orders spans depth-first by tree: each root followed by its

@@ -3,9 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -68,152 +65,5 @@ func TestChromeTraceEmpty(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatalf("empty trace is not valid JSON: %s", buf.String())
-	}
-}
-
-func TestPrometheusExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Describe("flux_exp_total", "calls observed")
-	r.Counter("flux_exp_total", "service", "alarm").Add(3)
-	r.Counter("flux_exp_total", "service", "audio").Add(1)
-	r.Gauge("flux_exp_gauge").Set(-4)
-	h := r.Histogram("flux_exp_seconds", []float64{0.1, 1, 10}, "stage", "transfer")
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(99) // +Inf bucket only
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"# HELP flux_exp_total calls observed",
-		"# TYPE flux_exp_total counter",
-		`flux_exp_total{service="alarm"} 3`,
-		`flux_exp_total{service="audio"} 1`,
-		"# TYPE flux_exp_gauge gauge",
-		"flux_exp_gauge -4",
-		"# TYPE flux_exp_seconds histogram",
-		`flux_exp_seconds_bucket{stage="transfer",le="0.1"} 1`,
-		`flux_exp_seconds_bucket{stage="transfer",le="1"} 2`,
-		`flux_exp_seconds_bucket{stage="transfer",le="10"} 2`,
-		`flux_exp_seconds_bucket{stage="transfer",le="+Inf"} 3`,
-		`flux_exp_seconds_count{stage="transfer"} 3`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q\n---\n%s", want, text)
-		}
-	}
-	checkPromWellFormed(t, text)
-}
-
-// checkPromWellFormed is a minimal exposition-format parser: every
-// non-comment line must be `name{labels} value` with a parseable value,
-// every series must follow a # TYPE for its family, and histogram
-// buckets must be monotone in le.
-func checkPromWellFormed(t *testing.T, text string) {
-	t.Helper()
-	typed := map[string]string{}
-	lastBucket := map[string]uint64{}
-	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Fatalf("malformed TYPE line: %q", line)
-			}
-			typed[parts[2]] = parts[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed series line: %q", line)
-		}
-		val := line[sp+1:]
-		if _, err := strconv.ParseFloat(val, 64); err != nil && val != "+Inf" && val != "-Inf" {
-			t.Fatalf("unparseable value %q in line %q", val, line)
-		}
-		name := line[:sp]
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		base := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if strings.HasSuffix(name, suffix) {
-				base = strings.TrimSuffix(name, suffix)
-			}
-		}
-		if _, ok := typed[base]; !ok {
-			if _, ok := typed[name]; !ok {
-				t.Fatalf("series %q has no preceding # TYPE", line)
-			}
-		}
-		if strings.HasSuffix(name, "_bucket") {
-			series := line[:strings.LastIndexByte(line, ' ')]
-			key := series[:strings.Index(series, "le=")]
-			n, _ := strconv.ParseUint(val, 10, 64)
-			if n < lastBucket[key] {
-				t.Fatalf("bucket counts not monotone at %q", line)
-			}
-			lastBucket[key] = n
-		}
-	}
-}
-
-func TestJSONDumpRoundTrips(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("flux_dump_total", "k", "v").Add(2)
-	r.Histogram("flux_dump_seconds", DurationBuckets).Observe(0.25)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, buildSampleSpans(), r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Spans []struct {
-			Name   string `json:"name"`
-			VirtUS int64  `json:"virt_us"`
-		} `json:"spans"`
-		Metrics map[string]struct {
-			Type   string `json:"type"`
-			Series []struct {
-				Value *float64 `json:"value"`
-				Sum   *float64 `json:"sum"`
-				Count *uint64  `json:"count"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("json dump invalid: %v", err)
-	}
-	if len(doc.Spans) != 3 {
-		t.Fatalf("dump has %d spans, want 3", len(doc.Spans))
-	}
-	m, ok := doc.Metrics["flux_dump_total"]
-	if !ok || m.Type != "counter" || len(m.Series) != 1 || m.Series[0].Value == nil || *m.Series[0].Value != 2 {
-		t.Fatalf("counter dump = %+v", m)
-	}
-	h := doc.Metrics["flux_dump_seconds"]
-	if h.Type != "histogram" || len(h.Series) != 1 || h.Series[0].Count == nil || *h.Series[0].Count != 1 {
-		t.Fatalf("histogram dump = %+v", h)
-	}
-	if math.Abs(*h.Series[0].Sum-0.25) > 1e-9 {
-		t.Fatalf("histogram sum = %v", *h.Series[0].Sum)
-	}
-}
-
-func TestPromFloatFormatting(t *testing.T) {
-	cases := map[float64]string{
-		3:           "3",
-		-4:          "-4",
-		0.25:        "0.25",
-		math.Inf(1): "+Inf",
-	}
-	for in, want := range cases {
-		if got := promFloat(in); got != want {
-			t.Errorf("promFloat(%v) = %q, want %q", in, got, want)
-		}
 	}
 }

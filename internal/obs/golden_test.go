@@ -1,8 +1,8 @@
 package obs
 
-// Golden-file tests for the exporters: a fixed synthetic span tree and
-// registry render byte-identically on every run (no wall-clock leaks
-// into the output) and match the goldens committed under testdata/.
+// Golden-file test for the Chrome trace exporter: a fixed synthetic span
+// tree renders byte-identically on every run (no wall-clock leaks into
+// the output) and matches the golden committed under testdata/.
 // Regenerate with:
 //
 //	go test ./internal/obs -run TestGolden -update
@@ -46,19 +46,6 @@ func goldenSpans() []SpanData {
 	}
 }
 
-func goldenRegistry() *Registry {
-	r := NewRegistry()
-	r.Describe("flux_golden_total", "migrations observed")
-	r.Counter("flux_golden_total", "service", "alarm").Add(3)
-	r.Counter("flux_golden_total", "service", "audio").Add(1)
-	r.Gauge("flux_golden_gauge").Set(-4)
-	h := r.Histogram("flux_golden_seconds", []float64{0.1, 1, 10}, "stage", "transfer")
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(99)
-	return r
-}
-
 func checkGolden(t *testing.T, name string, render func() []byte) {
 	t.Helper()
 	first := render()
@@ -98,30 +85,4 @@ func TestGoldenChromeTrace(t *testing.T) {
 		t.Fatalf("chrome trace is not valid JSON:\n%s", out)
 	}
 	checkGolden(t, "chrome_trace.golden.json", render)
-}
-
-func TestGoldenMetricsJSON(t *testing.T) {
-	render := func() []byte {
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, goldenSpans(), goldenRegistry().Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	out := render()
-	if !json.Valid(out) {
-		t.Fatalf("JSON dump is not valid JSON:\n%s", out)
-	}
-	checkGolden(t, "dump.golden.json", render)
-}
-
-func TestGoldenPrometheus(t *testing.T) {
-	render := func() []byte {
-		var buf bytes.Buffer
-		if err := goldenRegistry().WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	checkGolden(t, "prometheus.golden.txt", render)
 }

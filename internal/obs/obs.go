@@ -1,24 +1,20 @@
 // Package obs is Flux's zero-dependency telemetry layer: hierarchical
-// spans on virtual and wall time, and a metrics registry of atomic
-// counters, gauges, and lock-sharded histograms cheap enough to live on
-// the Binder/record hot path.
+// spans on virtual and wall time, collected into a bounded ring.
 //
 // The paper's evaluation (Figs 13–16) is a breakdown of where time and
 // bytes go during a migration — per-stage durations, checkpoint image
-// composition, record-log growth, interposition overhead. This package
-// is the vantage point that makes those breakdowns observable from a
-// live run instead of from ad-hoc counters: the Binder driver stamps
-// every transaction, the Recorder accounts observed/recorded/suppressed
-// calls per service, each migration stage runs inside a span carrying
-// its byte attributes, and CRIA, replay, and netsim annotate their
-// sections. Exporters turn the result into a Chrome trace-event JSON
-// (chrome://tracing / Perfetto), Prometheus text exposition, or a plain
-// JSON dump.
+// composition, record-log growth. The layers already return that
+// breakdown as typed values (migration.Report, record.Stats,
+// replay.Stats, chunkstore.Stats); spans add the one thing those cannot
+// carry, the tree of where each stage's time went: each migration stage
+// runs inside a span carrying its byte attributes, and CRIA and replay
+// nest their sections beneath it. WriteChromeTrace turns the tree into
+// Chrome trace-event JSON (chrome://tracing / Perfetto).
 //
-// Telemetry is globally disabled by default. The disabled fast path is
-// a single atomic bool load at each instrumentation site, which keeps
-// the record/Binder hot paths within the <5% overhead budget (see
-// bench_test.go). Binaries opt in with obs.SetEnabled(true).
+// Telemetry is globally disabled by default. A disabled tracer hands
+// out nil spans and every Span method accepts nil, so a disabled span
+// start costs one atomic bool load; the Attr values a caller passes are
+// still built. Binaries opt in with obs.SetEnabled(true).
 //
 // Spans track two time axes. Wall time is the host's monotonic clock —
 // what profiling the simulator itself needs. Virtual time comes from the
@@ -29,42 +25,23 @@
 // whole tree.
 package obs
 
-import "sync/atomic"
-
-// enabled is the global telemetry switch. All instrumentation sites
-// check it before doing any work; the disabled path is one atomic load.
-var enabled atomic.Bool
+// defaultTracer is the process-wide tracer. Its own enable flag is the
+// global telemetry switch: disabled until a binary or test opts in.
+var defaultTracer = func() *Tracer {
+	t := NewTracer(DefaultSpanCapacity)
+	t.SetEnabled(false)
+	return t
+}()
 
 // Enabled reports whether telemetry collection is on.
-func Enabled() bool { return enabled.Load() }
+func Enabled() bool { return defaultTracer.Enabled() }
 
-// SetEnabled switches telemetry collection globally. It affects both the
-// default tracer and the metric call sites guarded by Enabled().
-func SetEnabled(on bool) {
-	enabled.Store(on)
-	defaultTracer.SetEnabled(on)
-}
-
-var (
-	defaultTracer   = NewTracer(DefaultSpanCapacity)
-	defaultRegistry = NewRegistry()
-)
-
-func init() {
-	// The default tracer follows the global switch: disabled until a
-	// binary or test opts in.
-	defaultTracer.SetEnabled(false)
-}
+// SetEnabled switches telemetry collection globally.
+func SetEnabled(on bool) { defaultTracer.SetEnabled(on) }
 
 // T returns the process-wide default tracer.
 func T() *Tracer { return defaultTracer }
 
-// M returns the process-wide default metrics registry.
-func M() *Registry { return defaultRegistry }
-
-// Reset clears the default tracer's span buffer and the default
-// registry's metric values. Tests use it to isolate measurements.
-func Reset() {
-	defaultTracer.Reset()
-	defaultRegistry.Reset()
-}
+// Reset clears the default tracer's span buffer. Tests use it to
+// isolate measurements.
+func Reset() { defaultTracer.Reset() }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -110,84 +109,6 @@ func TestChildOfNilStartsRoot(t *testing.T) {
 	spans := T().Snapshot()
 	if len(spans) != 1 || spans[0].Parent != 0 {
 		t.Fatalf("spans = %+v", spans)
-	}
-}
-
-func TestCountersGaugesHistograms(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("flux_test_total", "service", "alarm")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	// Same name+labels returns the same counter.
-	if r.Counter("flux_test_total", "service", "alarm") != c {
-		t.Fatalf("counter lookup not memoized")
-	}
-	g := r.Gauge("flux_test_gauge")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
-	h := r.Histogram("flux_test_seconds", DurationBuckets)
-	h.Observe(0.003)
-	h.Observe(0.004)
-	h.Observe(120) // above the top bound: counted, not bucketed
-	snap := h.Snapshot()
-	if snap.Count != 3 {
-		t.Fatalf("hist count = %d", snap.Count)
-	}
-	if snap.Sum < 120 || snap.Sum > 121 {
-		t.Fatalf("hist sum = %v", snap.Sum)
-	}
-	var bucketed uint64
-	for _, n := range snap.Counts {
-		bucketed += n
-	}
-	if bucketed != 2 {
-		t.Fatalf("bucketed = %d, want 2 (120s overflows the layout)", bucketed)
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("flux_conc_seconds", DurationBuckets)
-	const goroutines, per = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(0.001)
-			}
-		}()
-	}
-	wg.Wait()
-	if snap := h.Snapshot(); snap.Count != goroutines*per {
-		t.Fatalf("count = %d, want %d", snap.Count, goroutines*per)
-	}
-}
-
-func TestRegistryResetZeroesButKeepsSeries(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("flux_reset_total", "k", "v").Add(9)
-	r.Histogram("flux_reset_seconds", DurationBuckets).Observe(1)
-	r.Describe("flux_reset_total", "a help line")
-	r.Reset()
-	if got := r.Counter("flux_reset_total", "k", "v").Value(); got != 0 {
-		t.Fatalf("counter after reset = %d", got)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("families after reset = %d, want 2", len(snap))
-	}
-	for _, fam := range snap {
-		if fam.Name == "flux_reset_total" && fam.Help != "a help line" {
-			t.Fatalf("help lost on reset: %q", fam.Help)
-		}
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 
 	"flux/internal/aidl"
 	"flux/internal/binder"
-	"flux/internal/obs"
 )
 
 // Entry is one recorded service call.
@@ -418,10 +417,6 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 		return
 	}
 	r.observed.Add(1)
-	telemetry := obs.Enabled()
-	if telemetry {
-		obs.M().Counter(MetricObserved, "service", reg.service).Inc()
-	}
 
 	m := reg.itf.MethodByCode(call.Code)
 	if m == nil {
@@ -437,9 +432,6 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 	suppress := r.applyDrops(app, reg, m, call)
 	if suppress {
 		r.dropped.Add(1)
-		if telemetry {
-			obs.M().Counter(MetricSuppressed, "service", reg.service).Inc()
-		}
 		return
 	}
 	r.append(app, reg, m, call)
@@ -469,7 +461,7 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 		}
 	}
 	droppedOther := false
-	removed := r.log.PruneMatching(app, reg.itf.Name, d.TargetNames, func(e *Entry) bool {
+	r.log.PruneMatching(app, reg.itf.Name, d.TargetNames, func(e *Entry) bool {
 		t := slices.Index(d.TargetNames, e.Method)
 		if t < 0 {
 			return false
@@ -482,9 +474,6 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 		}
 		return true
 	})
-	if removed > 0 && obs.Enabled() {
-		obs.M().Counter(MetricPruned, "service", reg.service).Add(uint64(removed))
-	}
 	return d.Self && droppedOther
 }
 
@@ -527,7 +516,4 @@ func (r *Recorder) append(app string, reg *registeredInterface, m *aidl.Method, 
 	}
 	r.log.Append(e)
 	r.recorded.Add(1)
-	if obs.Enabled() {
-		obs.M().Counter(MetricRecorded, "service", reg.service).Inc()
-	}
 }

@@ -33,22 +33,6 @@ import (
 	"flux/internal/services"
 )
 
-// Replay telemetry: entries consumed by outcome, plus a child span per
-// replay-proxy invocation under the reintegration stage span.
-const (
-	// MetricEntries counts replayed log entries by outcome (replayed,
-	// proxied, skipped_expired, skipped_missing_hw, forwarded).
-	MetricEntries = "flux_replay_entries_total"
-	// MetricProxyCalls counts replay-proxy invocations by proxy path.
-	MetricProxyCalls = "flux_replay_proxy_calls_total"
-)
-
-func init() {
-	m := obs.M()
-	m.Describe(MetricEntries, "Record-log entries consumed by replay, by outcome.")
-	m.Describe(MetricProxyCalls, "Replay proxy invocations, by proxy path.")
-}
-
 // Context carries everything a replay run needs about both sides.
 type Context struct {
 	// Pkg is the migrating app's package name.
@@ -175,7 +159,6 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 			return stats, fmt.Errorf("replay: refusing unverified log: %w", err)
 		}
 	}
-	telemetry := obs.Enabled()
 	sp := ctx.Span.Child("replay.run", obs.Int64("entries", int64(len(entries))))
 	defer func() {
 		sp.Attr(
@@ -185,23 +168,6 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 			obs.Int64("skipped_missing_hw", int64(stats.SkippedMissingHW)),
 			obs.Int64("forwarded", int64(stats.Forwarded)),
 		).End()
-		if telemetry {
-			m := obs.M()
-			for _, o := range []struct {
-				outcome string
-				n       int
-			}{
-				{"replayed", stats.Replayed},
-				{"proxied", stats.Proxied},
-				{"skipped_expired", stats.SkippedExpired},
-				{"skipped_missing_hw", stats.SkippedMissingHW},
-				{"forwarded", stats.Forwarded},
-			} {
-				if o.n > 0 {
-					m.Counter(MetricEntries, "outcome", o.outcome).Add(uint64(o.n))
-				}
-			}
-		}
 	}()
 	for _, entry := range entries {
 		itf, ok := interfaces[entry.Interface]
@@ -232,9 +198,6 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 				obs.Int64("seq", int64(entry.Seq)),
 			)
 			skipped, err := proxy(ctx, entry, m)
-			if telemetry {
-				obs.M().Counter(MetricProxyCalls, "proxy", path).Inc()
-			}
 			if err != nil {
 				psp.Attr(obs.String("error", err.Error())).End()
 				return stats, fmt.Errorf("replay: proxy %s on entry %d: %w", path, entry.Seq, err)

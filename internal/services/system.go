@@ -83,7 +83,6 @@ type System struct {
 	// without a lock.
 	staters map[string]AppStater
 	catalog []registration
-	itfs    map[string]*aidl.Interface // by descriptor, for telemetry method names
 }
 
 // Registration describes one booted service for Table 2 reporting.
@@ -128,10 +127,7 @@ func Boot(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, proc: proc, staters: make(map[string]AppStater), itfs: make(map[string]*aidl.Interface)}
-	// Give the Binder driver's telemetry tap human-readable method names
-	// instead of raw transaction codes.
-	cfg.Kernel.Binder().SetMethodNamer(s.methodName)
+	s := &System{cfg: cfg, proc: proc, staters: make(map[string]AppStater)}
 
 	s.Notifications = newNotificationManagerService(s)
 	s.Alarms = newAlarmManagerService(s)
@@ -190,7 +186,6 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 	if stater != nil {
 		s.staters[name] = stater
 	}
-	s.itfs[itf.Name] = itf
 	s.catalog = append(s.catalog, registration{Registration{
 		Name:            name,
 		Descriptor:      itf.Name,
@@ -199,20 +194,6 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 		PaperLOC:        paperLOC,
 		MeasuredMethods: len(itf.Methods),
 	}, src})
-}
-
-// methodName resolves a (descriptor, transaction code) pair to a method
-// name via the booted services' AIDL catalog — the binder.MethodNamer
-// backing telemetry labels.
-func (s *System) methodName(descriptor string, code uint32) (string, bool) {
-	itf := s.itfs[descriptor]
-	if itf == nil {
-		return "", false
-	}
-	if m := itf.MethodByCode(code); m != nil {
-		return m.Name, true
-	}
-	return "", false
 }
 
 // Catalog returns the Table 2 registrations sorted by name.

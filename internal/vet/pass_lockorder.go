@@ -10,7 +10,7 @@ import (
 
 // The lock-order pass extracts mutex-acquisition orders across the
 // lock-heavy packages (the PR-9 ordered all-shard sweep in
-// internal/record, the chunk store, the obs shards) and flags any two code
+// internal/record, the chunk store, the obs span ring) and flags any two code
 // paths that acquire the same pair of locks in opposite orders — the
 // classic AB/BA deadlock shape, statically.
 //

@@ -17,15 +17,19 @@
 #   make bench-commuter  the commuter lab spec: dirty rate x cache budget
 #                    x transfer mode over 4 round trips per pair
 #   make results     regenerate every figure and write BENCH_results.json
-#                    (BENCH_commuter.json: `go test ./internal/experiments
-#                    -run TestCommittedBaselines -update`)
-#   make lab         run the committed smoke spec through fluxlab and diff
-#                    the fresh report against the committed trajectory
+#                    (the other baselines are rewritten by their tier-1
+#                    tests with -update: BENCH_commuter.json by
+#                    `go test ./internal/experiments -run
+#                    TestCommittedBaselines`, BENCH_lab.json by
+#                    `go test ./internal/lab -run TestCommittedReport`,
+#                    BENCH_fleet.json by `go test ./internal/fleet -run
+#                    TestCommittedReports`)
 #   make fleet       fleet engine gate: package benchmarks (events/sec and
 #                    allocs on a 6,000-migration spec and the 10k-device
-#                    spec), the 0-alloc test, the smoke report compared
-#                    byte-for-byte with BENCH_fleet.json, and the 10k-device
-#                    scale spec at two profiling widths
+#                    spec), the 0-alloc test, and TestCommittedReports (the
+#                    smoke report byte-for-byte equal to BENCH_fleet.json,
+#                    the 10k-device scale report at pinned digests and at
+#                    profiling widths 1 and 16)
 #   make profile     CPU+heap profiles of the fleet scale run and the full
 #                    fluxbench evaluation (writes *.pprof)
 #   make trace-demo  run one telemetry-enabled migration and write a
@@ -36,7 +40,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt vet lint build test bench-module race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify clean
+.PHONY: all verify fmt vet lint build test bench-module race bench bench-pipeline bench-faults bench-commuter results fleet profile trace-demo log-verify clean
 
 all: verify
 
@@ -118,33 +122,21 @@ bench-commuter:
 results:
 	$(GO) run ./cmd/fluxbench -all -json BENCH_results.json
 
-# The experiment platform's smoke spec: a deterministic sweep (same seed
-# + spec is byte-identical at any -workers width), recorded into a fresh
-# trajectory and diffed against the committed BENCH_trajectory.json. Any
-# stage timing, byte counter, signal, or calibration metric regressing
-# beyond the tolerance fails the target.
-lab:
-	$(GO) run ./cmd/fluxlab run -q -record /tmp/flux-lab-smoke.json lab/specs/smoke.yaml > /dev/null
-	$(GO) run ./cmd/fluxlab diff BENCH_trajectory.json /tmp/flux-lab-smoke.json
-
 # The fleet discrete-event engine gate: hot-path benchmarks that report
 # simulated events/sec (budget ≥1M) on a 6,000-migration spec and on the
 # 10k-device spec, TestRunSteadyStateAllocs asserting 0 allocs per run,
-# the smoke workload compared byte-for-byte with the committed baseline,
-# and the 10k-device / 50k-migration scale spec at two profiling widths
-# (the reports must be identical — determinism is structural).
+# and TestCommittedReports: the smoke workload byte-for-byte equal to the
+# committed baseline, and the 10k-device / 50k-migration scale spec at
+# pinned digests, at its own seed also at profiling widths 1 and 16 (the
+# reports must be identical — determinism is structural).
 fleet:
-	$(GO) test -bench='BenchmarkFleet' -benchmem -run TestRunSteadyStateAllocs ./internal/fleet/
-	$(GO) run ./cmd/fluxfleet -spec fleet/specs/smoke.yaml -v -check BENCH_fleet.json > /dev/null
-	$(GO) run ./cmd/fluxfleet -spec fleet/specs/scale-10k.yaml -v -workers 1 > /tmp/flux-fleet-w1.json
-	$(GO) run ./cmd/fluxfleet -spec fleet/specs/scale-10k.yaml -v -workers 16 > /tmp/flux-fleet-w16.json
-	cmp /tmp/flux-fleet-w1.json /tmp/flux-fleet-w16.json
+	$(GO) test -bench='BenchmarkFleet' -benchmem -run 'TestRunSteadyStateAllocs|TestCommittedReports' ./internal/fleet/
 
 # Profiles of the two heaviest drivers: the fleet scale run and the
 # full evaluation. Inspect with `go tool pprof fleet-cpu.pprof`.
 profile:
 	$(GO) run ./cmd/fluxfleet -spec fleet/specs/scale-10k.yaml -cpuprofile fleet-cpu.pprof -memprofile fleet-mem.pprof > /dev/null
-	$(GO) run ./cmd/fluxbench -all -json "" -cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof > /dev/null
+	$(GO) run ./cmd/fluxbench -all -cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof > /dev/null
 
 # One migration with full telemetry: flamegraph-style stage breakdown on
 # stdout, Chrome trace-event JSON (chrome://tracing / ui.perfetto.dev)

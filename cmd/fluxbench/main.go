@@ -25,9 +25,9 @@
 //
 // The 64-migration evaluation matrix runs on a bounded worker pool
 // (-workers, default: one per CPU); its output is byte-identical for any
-// worker count. Alongside the text output, fluxbench writes per-section
-// wall-clock and virtual-time measurements to -json (default
-// BENCH_results.json; pass -json "" to disable).
+// worker count. With -json FILE, fluxbench also writes per-section
+// wall-clock and virtual-time measurements to FILE; without it, no file
+// is written (`make results` passes -json BENCH_results.json).
 //
 // -trace enables telemetry and writes every migration's span tree
 // (one "cell" tree per matrix entry) as Chrome trace-event JSON.
@@ -108,7 +108,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.cfg.BenchIters, "bench-iters", 2000, "iterations per Figure 16 benchmark")
 	fs.IntVar(&o.cfg.PlayN, "play-n", 488259, "Figure 17 catalog size")
 	fs.IntVar(&o.cfg.Workers, "workers", 0, "migration-matrix worker pool size (0 = one per CPU)")
-	fs.StringVar(&o.jsonPath, "json", "BENCH_results.json", "write machine-readable results here (empty = off)")
+	fs.StringVar(&o.jsonPath, "json", "", "write machine-readable results here (empty = off)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON file of all migration span trees")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile here")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile here")

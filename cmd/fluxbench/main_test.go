@@ -159,3 +159,36 @@ func TestFigureSectionMatchesAll(t *testing.T) {
 		t.Errorf("-fig 12 wrote %v, -all wrote %v", got.Metrics, want.Metrics)
 	}
 }
+
+// TestNoJSONWithoutFlag: a command line without -json writes no file,
+// so regenerating one section never overwrites the committed
+// BENCH_results.json with that section alone.
+func TestNoJSONWithoutFlag(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+	o, err := parseArgs([]string{"-table", "2"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("-table 2 without -json wrote %s", e.Name())
+	}
+}

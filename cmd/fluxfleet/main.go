@@ -6,8 +6,6 @@
 // Usage:
 //
 //	fluxfleet -spec fleet/specs/smoke.yaml              # run, report on stdout
-//	fluxfleet -spec ... -json BENCH_fleet.json          # also write the report file
-//	fluxfleet -spec ... -check BENCH_fleet.json         # byte-compare against a committed baseline
 //	fluxfleet -spec ... -workers 4                      # profiling pool width (report bytes never change)
 //	fluxfleet -spec ... -v                              # progress + wall-clock events/sec on stderr
 //	fluxfleet -spec ... -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -15,6 +13,9 @@
 // The report on stdout is deterministic: same spec + seed produce
 // byte-identical JSON at any -workers width. Wall-clock measurements
 // (events/sec) go to stderr only — they never contaminate the report.
+// The smoke report is committed as BENCH_fleet.json, which
+// `go test ./internal/fleet` compares byte for byte (`-update`
+// rewrites it).
 package main
 
 import (
@@ -38,8 +39,6 @@ func run() error {
 	var (
 		specPath   = flag.String("spec", "", "fleet spec file (YAML subset)")
 		workers    = flag.Int("workers", 0, "profiling pool width (0 = one per CPU); never changes report bytes")
-		jsonPath   = flag.String("json", "", "write the report JSON here")
-		checkPath  = flag.String("check", "", "compare the report byte for byte with this committed baseline")
 		verbose    = flag.Bool("v", false, "progress and wall-clock throughput on stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile here")
 		memProfile = flag.String("memprofile", "", "write a heap profile here")
@@ -83,19 +82,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	os.Stdout.Write(data)
-	if *jsonPath != "" {
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			return err
-		}
-	}
-	if *checkPath != "" {
-		if err := rep.CheckFile(*checkPath); err != nil {
-			return err
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "fluxfleet: report matches baseline %s\n", *checkPath)
-		}
-	}
-	return nil
+	_, err = os.Stdout.Write(data)
+	return err
 }

@@ -1,5 +1,5 @@
-// Command fluxlab runs declarative Flux experiments: a spec (YAML or
-// JSON) names a scenario, seed, sweep axes, and success criteria; the
+// Command fluxlab runs declarative Flux experiments: a spec (YAML)
+// names a scenario, seed, sweep axes, and success criteria; the
 // runner executes it and emits a deterministic report — per-cell p50/p99
 // stage timings and byte counters, a calibration score against the
 // paper's published numbers, a counterfactual policy analysis, and the
@@ -8,22 +8,19 @@
 //
 // Usage:
 //
-//	fluxlab run lab/specs/smoke.yaml                  # run a spec, print the report
-//	fluxlab run -record BENCH_trajectory.json spec    # also append a trajectory record
-//	fluxlab run -out report.json spec                 # also write the raw report JSON
-//	fluxlab diff old.json new.json                    # compare two trajectory records
-//	fluxlab diff -tolerance 5 old.json new.json       # custom drift tolerance (percent)
-//	fluxlab signals                                   # list the signal catalog
+//	fluxlab run lab/specs/smoke.yaml      # run a spec, print the report
+//	fluxlab run -out report.json spec     # also write the report JSON
+//	fluxlab signals                       # list the signal catalog
 //
 // The report on stdout is deterministic: identical (spec, seed) produce
 // byte-identical output at any -workers width. Progress lines go to
 // stderr. Exit status is non-zero when any signal (including the
-// calibration MAPE/Pearson gates) fails, or when a diff finds a
-// regression beyond tolerance.
+// calibration MAPE/Pearson gates) fails. The smoke spec's report JSON
+// is committed as BENCH_lab.json, which `go test ./internal/lab`
+// compares byte for byte (`-update` rewrites it).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,16 +37,15 @@ func main() {
 	}
 }
 
-// errFailed marks a completed run or diff whose verdict is failure; main
-// exits non-zero without the usage hint.
+// errFailed marks a completed run whose verdict is failure; main exits
+// non-zero without the usage hint.
 type errFailed struct{ msg string }
 
 func (e errFailed) Error() string { return e.msg }
 
 func usage(w *os.File) {
 	fmt.Fprintln(w, `usage:
-  fluxlab run [-workers N] [-record FILE] [-out FILE] [-q] [-cpuprofile FILE] [-memprofile FILE] SPEC
-  fluxlab diff [-tolerance PCT] OLD NEW
+  fluxlab run [-workers N] [-out FILE] [-q] [-cpuprofile FILE] [-memprofile FILE] SPEC
   fluxlab signals`)
 }
 
@@ -61,8 +57,6 @@ func run(args []string) error {
 	switch args[0] {
 	case "run":
 		return runCmd(args[1:])
-	case "diff":
-		return diffCmd(args[1:])
 	case "signals":
 		return signalsCmd()
 	case "-h", "-help", "--help", "help":
@@ -77,8 +71,7 @@ func run(args []string) error {
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("fluxlab run", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "execution width (0 = one per CPU); never changes report bytes")
-	record := fs.String("record", "", "append a trajectory record to this file")
-	out := fs.String("out", "", "write the raw report JSON here")
+	out := fs.String("out", "", "write the report JSON here")
 	quiet := fs.Bool("q", false, "suppress progress lines on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile here")
 	memProfile := fs.String("memprofile", "", "write a heap profile here")
@@ -108,44 +101,16 @@ func runCmd(args []string) error {
 	}
 	rep.Render(os.Stdout)
 	if *out != "" {
-		if err := writeReportJSON(*out, rep); err != nil {
+		data, err := rep.JSON()
+		if err != nil {
 			return err
 		}
-	}
-	if *record != "" {
-		if err := lab.AppendRecord(*record, lab.NewRecord(rep, *workers, ".")); err != nil {
+		if err := atomicio.WriteFile(*out, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "fluxlab: appended trajectory record to %s\n", *record)
 	}
 	if rep.Failed() {
 		return errFailed{fmt.Sprintf("run: %d of %d signals failed", rep.SignalsFailed, len(rep.Signals))}
-	}
-	return nil
-}
-
-func diffCmd(args []string) error {
-	fs := flag.NewFlagSet("fluxlab diff", flag.ContinueOnError)
-	tolerance := fs.Float64("tolerance", lab.DefaultDiffTolerancePct, "allowed relative drift per metric, percent")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		usage(os.Stderr)
-		return fmt.Errorf("diff: want OLD and NEW trajectory files, got %d args", fs.NArg())
-	}
-	oldRec, err := lab.LatestRecord(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newRec, err := lab.LatestRecord(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	d := lab.Diff(oldRec.Report, newRec.Report, *tolerance)
-	d.Render(os.Stdout)
-	if d.Failed() {
-		return errFailed{fmt.Sprintf("diff: %d regressions beyond ±%.1f%%", len(d.Regressions), d.TolerancePct)}
 	}
 	return nil
 }
@@ -155,13 +120,4 @@ func signalsCmd() error {
 		fmt.Printf("%-36s %s\n", s.Name, s.Desc)
 	}
 	return nil
-}
-
-func writeReportJSON(path string, rep *lab.Report) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshaling report: %w", err)
-	}
-	data = append(data, '\n')
-	return atomicio.WriteFile(path, data, 0o644)
 }

@@ -191,7 +191,7 @@ type chunkLaneRow struct {
 func attrInt(s obs.SpanData, key string) int64 {
 	for _, a := range s.Attrs {
 		if a.Key == key {
-			if v, ok := a.Value.(int64); ok {
+			if v, ok := a.Value().(int64); ok {
 				return v
 			}
 		}
@@ -202,7 +202,7 @@ func attrInt(s obs.SpanData, key string) int64 {
 func attrString(s obs.SpanData, key string) string {
 	for _, a := range s.Attrs {
 		if a.Key == key {
-			if v, ok := a.Value.(string); ok {
+			if v, ok := a.Value().(string); ok {
 				return v
 			}
 		}
@@ -213,7 +213,7 @@ func attrString(s obs.SpanData, key string) string {
 func attrBool(s obs.SpanData, key string) bool {
 	for _, a := range s.Attrs {
 		if a.Key == key {
-			if v, ok := a.Value.(bool); ok {
+			if v, ok := a.Value().(bool); ok {
 				return v
 			}
 		}

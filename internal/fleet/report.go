@@ -1,14 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"slices"
-
-	"flux/internal/atomicio"
 )
 
 // ReportSchemaVersion versions the fleet report JSON layout.
@@ -165,35 +161,4 @@ func (r *Report) Render() ([]byte, error) {
 		return nil, fmt.Errorf("fleet: marshaling report: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteFile writes the rendered report atomically.
-func (r *Report) WriteFile(path string) error {
-	data, err := r.Render()
-	if err != nil {
-		return err
-	}
-	if err := atomicio.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("fleet: writing report: %w", err)
-	}
-	return nil
-}
-
-// CheckFile compares the rendered report byte for byte with a committed
-// baseline file. Every field is a deterministic function of (spec,
-// seed), so any difference, a stale extra field in the baseline
-// included, is a real change.
-func (r *Report) CheckFile(path string) error {
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("fleet: reading baseline: %w", err)
-	}
-	fresh, err := r.Render()
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(fresh, want) {
-		return fmt.Errorf("fleet: report differs from baseline %s (spec %s seed %d): regenerate the baseline if the change is intended", path, r.Name, r.Seed)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -21,9 +22,8 @@ const HeadlineFaultRate = 0.15
 
 // Report is the deterministic product of one lab run: everything in it
 // is a function of (spec, seed) on virtual time, so identical inputs
-// produce byte-identical reports at any worker-pool width. Provenance
-// that varies between hosts (wall-clock, git SHA, execution width) lives
-// on the trajectory Record wrapper, never here.
+// produce byte-identical reports at any worker-pool width. Nothing that
+// varies between hosts (wall-clock, git SHA, execution width) is in it.
 type Report struct {
 	Schema   int    `json:"schema"`
 	SpecName string `json:"spec_name"`
@@ -46,6 +46,17 @@ type Report struct {
 // Failed reports whether any signal (including the calibration gates,
 // which are signals) failed.
 func (r *Report) Failed() bool { return r.SignalsFailed > 0 }
+
+// JSON serializes the report as stable indented JSON (trailing newline
+// included): the bytes `fluxlab run -out` writes and BENCH_lab.json
+// holds.
+func (r *Report) JSON() ([]byte, error) {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("lab: marshaling report: %w", err)
+	}
+	return append(data, '\n'), nil
+}
 
 // runData is everything the battery, calibration, and counterfactual
 // analysis consume. The Runner populates it once; checks never re-run

@@ -2,44 +2,77 @@ package lab
 
 import (
 	"bytes"
-	"encoding/json"
+	"flag"
+	"os"
 	"sync"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite BENCH_lab.json from the smoke spec")
+
+const (
+	smokePath    = "../../lab/specs/smoke.yaml"
+	baselinePath = "../../BENCH_lab.json"
+)
+
 // The full Runner.Run executes the core battery (eight matrices, two
 // commuter sweeps, a traced migration) — about a second of wall-clock.
-// Tests share one run per width instead of re-running per assertion.
+// Tests share one run of the shipped smoke spec per width instead of
+// re-running per assertion.
 var (
 	runOnce    sync.Once
+	sharedSpec Spec
 	sharedRep  *Report // width 2
 	sharedRep1 *Report // width 1
 	runErr     error
 )
 
-func smokeSpec() Spec {
-	return Spec{
-		Name:     "test-smoke",
-		Scenario: ScenarioMatrix,
-		Seed:     1,
-		Sweep:    Sweep{Workers: []int{1, 0}, Pipelined: []bool{false, true}},
-	}
-}
-
 func sharedRun(t *testing.T) (*Report, *Report) {
 	t.Helper()
 	runOnce.Do(func() {
-		r2 := &Runner{Spec: smokeSpec(), Workers: 2}
+		if sharedSpec, runErr = LoadSpec(smokePath); runErr != nil {
+			return
+		}
+		r2 := &Runner{Spec: sharedSpec, Workers: 2}
 		if sharedRep, runErr = r2.Run(); runErr != nil {
 			return
 		}
-		r1 := &Runner{Spec: smokeSpec(), Workers: 1}
+		r1 := &Runner{Spec: sharedSpec, Workers: 1}
 		sharedRep1, runErr = r1.Run()
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
 	return sharedRep, sharedRep1
+}
+
+// TestCommittedReport pins the smoke spec's report: its JSON must equal
+// the committed BENCH_lab.json byte for byte. Every field is a function
+// of (spec, seed) on virtual time, so any difference is a real change
+// to a timing, a byte count, a signal or the calibration.
+//
+// `go test ./internal/lab -run TestCommittedReport -update` rewrites
+// the file.
+func TestCommittedReport(t *testing.T) {
+	rep, _ := sharedRun(t)
+	got, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(baselinePath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", baselinePath)
+		return
+	}
+	want, err := os.ReadFile(baselinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the smoke report differs from %s; if the change is intended, rerun with -update and review the diff", baselinePath)
+	}
 }
 
 func TestRunSignalBattery(t *testing.T) {
@@ -82,11 +115,11 @@ func TestRunSignalsMatchCatalog(t *testing.T) {
 // spec, any worker width: byte-identical report (JSON and rendered).
 func TestRunWidthByteIdentity(t *testing.T) {
 	rep, rep1 := sharedRun(t)
-	j2, err := json.Marshal(rep)
+	j2, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := json.Marshal(rep1)
+	j1, err := rep1.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +139,7 @@ func TestRunReportShape(t *testing.T) {
 	if rep.Schema != ReportSchemaVersion {
 		t.Errorf("schema %d, want %d", rep.Schema, ReportSchemaVersion)
 	}
-	if rep.SpecHash != smokeSpec().Hash() {
+	if rep.SpecHash != sharedSpec.Hash() {
 		t.Error("report spec hash does not match the spec")
 	}
 	// 1×2 workers × 2 pipelined = 4 sweep cells, sorted by ID.

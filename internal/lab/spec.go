@@ -3,12 +3,11 @@
 // base seed, sweep axes, repetitions, success criteria — is executed by a
 // Runner that fans sweeps across the deterministic evaluation machinery
 // (the 64-migration matrix, the fault matrix, the commuter itinerary) and
-// emits three artifacts:
+// emits one Report holding three parts:
 //
-//   - a versioned trajectory record (schema version, git SHA, spec hash,
-//     per-cell p50/p99 stage timings and byte counters) appended to
-//     BENCH_trajectory.json, so successive PRs accumulate a comparable
-//     performance history instead of overwriting it;
+//   - per-cell p50/p99 stage timings and byte counters under the spec's
+//     hash; the smoke spec's report is committed as BENCH_lab.json and
+//     the tier-1 suite requires a fresh run to equal it byte for byte;
 //   - a calibration report scoring the simulated stage timings and
 //     transfer bytes against the checked-in paper reference (Figure 13
 //     stage shares, Figure 15/Table 3 per-app transfer sizes, the §4
@@ -88,9 +87,6 @@ type Criteria struct {
 	// MinRecoveryPct is the fault-matrix completion floor at the
 	// headline fault rate.
 	MinRecoveryPct float64 `json:"min_recovery_pct,omitempty"`
-	// DiffTolerancePct is the default per-metric tolerance `fluxlab
-	// diff` applies when comparing trajectory records.
-	DiffTolerancePct float64 `json:"diff_tolerance_pct,omitempty"`
 }
 
 // DefaultCriteria returns the thresholds the shipped specs use.
@@ -101,14 +97,13 @@ func DefaultCriteria() Criteria {
 		MinPearsonR:        0.98,
 		MaxHeadlineMAPEPct: 40,
 		MinRecoveryPct:     95,
-		DiffTolerancePct:   5,
 	}
 }
 
 // Spec is one declarative experiment: what to run, how wide to sweep,
 // and what counts as success. Specs are plain data — YAML (the subset
 // parseYAML accepts) or a Go literal — and hash canonically, so a
-// trajectory record can prove which experiment produced it.
+// report can prove which experiment produced it.
 type Spec struct {
 	// Schema versions the spec layout.
 	Schema int `json:"schema"`
@@ -161,9 +156,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Criteria.MinRecoveryPct <= 0 {
 		s.Criteria.MinRecoveryPct = def.MinRecoveryPct
-	}
-	if s.Criteria.DiffTolerancePct <= 0 {
-		s.Criteria.DiffTolerancePct = def.DiffTolerancePct
 	}
 	if len(s.Sweep.Workers) == 0 {
 		s.Sweep.Workers = []int{0} // 0 = the runner's execution width

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,7 @@ func TestParseSpecRejections(t *testing.T) {
 		{"unknown key", "name: x\nscenario: matrix\nbogus: 1", "bogus"},
 		{"unknown sweep axis", "name: x\nscenario: matrix\nsweep:\n  cadence: [1]", "cadence"},
 		{"unknown criterion", "name: x\nscenario: matrix\ncriteria:\n  max_wat: 1", "max_wat"},
+		{"diff tolerance", "name: x\nscenario: matrix\ncriteria:\n  diff_tolerance_pct: 2", "diff_tolerance_pct is not a criterion"},
 		{"unknown scenario", "name: x\nscenario: orbit", "unknown scenario"},
 		{"missing scenario", "name: x", "scenario is required"},
 		{"missing name", "scenario: matrix", "needs a name"},
@@ -106,13 +108,16 @@ func TestParseSpecRejections(t *testing.T) {
 	}
 }
 
+// TestShippedSpecsParse: every spec under lab/specs parses.
 func TestShippedSpecsParse(t *testing.T) {
-	for _, path := range []string{
-		"../../lab/specs/smoke.yaml",
-		"../../lab/specs/matrix.yaml",
-		"../../lab/specs/faults.yaml",
-		"../../lab/specs/commuter.yaml",
-	} {
+	paths, err := filepath.Glob("../../lab/specs/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 5 {
+		t.Fatalf("found %d shipped specs %v, want at least 5", len(paths), paths)
+	}
+	for _, path := range paths {
 		if _, err := LoadSpec(path); err != nil {
 			t.Errorf("shipped spec %s: %v", path, err)
 		}

@@ -10,10 +10,10 @@ import (
 	"flux/internal/migration"
 )
 
-// CellStats is the per-sweep-cell aggregate a trajectory record stores:
-// p50/p99 stage timings and byte counters over the cell's migrations.
-// Every field is a function of virtual time, so records are
-// byte-identical for identical (spec, seed) at any worker width.
+// CellStats is the per-sweep-cell aggregate a report stores: p50/p99
+// stage timings and byte counters over the cell's migrations. Every
+// field is a function of virtual time, so reports are byte-identical
+// for identical (spec, seed) at any worker width.
 type CellStats struct {
 	// ID is the canonical cell label, e.g.
 	// "scenario=matrix pipelined=true rep=1 workers=4".

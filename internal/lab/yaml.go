@@ -140,8 +140,6 @@ func decodeCriteria(doc yamlMap, c *Criteria) error {
 			c.MaxHeadlineMAPEPct, err = yamlFloat(v, "criteria."+key)
 		case "min_recovery_pct":
 			c.MinRecoveryPct, err = yamlFloat(v, "criteria."+key)
-		case "diff_tolerance_pct":
-			c.DiffTolerancePct, err = yamlFloat(v, "criteria."+key)
 		default:
 			return fmt.Errorf("lab: spec key criteria.%s is not a criterion", key)
 		}

@@ -277,7 +277,7 @@ func TestFaultRetrySpans(t *testing.T) {
 		retries++
 		attrs := make(map[string]any, len(s.Attrs))
 		for _, a := range s.Attrs {
-			attrs[a.Key] = a.Value
+			attrs[a.Key] = a.Value()
 		}
 		if attrs["site"] != string(faults.ChunkCorrupt) || attrs["stage"] != migration.StageTransfer.String() {
 			t.Errorf("fault.retry span site=%v stage=%v, want %s in %s",

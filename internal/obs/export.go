@@ -77,7 +77,7 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 		if len(s.Attrs) > 0 {
 			ev.Args = make(map[string]any, len(s.Attrs))
 			for _, a := range s.Attrs {
-				ev.Args[a.Key] = a.Value
+				ev.Args[a.Key] = a.Value()
 			}
 		}
 		trace.TraceEvents = append(trace.TraceEvents, ev)

@@ -14,7 +14,9 @@
 // Telemetry is globally disabled by default. A disabled tracer hands
 // out nil spans and every Span method accepts nil, so a disabled span
 // start costs one atomic bool load; the Attr values a caller passes are
-// still built. Binaries opt in with obs.SetEnabled(true).
+// still built, but on the caller's stack: they hold typed values, not
+// interfaces, and no span keeps the caller's slice, so nothing
+// allocates. Binaries opt in with obs.SetEnabled(true).
 //
 // Spans track two time axes. Wall time is the host's monotonic clock —
 // what profiling the simulator itself needs. Virtual time comes from the

@@ -26,6 +26,31 @@ func TestDisabledTracerHandsOutNilSpans(t *testing.T) {
 	}
 }
 
+// probePkg is a package variable so its conversion to an interface
+// cannot be folded into static data at compile time.
+var probePkg = "com.example"
+
+// TestDisabledSpanAttrsDoNotAllocate: with the tracer off, passing
+// attributes to a nil span's Attr and Child and to ChildOf(nil, …)
+// allocates nothing, whatever values they carry, so untraced code pays
+// nothing for the spans it would have emitted.
+func TestDisabledSpanAttrsDoNotAllocate(t *testing.T) {
+	prev := Enabled()
+	SetEnabled(false)
+	defer SetEnabled(prev)
+	var sp *Span
+	n := int64(1 << 40)
+	allocs := testing.AllocsPerRun(100, func() {
+		n++
+		sp.Attr(Int64("bytes", n), Int64("entries", n+1), String("pkg", probePkg))
+		sp.Child("stage", Int64("bytes", n), Float64("mbps", float64(n)/3), Bool("ok", n%2 == 0)).End()
+		ChildOf(nil, "root", Int64("bytes", n), String("pkg", probePkg)).End()
+	})
+	if allocs != 0 {
+		t.Errorf("attributes on disabled spans allocated %v times per run, want 0", allocs)
+	}
+}
+
 func TestSpanHierarchyAndClocks(t *testing.T) {
 	tr := NewTracer(16)
 	virtNow := time.Date(2015, 4, 21, 9, 0, 0, 0, time.UTC)

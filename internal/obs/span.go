@@ -13,23 +13,52 @@ import (
 const DefaultSpanCapacity = 16384
 
 // Attr is one span attribute. Values are restricted to the JSON-friendly
-// scalar kinds the exporters understand.
+// scalar kinds the exporters understand, and are held in typed fields
+// rather than an interface, so building an attribute never allocates.
 type Attr struct {
-	Key   string
-	Value any // string, int64, float64, or bool
+	Key  string
+	kind attrKind
+	b    bool
+	str  string
+	i64  int64
+	f64  float64
 }
 
+type attrKind uint8
+
+const (
+	kindString attrKind = iota
+	kindInt64
+	kindFloat64
+	kindBool
+)
+
 // String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+func String(k, v string) Attr { return Attr{Key: k, kind: kindString, str: v} }
 
 // Int64 builds an integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
+func Int64(k string, v int64) Attr { return Attr{Key: k, kind: kindInt64, i64: v} }
 
 // Float64 builds a float attribute.
-func Float64(k string, v float64) Attr { return Attr{Key: k, Value: v} }
+func Float64(k string, v float64) Attr { return Attr{Key: k, kind: kindFloat64, f64: v} }
 
 // Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr { return Attr{Key: k, kind: kindBool, b: v} }
+
+// Value returns the attribute's value as a string, int64, float64 or
+// bool.
+func (a Attr) Value() any {
+	switch a.kind {
+	case kindInt64:
+		return a.i64
+	case kindFloat64:
+		return a.f64
+	case kindBool:
+		return a.b
+	default:
+		return a.str
+	}
+}
 
 // SpanData is the immutable record of one finished span.
 type SpanData struct {
@@ -96,6 +125,7 @@ type Span struct {
 }
 
 // Start begins a root span. Returns nil when the tracer is disabled.
+// The span keeps a copy of attrs, never the caller's slice.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil || !t.enabled.Load() {
 		return nil
@@ -106,13 +136,13 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	s.data = SpanData{
 		ID: id, Root: id, Name: name,
 		StartWall: now, StartVirt: now,
-		Attrs: attrs,
+		Attrs: append([]Attr(nil), attrs...),
 	}
 	return s
 }
 
-// Child begins a span nested under s, inheriting its virtual clock.
-// Child of a nil span is nil.
+// Child begins a span nested under s, inheriting its virtual clock and
+// keeping a copy of attrs. Child of a nil span is nil.
 func (s *Span) Child(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
@@ -133,7 +163,7 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	c.data = SpanData{
 		ID: t.nextID.Add(1), Parent: parent, Root: root, Name: name,
 		StartWall: now, StartVirt: vnow,
-		Attrs: attrs,
+		Attrs: append([]Attr(nil), attrs...),
 	}
 	return c
 }

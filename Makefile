@@ -57,12 +57,11 @@ vet:
 
 # Replay-safety static analysis (DESIGN.md §5f, §5k): decorator-spec
 # checks over the shipped AIDL catalog plus the layer-3 pass driver's
-# parallel source analyses (wallclock, determinism-taint, maprange,
-# lock-order, durability, wire-drift), with per-pass wall time on
-# stderr. `fluxvet -logs run.flxg -image app.cria` lints a persisted
-# record log offline; see cmd/fluxvet.
+# source analyses (wallclock, determinism-taint, maprange, lock-order,
+# durability, wire-drift). `fluxvet -logs run.flxg -image app.cria`
+# also lints a persisted record log; see cmd/fluxvet.
 lint:
-	$(GO) run ./cmd/fluxvet -layers spec,src -timings
+	$(GO) run ./cmd/fluxvet
 
 build:
 	$(GO) build ./...

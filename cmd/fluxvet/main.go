@@ -1,5 +1,6 @@
-// Command fluxvet is the Flux replay-safety static analyzer. It runs up to
-// three layers of checks (DESIGN.md §5f):
+// Command fluxvet is the Flux replay-safety static analyzer. It runs the
+// spec and src layers of checks, plus the logs layer when given -logs
+// (DESIGN.md §5f):
 //
 //	spec  — decorator-spec analysis over the compiled AIDL interfaces the
 //	        services package ships: dead @drop targets, drop cycles that
@@ -13,9 +14,9 @@
 //	        disorder, and (with -image) Binder handles absent from the
 //	        CRIA image's handle table.
 //	src   — the pass driver over the Go source tree (-src): named
-//	        interprocedural analyses (DESIGN.md §5k) run in parallel over
-//	        a package graph loaded and type-checked once. The selectable
-//	        checks are wallclock and determinism-taint (wall-clock and
+//	        interprocedural analyses (DESIGN.md §5k) run one after another
+//	        over a package graph loaded and type-checked once. The checks
+//	        are wallclock and determinism-taint (wall-clock and
 //	        unseeded-rand nondeterminism, propagated through the call
 //	        graph via per-package facts), maprange (map-iteration order
 //	        leaks), lock-order (AB/BA mutex acquisition conflicts),
@@ -27,15 +28,12 @@
 //
 // Usage:
 //
-//	fluxvet                               # layers spec,src over the repo
-//	fluxvet -layers spec                  # specs only (no source tree needed)
-//	fluxvet -logs run.flxg                # + lint a persisted record log
+//	fluxvet                                 # spec and src layers over the repo
+//	fluxvet -logs run.flxg                  # + lint a persisted record log
 //	fluxvet -logs run.flxg -image app.cria  # + replay-hazard handle checks
-//	fluxvet -src /path/to/repo            # explicit repo root for src layer
-//	fluxvet -only lock-order,durability   # restrict the src layer's checks
-//	fluxvet -format sarif                 # SARIF 2.1.0 for code-scanning UIs
-//	fluxvet -timings                      # per-pass wall time on stderr
+//	fluxvet -src /path/to/repo              # explicit repo root for src layer
 //
+// Findings print one per line as file:line:col: severity: [check] message.
 // Exit status is 1 when any finding is reported, 2 on a bad invocation or
 // operational error.
 package main
@@ -44,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"flux/internal/binder"
 	"flux/internal/cria"
@@ -55,66 +52,41 @@ import (
 
 func main() {
 	var (
-		layersFlag = flag.String("layers", "spec,src", "comma-separated layers to run: spec, logs, src")
-		logsPath   = flag.String("logs", "", "persisted record log (.flxg) to lint; implies the logs layer")
+		logsPath   = flag.String("logs", "", "persisted record log (.flxg) to lint as well")
 		imagePath  = flag.String("image", "", "CRIA image whose handle table gates replay-hazard checks (requires -logs)")
 		srcRoot    = flag.String("src", ".", "repository root for the src layer")
 		fullRecord = flag.Bool("fullrecord", false, "log was produced by the full-record ablation: skip unrecorded-entry checks")
-		formatFlag = flag.String("format", "text", "output format: text, json, sarif")
-		onlyFlag   = flag.String("only", "", "comma-separated src-layer checks to run exclusively")
-		skipFlag   = flag.String("skip", "", "comma-separated src-layer checks to skip")
-		timings    = flag.Bool("timings", false, "print per-pass wall time for the src layer to stderr")
 	)
 	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	opts, err := validateFlags(explicit, *layersFlag, *logsPath, *formatFlag, *onlyFlag, *skipFlag)
-	if err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateFlags(set, *logsPath); err != nil {
 		fmt.Fprintln(os.Stderr, "fluxvet:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var findings []vet.Finding
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "fluxvet:", err)
 		os.Exit(2)
 	}
 
-	if opts.layers["spec"] {
-		findings = append(findings, runSpec()...)
-	}
-	if opts.layers["logs"] {
+	findings := runSpec()
+	if *logsPath != "" {
 		fs, err := runLogs(*logsPath, *imagePath, *fullRecord)
 		if err != nil {
 			fail(err)
 		}
 		findings = append(findings, fs...)
 	}
-	if opts.layers["src"] {
-		fs, passTimings, err := vet.RunSourceChecks(vet.DefaultSourceConfig(*srcRoot), opts.only, opts.skip)
-		if err != nil {
-			fail(err)
-		}
-		findings = append(findings, fs...)
-		if *timings {
-			for _, pt := range passTimings {
-				fmt.Fprintf(os.Stderr, "fluxvet: pass %-12s %8.3fs  %d package(s), %d finding(s)\n",
-					pt.Pass, pt.Wall.Seconds(), pt.Packages, pt.Findings)
-			}
-		}
+	fs, err := vet.RunSource(vet.DefaultSourceConfig(*srcRoot))
+	if err != nil {
+		fail(err)
 	}
+	findings = append(findings, fs...)
 
 	vet.Sort(findings)
-	switch opts.format {
-	case "json":
-		os.Stdout.Write(vet.RenderJSON(findings))
-	case "sarif":
-		os.Stdout.Write(vet.RenderSARIF(findings))
-	default:
-		for _, f := range findings {
-			fmt.Println(f.String())
-		}
+	for _, f := range findings {
+		fmt.Println(f.String())
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "fluxvet: %d finding(s)\n", len(findings))
@@ -122,77 +94,19 @@ func main() {
 	}
 }
 
-// cliOptions is the validated invocation: which layers run, the output
-// format, and the src-layer check selection.
-type cliOptions struct {
-	layers map[string]bool
-	format string
-	only   []string
-	skip   []string
-}
-
-// splitList parses a comma-separated flag value, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // validateFlags checks the flag combination (set is populated by
-// flag.Visit) before anything runs, so a bad invocation fails fast with
-// usage instead of half-running or silently no-oping.
-func validateFlags(set map[string]bool, layersFlag, logsPath, format, only, skip string) (cliOptions, error) {
-	opts := cliOptions{layers: map[string]bool{}, format: format}
-	for _, l := range splitList(layersFlag) {
-		switch l {
-		case "spec", "logs", "src":
-			opts.layers[l] = true
-		default:
-			return opts, fmt.Errorf("unknown layer %q (spec, logs, src)", l)
-		}
-	}
+// flag.Visit) before anything runs: -image and -fullrecord only shape the
+// logs layer, so without -logs they would silently do nothing.
+func validateFlags(set map[string]bool, logsPath string) error {
 	if logsPath != "" {
-		opts.layers["logs"] = true
+		return nil
 	}
-	if opts.layers["logs"] && logsPath == "" {
-		return opts, fmt.Errorf("the logs layer needs -logs <file.flxg>")
-	}
-	if set["image"] && !opts.layers["logs"] {
-		return opts, fmt.Errorf("-image only applies with -logs")
-	}
-	if set["fullrecord"] && !opts.layers["logs"] {
-		return opts, fmt.Errorf("-fullrecord only applies with -logs")
-	}
-
-	switch format {
-	case "text", "json", "sarif":
-	default:
-		return opts, fmt.Errorf("unknown -format %q (text, json, sarif)", format)
-	}
-
-	opts.only, opts.skip = splitList(only), splitList(skip)
-	if len(opts.only) > 0 && len(opts.skip) > 0 {
-		return opts, fmt.Errorf("-only and -skip are mutually exclusive")
-	}
-	for _, scoped := range []string{"only", "skip", "timings"} {
-		if set[scoped] && !opts.layers["src"] {
-			return opts, fmt.Errorf("-%s only applies with the src layer", scoped)
+	for _, name := range []string{"image", "fullrecord"} {
+		if set[name] {
+			return fmt.Errorf("-%s only applies with -logs", name)
 		}
 	}
-	known := map[string]bool{}
-	for _, c := range vet.SourceCheckNames() {
-		known[c] = true
-	}
-	for _, c := range append(append([]string(nil), opts.only...), opts.skip...) {
-		if !known[c] {
-			return opts, fmt.Errorf("unknown check %q (known: %s)", c, strings.Join(vet.SourceCheckNames(), ", "))
-		}
-	}
-	return opts, nil
+	return nil
 }
 
 // runSpec analyzes the shipped decorator specs with the shipped waiver

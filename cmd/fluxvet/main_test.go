@@ -14,49 +14,24 @@ import (
 	"flux/internal/vet"
 )
 
-// TestValidateFlags pins the flag-hygiene contract: every bad
-// combination fails fast with a message naming the offending flag, and
-// the good ones resolve to the right layer/check selection.
+// TestValidateFlags pins the flag-hygiene contract: -image and
+// -fullrecord without -logs fail fast with a message naming the flag.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		set     map[string]bool
-		layers  string
 		logs    string
-		format  string
-		only    string
-		skip    string
 		wantErr string // substring of the error, "" = must succeed
 	}{
-		{name: "defaults", layers: "spec,src", format: "text"},
-		{name: "unknown layer", layers: "spec,web", format: "text", wantErr: `unknown layer "web"`},
-		{name: "logs layer without path", layers: "logs", format: "text", wantErr: "needs -logs"},
-		{name: "logs path implies layer", layers: "spec", logs: "run.flxl", format: "text"},
-		{name: "image without logs", set: map[string]bool{"image": true}, layers: "spec,src", format: "text", wantErr: "-image only applies with -logs"},
-		{name: "fullrecord without logs", set: map[string]bool{"fullrecord": true}, layers: "src", format: "text", wantErr: "-fullrecord only applies with -logs"},
-		{name: "bad format", layers: "src", format: "yaml", wantErr: `unknown -format "yaml"`},
-		{name: "json format", layers: "src", format: "json"},
-		{name: "sarif format", layers: "src", format: "sarif"},
-		{name: "only and skip conflict", set: map[string]bool{"only": true, "skip": true}, layers: "src", format: "text",
-			only: "maprange", skip: "wallclock", wantErr: "mutually exclusive"},
-		{name: "only without src layer", set: map[string]bool{"only": true}, layers: "spec", format: "text",
-			only: "maprange", wantErr: "-only only applies with the src layer"},
-		{name: "timings without src layer", set: map[string]bool{"timings": true}, layers: "spec", format: "text",
-			wantErr: "-timings only applies with the src layer"},
-		{name: "unknown check in only", set: map[string]bool{"only": true}, layers: "src", format: "text",
-			only: "wallclocks", wantErr: `unknown check "wallclocks"`},
-		{name: "unknown check in skip", set: map[string]bool{"skip": true}, layers: "src", format: "text",
-			skip: "nosuch", wantErr: `unknown check "nosuch"`},
-		{name: "valid selection", set: map[string]bool{"only": true}, layers: "src", format: "text",
-			only: "lock-order, durability"},
+		{name: "defaults"},
+		{name: "logs path implies layer", set: map[string]bool{"logs": true}, logs: "run.flxl"},
+		{name: "image without logs", set: map[string]bool{"image": true}, wantErr: "-image only applies with -logs"},
+		{name: "fullrecord without logs", set: map[string]bool{"fullrecord": true}, wantErr: "-fullrecord only applies with -logs"},
+		{name: "image and fullrecord with logs", set: map[string]bool{"logs": true, "image": true, "fullrecord": true}, logs: "run.flxl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			set := tc.set
-			if set == nil {
-				set = map[string]bool{}
-			}
-			opts, err := validateFlags(set, tc.layers, tc.logs, tc.format, tc.only, tc.skip)
+			err := validateFlags(tc.set, tc.logs)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -64,23 +39,9 @@ func TestValidateFlags(t *testing.T) {
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("want error containing %q, got %v (opts %+v)", tc.wantErr, err, opts)
+				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 			}
 		})
-	}
-}
-
-// TestValidateFlagsSelection: comma lists are trimmed and resolved.
-func TestValidateFlagsSelection(t *testing.T) {
-	opts, err := validateFlags(map[string]bool{"only": true}, "src", "", "text", " lock-order ,durability ", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opts.only) != 2 || opts.only[0] != "lock-order" || opts.only[1] != "durability" {
-		t.Fatalf("only = %v", opts.only)
-	}
-	if !opts.layers["src"] || opts.layers["spec"] {
-		t.Fatalf("layers = %v", opts.layers)
 	}
 }
 

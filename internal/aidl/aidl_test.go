@@ -305,6 +305,54 @@ func TestMarshalCallArgsErrors(t *testing.T) {
 	}
 }
 
+// TestCheckArgs: every parcel MarshalCallArgs builds passes, for every
+// parameter type; a parcel missing, adding or mistyping an argument is
+// an error that names the argument, and checking allocates nothing.
+func TestCheckArgs(t *testing.T) {
+	itf := MustParse(`interface I {
+        void m(int a, long b, float c, boolean d, String e, in Blob f, IBinder g, ParcelFileDescriptor h);
+        void none();
+    }`)
+	m := itf.Method("m")
+	p, err := MarshalCallArgs(m, 1, int64(2), 3.5, true, "hi", Object("blob"), binder.Handle(4), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckArgs(m, p); err != nil {
+		t.Fatalf("CheckArgs on a marshalled parcel: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = CheckArgs(m, p) }); allocs != 0 {
+		t.Errorf("CheckArgs allocates %v times per call, want 0", allocs)
+	}
+	if err := CheckArgs(itf.Method("none"), binder.NewParcel()); err != nil {
+		t.Fatalf("CheckArgs on an empty call: %v", err)
+	}
+
+	short := binder.NewParcel()
+	short.WriteInt32(1)
+	if err := CheckArgs(m, short); err == nil || !strings.Contains(err.Error(), "takes 8 args, parcel holds 1") {
+		t.Errorf("missing arguments: err = %v", err)
+	}
+	if err := CheckArgs(m, binder.NewParcel()); err == nil {
+		t.Error("empty parcel accepted")
+	}
+	extra := binder.NewParcel()
+	extra.WriteInt32(1)
+	if err := CheckArgs(itf.Method("none"), extra); err == nil {
+		t.Error("extra argument accepted")
+	}
+
+	wrong := binder.NewParcel()
+	wrong.WriteInt32(1)
+	wrong.WriteInt32(2) // b is a long
+	for i := 2; i < 8; i++ {
+		wrong.WriteInt32(0)
+	}
+	if err := CheckArgs(m, wrong); err == nil || !strings.Contains(err.Error(), "arg 1 (b): parcel holds int32, want int64") {
+		t.Errorf("mistyped argument: err = %v", err)
+	}
+}
+
 func TestArgString(t *testing.T) {
 	itf := MustParse(alarmSrc)
 	m := itf.Method("set")

@@ -229,6 +229,46 @@ func marshalArg(p *binder.Parcel, param Param, arg any) error {
 	return nil
 }
 
+// CheckArgs reports whether a request parcel holds exactly what
+// MarshalCallArgs writes for m: one entry per parameter, each of the
+// kind its parameter type marshals to. Replay runs it on every parcel it
+// decodes, so a log entry whose parcel lacks or mistypes an argument is
+// an error there rather than a panic in the service's dispatch code.
+func CheckArgs(m *Method, p *binder.Parcel) error {
+	if p.Len() != len(m.Params) {
+		return fmt.Errorf("aidl: %s takes %d args, parcel holds %d entries", m.Name, len(m.Params), p.Len())
+	}
+	for i, param := range m.Params {
+		if got, want := p.KindAt(i), parcelKind(param.Type); got != want {
+			return fmt.Errorf("aidl: %s arg %d (%s): parcel holds %v, want %v", m.Name, i, param.Name, got, want)
+		}
+	}
+	return nil
+}
+
+// parcelKind is the parcel entry kind marshalArg writes for t.
+func parcelKind(t Type) binder.Kind {
+	switch t {
+	case TypeInt:
+		return binder.KindInt32
+	case TypeLong:
+		return binder.KindInt64
+	case TypeFloat:
+		return binder.KindFloat64
+	case TypeBool:
+		return binder.KindBool
+	case TypeString, TypeParcelable:
+		return binder.KindString
+	case TypeBytes:
+		return binder.KindBytes
+	case TypeBinder:
+		return binder.KindHandle
+	case TypeFD:
+		return binder.KindFD
+	}
+	return 0
+}
+
 func toInt64(arg any) (int64, bool) {
 	switch v := arg.(type) {
 	case int:

@@ -401,7 +401,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 	if data != nil && data.hasHandle() {
 		delivered = data.Clone()
 		for i := range delivered.entries {
-			if delivered.entries[i].kind != kindHandle {
+			if delivered.entries[i].kind != KindHandle {
 				continue
 			}
 			src, ok := p.handles[Handle(delivered.entries[i].i64)]
@@ -437,7 +437,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 		if call.Reply.hasHandle() {
 			d.mu.Lock()
 			for i := range call.Reply.entries {
-				if call.Reply.entries[i].kind != kindHandle {
+				if call.Reply.entries[i].kind != KindHandle {
 					continue
 				}
 				src, ok := node.owner.handles[Handle(call.Reply.entries[i].i64)]

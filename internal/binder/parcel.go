@@ -17,43 +17,44 @@ type Parcel struct {
 	rpos    int
 }
 
-type entryKind uint8
+// Kind is the type tag of one parcel entry.
+type Kind uint8
 
 const (
-	kindInt32 entryKind = iota + 1
-	kindInt64
-	kindFloat64
-	kindBool
-	kindString
-	kindBytes
-	kindHandle // a Binder object reference (per-process handle id)
-	kindFD     // a file descriptor number
+	KindInt32 Kind = iota + 1
+	KindInt64
+	KindFloat64
+	KindBool
+	KindString
+	KindBytes
+	KindHandle // a Binder object reference (per-process handle id)
+	KindFD     // a file descriptor number
 )
 
-func (k entryKind) String() string {
+func (k Kind) String() string {
 	switch k {
-	case kindInt32:
+	case KindInt32:
 		return "int32"
-	case kindInt64:
+	case KindInt64:
 		return "int64"
-	case kindFloat64:
+	case KindFloat64:
 		return "float64"
-	case kindBool:
+	case KindBool:
 		return "bool"
-	case kindString:
+	case KindString:
 		return "string"
-	case kindBytes:
+	case KindBytes:
 		return "bytes"
-	case kindHandle:
+	case KindHandle:
 		return "handle"
-	case kindFD:
+	case KindFD:
 		return "fd"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 type entry struct {
-	kind entryKind
+	kind Kind
 	i64  int64
 	f64  float64
 	str  string
@@ -65,6 +66,15 @@ func NewParcel() *Parcel { return &Parcel{} }
 
 // Len reports the number of entries written to the parcel.
 func (p *Parcel) Len() int { return len(p.entries) }
+
+// KindAt reports the kind of the i-th entry, independent of the read
+// cursor, or 0 when the parcel has no such entry.
+func (p *Parcel) KindAt(i int) Kind {
+	if i < 0 || i >= len(p.entries) {
+		return 0
+	}
+	return p.entries[i].kind
+}
 
 // Reset rewinds the read cursor so the parcel can be re-read from the start.
 func (p *Parcel) Reset() { p.rpos = 0 }
@@ -84,41 +94,41 @@ func (p *Parcel) Clone() *Parcel {
 }
 
 func (p *Parcel) WriteInt32(v int32) {
-	p.entries = append(p.entries, entry{kind: kindInt32, i64: int64(v)})
+	p.entries = append(p.entries, entry{kind: KindInt32, i64: int64(v)})
 }
-func (p *Parcel) WriteInt64(v int64) { p.entries = append(p.entries, entry{kind: kindInt64, i64: v}) }
+func (p *Parcel) WriteInt64(v int64) { p.entries = append(p.entries, entry{kind: KindInt64, i64: v}) }
 func (p *Parcel) WriteFloat64(v float64) {
-	p.entries = append(p.entries, entry{kind: kindFloat64, f64: v})
+	p.entries = append(p.entries, entry{kind: KindFloat64, f64: v})
 }
 func (p *Parcel) WriteBool(v bool) {
 	var i int64
 	if v {
 		i = 1
 	}
-	p.entries = append(p.entries, entry{kind: kindBool, i64: i})
+	p.entries = append(p.entries, entry{kind: KindBool, i64: i})
 }
 func (p *Parcel) WriteString(v string) {
-	p.entries = append(p.entries, entry{kind: kindString, str: v})
+	p.entries = append(p.entries, entry{kind: KindString, str: v})
 }
 func (p *Parcel) WriteBytes(v []byte) {
 	b := make([]byte, len(v))
 	copy(b, v)
-	p.entries = append(p.entries, entry{kind: kindBytes, b: b})
+	p.entries = append(p.entries, entry{kind: KindBytes, b: b})
 }
 
 // WriteHandle appends a Binder object reference. The handle id is only
 // meaningful within the sending process; the driver translates it in flight.
 func (p *Parcel) WriteHandle(h Handle) {
-	p.entries = append(p.entries, entry{kind: kindHandle, i64: int64(h)})
+	p.entries = append(p.entries, entry{kind: KindHandle, i64: int64(h)})
 }
 
 // WriteFD appends a file descriptor number. Like handles, fds are
 // process-local; CRIA records them so restore can reserve the same numbers.
-func (p *Parcel) WriteFD(fd int) { p.entries = append(p.entries, entry{kind: kindFD, i64: int64(fd)}) }
+func (p *Parcel) WriteFD(fd int) { p.entries = append(p.entries, entry{kind: KindFD, i64: int64(fd)}) }
 
 var errParcelExhausted = fmt.Errorf("binder: parcel exhausted")
 
-func (p *Parcel) next(k entryKind) (entry, error) {
+func (p *Parcel) next(k Kind) (entry, error) {
 	if p.rpos >= len(p.entries) {
 		return entry{}, errParcelExhausted
 	}
@@ -131,42 +141,42 @@ func (p *Parcel) next(k entryKind) (entry, error) {
 }
 
 func (p *Parcel) ReadInt32() (int32, error) {
-	e, err := p.next(kindInt32)
+	e, err := p.next(KindInt32)
 	return int32(e.i64), err
 }
 
 func (p *Parcel) ReadInt64() (int64, error) {
-	e, err := p.next(kindInt64)
+	e, err := p.next(KindInt64)
 	return e.i64, err
 }
 
 func (p *Parcel) ReadFloat64() (float64, error) {
-	e, err := p.next(kindFloat64)
+	e, err := p.next(KindFloat64)
 	return e.f64, err
 }
 
 func (p *Parcel) ReadBool() (bool, error) {
-	e, err := p.next(kindBool)
+	e, err := p.next(KindBool)
 	return e.i64 != 0, err
 }
 
 func (p *Parcel) ReadString() (string, error) {
-	e, err := p.next(kindString)
+	e, err := p.next(KindString)
 	return e.str, err
 }
 
 func (p *Parcel) ReadBytes() ([]byte, error) {
-	e, err := p.next(kindBytes)
+	e, err := p.next(KindBytes)
 	return e.b, err
 }
 
 func (p *Parcel) ReadHandle() (Handle, error) {
-	e, err := p.next(kindHandle)
+	e, err := p.next(KindHandle)
 	return Handle(e.i64), err
 }
 
 func (p *Parcel) ReadFD() (int, error) {
-	e, err := p.next(kindFD)
+	e, err := p.next(KindFD)
 	return int(e.i64), err
 }
 
@@ -195,15 +205,15 @@ func (p *Parcel) Size() int {
 	for _, e := range p.entries {
 		n++ // kind tag
 		switch e.kind {
-		case kindInt32:
+		case KindInt32:
 			n += 4
-		case kindInt64, kindFloat64, kindHandle, kindFD:
+		case KindInt64, KindFloat64, KindHandle, KindFD:
 			n += 8
-		case kindBool:
+		case KindBool:
 			n++
-		case kindString:
+		case KindString:
 			n += 4 + len(e.str)
-		case kindBytes:
+		case KindBytes:
 			n += 4 + len(e.b)
 		}
 	}
@@ -217,22 +227,22 @@ func (p *Parcel) Marshal() []byte {
 	for _, e := range p.entries {
 		buf = append(buf, byte(e.kind))
 		switch e.kind {
-		case kindInt32:
+		case KindInt32:
 			buf = binary.BigEndian.AppendUint32(buf, uint32(e.i64))
-		case kindInt64, kindHandle, kindFD:
+		case KindInt64, KindHandle, KindFD:
 			buf = binary.BigEndian.AppendUint64(buf, uint64(e.i64))
-		case kindFloat64:
+		case KindFloat64:
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.f64))
-		case kindBool:
+		case KindBool:
 			b := byte(0)
 			if e.i64 != 0 {
 				b = 1
 			}
 			buf = append(buf, b)
-		case kindString:
+		case KindString:
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.str)))
 			buf = append(buf, e.str...)
-		case kindBytes:
+		case KindBytes:
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.b)))
 			buf = append(buf, e.b...)
 		}
@@ -247,50 +257,59 @@ func UnmarshalParcel(data []byte) (*Parcel, error) {
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
+	// Every entry takes at least two bytes (a kind tag and a bool), so a
+	// count the remaining bytes cannot hold is refused before it sizes
+	// the entry slice.
+	if uint64(n) > uint64(len(data))/2 {
+		return nil, fmt.Errorf("binder: parcel claims %d entries in %d bytes", n, len(data))
+	}
 	p := &Parcel{entries: make([]entry, 0, n)}
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 1 {
 			return nil, fmt.Errorf("binder: parcel truncated at entry %d", i)
 		}
-		k := entryKind(data[0])
+		k := Kind(data[0])
 		data = data[1:]
 		var e entry
 		e.kind = k
 		switch k {
-		case kindInt32:
+		case KindInt32:
 			if len(data) < 4 {
 				return nil, fmt.Errorf("binder: parcel truncated int32 at entry %d", i)
 			}
 			e.i64 = int64(int32(binary.BigEndian.Uint32(data)))
 			data = data[4:]
-		case kindInt64, kindHandle, kindFD:
+		case KindInt64, KindHandle, KindFD:
 			if len(data) < 8 {
 				return nil, fmt.Errorf("binder: parcel truncated int64 at entry %d", i)
 			}
 			e.i64 = int64(binary.BigEndian.Uint64(data))
 			data = data[8:]
-		case kindFloat64:
+		case KindFloat64:
 			if len(data) < 8 {
 				return nil, fmt.Errorf("binder: parcel truncated float64 at entry %d", i)
 			}
 			e.f64 = math.Float64frombits(binary.BigEndian.Uint64(data))
 			data = data[8:]
-		case kindBool:
+		case KindBool:
 			if len(data) < 1 {
 				return nil, fmt.Errorf("binder: parcel truncated bool at entry %d", i)
 			}
-			if data[0] != 0 {
-				e.i64 = 1
+			// Marshal writes only 0 or 1; refusing other bytes keeps
+			// every accepted parcel's wire form canonical.
+			if data[0] > 1 {
+				return nil, fmt.Errorf("binder: parcel bool at entry %d is %d, not 0 or 1", i, data[0])
 			}
+			e.i64 = int64(data[0])
 			data = data[1:]
-		case kindString:
+		case KindString:
 			s, rest, err := readLenPrefixed(data, i)
 			if err != nil {
 				return nil, err
 			}
 			e.str = string(s)
 			data = rest
-		case kindBytes:
+		case KindBytes:
 			b, rest, err := readLenPrefixed(data, i)
 			if err != nil {
 				return nil, err
@@ -326,7 +345,7 @@ func readLenPrefixed(data []byte, i uint32) (payload, rest []byte, err error) {
 func (p *Parcel) Handles() []Handle {
 	var hs []Handle
 	for _, e := range p.entries {
-		if e.kind == kindHandle {
+		if e.kind == KindHandle {
 			hs = append(hs, Handle(e.i64))
 		}
 	}
@@ -337,7 +356,7 @@ func (p *Parcel) Handles() []Handle {
 // transact makes on every call without collecting them as Handles does.
 func (p *Parcel) hasHandle() bool {
 	for _, e := range p.entries {
-		if e.kind == kindHandle {
+		if e.kind == KindHandle {
 			return true
 		}
 	}
@@ -353,20 +372,20 @@ func (p *Parcel) EntryString(i int) (string, error) {
 	}
 	e := p.entries[i]
 	switch e.kind {
-	case kindString:
+	case KindString:
 		return "s:" + e.str, nil
-	case kindBytes:
+	case KindBytes:
 		return fmt.Sprintf("b:%x", e.b), nil
-	case kindFloat64:
+	case KindFloat64:
 		return fmt.Sprintf("f:%g", e.f64), nil
-	case kindBool:
+	case KindBool:
 		if e.i64 != 0 {
 			return "t", nil
 		}
 		return "f", nil
-	case kindHandle:
+	case KindHandle:
 		return "h:" + strconv.FormatInt(e.i64, 10), nil
-	case kindFD:
+	case KindFD:
 		return "fd:" + strconv.FormatInt(e.i64, 10), nil
 	default:
 		return "i:" + strconv.FormatInt(e.i64, 10), nil
@@ -381,17 +400,17 @@ func (p *Parcel) String() string {
 			s += " "
 		}
 		switch e.kind {
-		case kindString:
+		case KindString:
 			s += fmt.Sprintf("%q", e.str)
-		case kindBytes:
+		case KindBytes:
 			s += fmt.Sprintf("bytes(%d)", len(e.b))
-		case kindFloat64:
+		case KindFloat64:
 			s += fmt.Sprintf("%g", e.f64)
-		case kindBool:
+		case KindBool:
 			s += fmt.Sprintf("%t", e.i64 != 0)
-		case kindHandle:
+		case KindHandle:
 			s += fmt.Sprintf("h#%d", e.i64)
-		case kindFD:
+		case KindFD:
 			s += fmt.Sprintf("fd:%d", e.i64)
 		default:
 			s += fmt.Sprintf("%d", e.i64)

@@ -2,8 +2,10 @@ package binder
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +124,33 @@ func TestParcelUnmarshalTrailingGarbage(t *testing.T) {
 	wire := append(p.Marshal(), 0xFF)
 	if _, err := UnmarshalParcel(wire); err == nil {
 		t.Fatal("UnmarshalParcel accepted trailing bytes")
+	}
+}
+
+// TestParcelUnmarshalHugeCount: a 4-byte header that claims 1<<20
+// entries is refused before it sizes the entry slice (64 bytes an
+// entry, so 64 MiB if it were trusted).
+func TestParcelUnmarshalHugeCount(t *testing.T) {
+	wire := binary.BigEndian.AppendUint32(nil, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalParcel(wire)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("UnmarshalParcel accepted a count its bytes cannot hold")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Errorf("refusing the header allocated %d bytes, want < 4 KB", got)
+	}
+}
+
+func TestParcelUnmarshalNonCanonicalBool(t *testing.T) {
+	p := NewParcel()
+	p.WriteBool(true)
+	wire := p.Marshal()
+	wire[len(wire)-1] = 2
+	if _, err := UnmarshalParcel(wire); err == nil {
+		t.Fatal("UnmarshalParcel accepted a bool byte of 2")
 	}
 }
 

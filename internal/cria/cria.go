@@ -285,7 +285,8 @@ type Restored struct {
 // PID namespace, memory map, descriptor table, and Binder handles re-bound
 // to the guest's services at their original ids. Graphics state is not
 // restored; conditional initialization rebuilds it at foreground time.
-func Restore(img *Image, opts RestoreOptions) (*Restored, error) {
+// A restore that fails leaves no app instance behind on the guest.
+func Restore(img *Image, opts RestoreOptions) (_ *Restored, err error) {
 	if opts.Runtime == nil {
 		return nil, fmt.Errorf("cria: RestoreOptions.Runtime is required")
 	}
@@ -313,6 +314,11 @@ func Restore(img *Image, opts RestoreOptions) (*Restored, error) {
 		wrapSec.End()
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			opts.Runtime.Kill(app)
+		}
+	}()
 	wrapSec.Attr(obs.Int64("vpid", int64(img.VPID))).End()
 	proc := app.Process()
 	// Memory: replace the default mappings with the checkpointed set plus

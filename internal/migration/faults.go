@@ -13,14 +13,16 @@
 //     below the image size for any recovered run.
 //   - Capped exponential backoff on the virtual clock, bounded by a
 //     per-stage timeout and a per-unit retry cap (RetryPolicy).
-//   - Rollback-to-home. If retries exhaust, the guest's partial state is
-//     discarded and the home device foregrounds the still-intact app —
-//     the app is never lost. The error wraps ErrRolledBack and the
-//     report says Outcome == OutcomeRolledBack.
+//   - Rollback-to-home. If retries exhaust, or any stage fails after the
+//     checkpoint, the guest's partial state is discarded and the home
+//     device foregrounds the still-intact app — the app is never lost.
+//     The error wraps ErrRolledBack and the report says
+//     Outcome == OutcomeRolledBack.
 //
-// Everything here is gated behind a non-nil faults.Injector: a run
-// without one takes none of these paths and is bit-identical (timings,
-// bytes, metrics, spans) to a build without the subsystem.
+// Everything here but rollback is gated behind a non-nil
+// faults.Injector: a run without one takes none of these paths and is
+// bit-identical (timings, bytes, metrics, spans) to a build without the
+// subsystem.
 
 package migration
 
@@ -40,16 +42,17 @@ const (
 	// OutcomeOK is a migration that completed and foregrounded on the
 	// guest.
 	OutcomeOK = "ok"
-	// OutcomeRolledBack is a migration whose fault recovery exhausted
-	// its retries: the guest's partial state was discarded and the home
+	// OutcomeRolledBack is a migration that failed after the checkpoint
+	// (fault recovery exhausted its retries, or a stage returned an
+	// error): the guest's partial state was discarded and the home
 	// device foregrounded the intact app.
 	OutcomeRolledBack = "rolled-back-to-home"
 )
 
-// ErrRolledBack reports a migration that failed over faults but
-// recovered the app on the home device. The app is runnable at home;
-// no state was lost.
-var ErrRolledBack = errors.New("migration: recovery retries exhausted; rolled back to home device")
+// ErrRolledBack reports a migration that failed after the checkpoint
+// but recovered the app on the home device. The app is runnable at
+// home; no state was lost. The wrapping error names the cause.
+var ErrRolledBack = errors.New("migration: rolled back to home device")
 
 // RetryPolicy bounds fault recovery. The zero value means defaults
 // (DefaultRetryPolicy) — callers only set fields they want to pin.
@@ -255,8 +258,9 @@ func (fr *faultRun) stageRecovery(sp *obs.Span, stage Stage, site faults.Site, a
 // rollback discards the guest's partial state and restores the app to
 // the foreground on the home device. The home app is intact by
 // construction: Migrate kills it only in post-migration bookkeeping,
-// which runs strictly after every fault site. Returns the report (with
-// Outcome set) and an error wrapping ErrRolledBack.
+// which runs strictly after every error and fault site. Returns the
+// report (with Outcome set) and an error wrapping ErrRolledBack and
+// naming the cause.
 func (m *Migrator) rollback(rep *Report, homeApp, guestApp *android.App, cause error) (*Report, error) {
 	if guestApp != nil {
 		m.Guest.Runtime.Kill(guestApp)

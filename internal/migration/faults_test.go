@@ -105,10 +105,24 @@ func TestFaultRecoveryAddsTransferTime(t *testing.T) {
 	}
 }
 
-// assertRolledBackHome checks the rollback contract: ErrRolledBack, the
-// report says so, the guest holds nothing, and the app is alive,
-// foregrounded, and startable on the home device.
+// assertRolledBackHome checks the rollback contract (assertRolledBack)
+// and that the app is startable again: migrating without faults works.
 func assertRolledBackHome(t *testing.T, w *world, rep *migration.Report, err error) {
+	t.Helper()
+	assertRolledBack(t, w, rep, err)
+	rep2, err2 := migrateWith(t, w, migration.Options{})
+	if err2 != nil {
+		t.Fatalf("re-migration after rollback failed: %v", err2)
+	}
+	if !rep2.StateConsistent() {
+		t.Error("re-migration after rollback lost state")
+	}
+}
+
+// assertRolledBack checks that a migration rolled back: ErrRolledBack,
+// the report says so, the guest holds no instance and no service state
+// for the app, and the app is alive and foregrounded on the home device.
+func assertRolledBack(t *testing.T, w *world, rep *migration.Report, err error) {
 	t.Helper()
 	if !errors.Is(err, migration.ErrRolledBack) {
 		t.Fatalf("err = %v, want ErrRolledBack", err)
@@ -122,6 +136,9 @@ func assertRolledBackHome(t *testing.T, w *world, rep *migration.Report, err err
 	if w.guest.Runtime.App(pkg) != nil {
 		t.Error("guest still runs a partial app instance after rollback")
 	}
+	if st := w.guest.System.AppState(pkg); len(st) != 0 {
+		t.Errorf("guest keeps service state for the app after rollback: %v", st)
+	}
 	app := w.home.Runtime.App(pkg)
 	if app == nil {
 		t.Fatal("home lost the app — rollback must keep it intact")
@@ -131,14 +148,6 @@ func assertRolledBackHome(t *testing.T, w *world, rep *migration.Report, err err
 	}
 	if hi := w.home.Installed(pkg); hi == nil || hi.MigratedTo != "" {
 		t.Error("home install marked migrated-away after rollback")
-	}
-	// And the proof of "runnable": migrating again without faults works.
-	rep2, err2 := migrateWith(t, w, migration.Options{})
-	if err2 != nil {
-		t.Fatalf("re-migration after rollback failed: %v", err2)
-	}
-	if !rep2.StateConsistent() {
-		t.Error("re-migration after rollback lost state")
 	}
 }
 

@@ -130,7 +130,7 @@ type Report struct {
 	CacheNegotiationBytes int64
 	// Outcome is the migration's terminal state: OutcomeOK,
 	// OutcomeRolledBack, or "" when the run was refused before the
-	// pipeline started (precondition errors).
+	// checkpoint (precondition errors).
 	Outcome string
 	// Retries counts fault-recovery attempts across all stages (zero
 	// without fault injection).
@@ -306,6 +306,11 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	if app == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotRunning, pkg)
 	}
+	// A rollback discards the guest's state for the app, so a guest that
+	// runs its own instance is refused before anything moves.
+	if m.Guest.Runtime.App(pkg) != nil {
+		return nil, fmt.Errorf("migration: %s is already running on %s", pkg, m.Guest.Name())
+	}
 	if app.Spec().APIKLevel > apiLevel(m.Guest.Profile().AndroidVersion) {
 		return nil, fmt.Errorf("%w: needs API %d", ErrAPILevel, app.Spec().APIKLevel)
 	}
@@ -384,6 +389,8 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		sp.End()
 		return nil, err
 	}
+	// The checkpoint is taken: from here on every error rolls back, so
+	// the home app returns to the foreground and the guest keeps nothing.
 	rep.StateBefore = m.Home.System.AppState(pkg)
 	rep.ImageBytes = img.PayloadBytes()
 	// Delta migration ships the FXC3 container revision, whose per-block
@@ -393,7 +400,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	imgBytes, err := img.Marshal()
 	if err != nil {
 		sp.End()
-		return nil, err
+		return m.rollback(rep, app, nil, err)
 	}
 	rep.CompressedImageBytes = img.WireBytes(imgBytes)
 	rep.RecordLogBytes = int64(len(img.RecordLog))
@@ -403,7 +410,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		chunks, cerr := img.Chunks(imgBytes, m.chunkBytes())
 		if cerr != nil {
 			sp.End()
-			return nil, cerr
+			return m.rollback(rep, app, nil, cerr)
 		}
 		if m.Opts.Cache != nil {
 			dp = m.negotiate(chunks, fr)
@@ -440,7 +447,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	apkDelta, err := pairing.VerifyAPK(m.Home, m.Guest, pkg)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return m.rollback(rep, app, nil, err)
 	}
 	rep.APKDeltaBytes = apkDelta
 	rep.DataDeltaBytes = m.syncAppData(pkg)
@@ -534,12 +541,12 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		mut := bytes.Clone(imgBytes)
 		mut[len(mut)/2] ^= 0x20
 		if _, cerr := cria.Unmarshal(mut); cerr == nil {
-			return nil, errors.New("migration: corrupted image decoded cleanly; container CRC layer is broken")
+			return m.rollback(rep, app, nil, errors.New("corrupted image decoded cleanly; container CRC layer is broken"))
 		}
 	}
 	img, err = cria.Unmarshal(imgBytes)
 	if err != nil {
-		return nil, fmt.Errorf("migration: image did not survive transfer: %w", err)
+		return m.rollback(rep, app, nil, fmt.Errorf("image did not survive transfer: %w", err))
 	}
 	if fr != nil && m.Opts.VerifyLog && len(img.RecordLog) > 0 && fr.inj.Should(faults.LogTamper) {
 		// Tamper with the log AFTER the container integrity layer was
@@ -566,15 +573,11 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	}
 	restored, err := cria.Restore(img, cria.RestoreOptions{Runtime: m.Guest.Runtime, Span: sp})
 	if err != nil {
+		// Nothing is left standing on the guest (a failed Restore
+		// discards what it built), and a log that anchor verification
+		// refused is never replayed.
 		sp.End()
-		if errors.Is(err, cria.ErrLogTampered) {
-			// Anchor verification caught a log that is not what the home
-			// device recorded. Nothing was stood up on the guest; roll
-			// back to the still-running home app rather than replay a
-			// wrong log.
-			return m.rollback(rep, app, nil, err)
-		}
-		return nil, err
+		return m.rollback(rep, app, nil, err)
 	}
 	var restoreDur time.Duration
 	if plan != nil {
@@ -621,7 +624,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	rep.ReplayStats = stats
 	if err != nil {
 		sp.End()
-		return nil, err
+		return m.rollback(rep, app, restored.App, err)
 	}
 	// Inform the app of connectivity and hardware changes, then foreground.
 	m.Guest.Runtime.InjectConnectivityChange(restored.App, m.Guest.System.Connectivity.Network())
@@ -631,7 +634,8 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 		Extras: map[string]string{"gpu": m.Guest.Profile().GPU.Model},
 	})
 	if err := m.Guest.Runtime.Foreground(restored.App); err != nil {
-		return nil, fmt.Errorf("migration: foreground: %w", err)
+		sp.End()
+		return m.rollback(rep, app, restored.App, fmt.Errorf("foreground: %w", err))
 	}
 	var reintDur time.Duration
 	if plan != nil {

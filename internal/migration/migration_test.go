@@ -3,6 +3,7 @@ package migration_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"flux/internal/device"
 	"flux/internal/migration"
 	"flux/internal/pairing"
+	"flux/internal/record"
 	"flux/internal/rsyncx"
 	"flux/internal/services"
 )
@@ -538,5 +540,84 @@ func TestCompressionAblation(t *testing.T) {
 	}
 	if raw.Timings[migration.StageTransfer] <= comp.Timings[migration.StageTransfer] {
 		t.Error("compression did not reduce transfer time")
+	}
+}
+
+// appendWifiEntry puts a setWifiEnabled entry with the given request
+// bytes on handle h straight into the home log, as a corrupted or forged
+// log would carry it.
+func (w *world) appendWifiEntry(h binder.Handle, data []byte) {
+	m := services.WifiInterface.Method("setWifiEnabled")
+	w.home.Recorder.Log().Append(&record.Entry{
+		App: pkg, Service: "wifi", Interface: services.WifiInterface.Name,
+		Method: m.Name, Code: m.Code, Handle: h,
+		At: w.home.Kernel.Clock().Now(), Data: data,
+	})
+}
+
+// TestRollbackOnReplayError: a well-formed entry on a handle the app
+// never held fails replay after the checkpoint. The migration rolls back
+// with the cause in its error, so no guest instance is left running and
+// the home app returns to the foreground.
+func TestRollbackOnReplayError(t *testing.T) {
+	w := newWorld(t, spec())
+	w.runWorkload(t)
+	data, err := aidl.MarshalCallArgs(services.WifiInterface.Method("setWifiEnabled"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.appendWifiEntry(999, data.Marshal())
+	rep, err := migration.New(w.home, w.guest, migration.Options{}).Migrate(pkg)
+	assertRolledBack(t, w, rep, err)
+	if !strings.Contains(err.Error(), "bad handle: 999") {
+		t.Errorf("rollback error does not name the cause: %v", err)
+	}
+}
+
+// TestRollbackOnShortParcel: an entry whose request parcel lacks its
+// method's argument, on the app's real wifi handle, rolls back instead
+// of panicking in the wifi service's dispatch code.
+func TestRollbackOnShortParcel(t *testing.T) {
+	w := newWorld(t, spec())
+	w.runWorkload(t)
+	wifi := w.client(t, services.WifiInterface, "wifi")
+	w.appendWifiEntry(wifi.Handle, binder.NewParcel().Marshal())
+	rep, err := migration.New(w.home, w.guest, migration.Options{}).Migrate(pkg)
+	assertRolledBack(t, w, rep, err)
+	if !strings.Contains(err.Error(), "setWifiEnabled takes 1 args, parcel holds 0 entries") {
+		t.Errorf("rollback error does not name the cause: %v", err)
+	}
+}
+
+// TestGuestRunningAppRefused: a guest that already runs the app is
+// refused before the checkpoint, so the migration cannot roll back, and
+// so wipe, the guest's own instance and its service state; the home app
+// stays in the foreground.
+func TestGuestRunningAppRefused(t *testing.T) {
+	w := newWorld(t, spec())
+	w.runWorkload(t)
+	native, err := w.guest.Runtime.Launch(spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	notif, err := aidl.NewClient(services.NotificationInterface, native.Process().Binder(), "notification")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.call(t, notif, "enqueueNotification", 5, aidl.Object("n:guest-native"))
+	before := w.guest.System.AppState(pkg)
+
+	rep, err := migration.New(w.home, w.guest, migration.Options{}).Migrate(pkg)
+	if err == nil || rep != nil || errors.Is(err, migration.ErrRolledBack) {
+		t.Fatalf("Migrate = (%v, %v), want a refusal", rep, err)
+	}
+	if w.guest.Runtime.App(pkg) != native {
+		t.Error("guest lost its own instance")
+	}
+	if after := w.guest.System.AppState(pkg); len(after) == 0 || len(after) != len(before) {
+		t.Errorf("guest service state changed: %v -> %v", before, after)
+	}
+	if act := w.app.TopActivity(); act == nil || act.State() != android.StateResumed {
+		t.Error("home app left the foreground")
 	}
 }

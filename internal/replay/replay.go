@@ -18,6 +18,9 @@
 // Everything else replays through the restored app's own Binder handles,
 // which CRIA re-bound to the guest's services at the original handle ids —
 // so a recorded parcel replays bit-for-bit, including embedded handles.
+// Every request parcel replay decodes is first checked against its
+// method's signature (aidl.CheckArgs): a malformed log entry is an error,
+// never a panic in the service that would read it.
 package replay
 
 import (
@@ -210,7 +213,7 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 			}
 			continue
 		}
-		data, err := entry.Parcel()
+		data, err := request(entry, m)
 		if err != nil {
 			return stats, fmt.Errorf("replay: entry %d parcel: %w", entry.Seq, err)
 		}
@@ -222,10 +225,24 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 	return stats, nil
 }
 
+// request decodes an entry's request parcel and checks it against m's
+// signature, so neither a proxy nor the service it reaches can read past
+// a short or mistyped parcel.
+func request(e *record.Entry, m *aidl.Method) (*binder.Parcel, error) {
+	data, err := e.Parcel()
+	if err != nil {
+		return nil, err
+	}
+	if err := aidl.CheckArgs(m, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
 // AlarmMgrSet is the paper's Figure 10 proxy: verify the alarm is still in
 // the future relative to the checkpoint instant, then re-issue the set.
 func AlarmMgrSet(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
-	data, err := e.Parcel()
+	data, err := request(e, m)
 	if err != nil {
 		return false, err
 	}
@@ -243,7 +260,7 @@ func AlarmMgrSet(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
 // ratio, for both setStreamVolume(stream,index,flags) and
 // adjustStreamVolume(stream,direction,flags).
 func AudioSetStreamVolume(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
-	data, err := e.Parcel()
+	data, err := request(e, m)
 	if err != nil {
 		return false, err
 	}

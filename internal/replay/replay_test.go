@@ -193,6 +193,37 @@ func TestReplayUnknownInterfaceFails(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesShortParcels: an entry whose request parcel lacks its
+// method's arguments is an error naming the entry, on the verbatim path
+// and through both proxies that decode the request, never a panic in
+// the service's dispatch code.
+func TestReplayRefusesShortParcels(t *testing.T) {
+	dev, app := guestApp(t)
+	ctx := &replay.Context{
+		Pkg: pkg, AppProc: app.Process().Binder(), KernProc: app.Process(),
+		System: dev.System, CheckpointTime: kernel.Epoch, HomeVolumeSteps: 15,
+	}
+	for _, c := range []struct {
+		itf             *aidl.Interface
+		service, method string
+	}{
+		{services.WifiInterface, "wifi", "setWifiEnabled"},
+		{services.AlarmInterface, "alarm", "set"},
+		{services.AudioInterface, "audio", "setStreamVolume"},
+	} {
+		m := c.itf.Method(c.method)
+		e := &record.Entry{
+			Seq: 7, App: pkg, Service: c.service, Interface: c.itf.Name, Method: c.method,
+			Code: m.Code, Handle: bind(t, app, c.service), At: kernel.Epoch,
+			Data: binder.NewParcel().Marshal(),
+		}
+		_, err := replay.NewEngine().Replay(ctx, []*record.Entry{e})
+		if err == nil || !strings.Contains(err.Error(), "entry 7") || !strings.Contains(err.Error(), "parcel holds 0 entries") {
+			t.Errorf("%s.%s with an empty parcel: err = %v", c.itf.Name, c.method, err)
+		}
+	}
+}
+
 func TestReplayStatsTotal(t *testing.T) {
 	s := replay.Stats{Replayed: 1, Proxied: 2, SkippedExpired: 3, SkippedMissingHW: 4, Forwarded: 5}
 	if s.Total() != 15 {

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
 // The layer-3 pass driver: a miniature go/analysis multichecker built on
@@ -18,14 +16,14 @@ import (
 // The driver loads and type-checks the union of every configured
 // directory scope exactly once, topologically sorts the resulting
 // package units along module-internal import edges, and then runs every
-// selected pass concurrently — one goroutine per pass, each visiting
-// the units in dependency order so a pass's per-package facts (taint
-// summaries, lock sets, magic registries) are always exported by an
-// imported package before an importer asks for them. Findings from all
-// passes merge, flow through the //fluxvet:allow directive filter (which
-// marks directives used), and gain the driver's own hygiene findings:
-// stale-allow for a directive that suppressed nothing and unknown-allow
-// for a directive naming a check that does not exist.
+// registered pass in turn, each visiting the units in dependency order
+// so a pass's per-package facts (taint summaries, lock sets, magic
+// registries) are always exported by an imported package before an
+// importer asks for them. Findings from all passes merge, flow through
+// the //fluxvet:allow directive filter (which marks directives used),
+// and gain the driver's own hygiene findings: stale-allow for a
+// directive that suppressed nothing and unknown-allow for a directive
+// naming a check that does not exist.
 
 // unit is one loaded package: the parse/type-check result plus its place
 // in the module's import graph.
@@ -40,10 +38,9 @@ type unit struct {
 }
 
 // Facts is a per-pass store of exported per-package facts, keyed by
-// (package import path, object name). Each pass owns a private instance
-// and is the only goroutine touching it, so no locking is needed; the
-// topological unit order guarantees an importer sees its dependencies'
-// exports.
+// (package import path, object name). Each pass owns a private instance;
+// the topological unit order guarantees an importer sees its
+// dependencies' exports.
 type Facts struct {
 	m map[factKey]any
 }
@@ -76,168 +73,70 @@ type passCtx struct {
 // report says whether findings in u's directory should be emitted.
 func (pc *passCtx) report(u *unit) bool { return pc.scope[u.dir] }
 
-// passDef is one registered pass: a name, the checks it can emit, its
-// reporting scope, and the analysis body. run is called once per driver
-// invocation with every unit; interprocedural passes iterate the units
-// (already in dependency order), export facts as they go, and may do a
-// whole-program reconciliation at the end before returning findings.
+// passDef is one registered pass: its reporting scope and the analysis
+// body. run is called once per driver invocation with every unit;
+// interprocedural passes iterate the units (already in dependency
+// order), export facts as they go, and may do a whole-program
+// reconciliation at the end before returning findings.
 type passDef struct {
-	name   string
-	checks []string
-	scope  func(cfg SourceConfig) []string
-	run    func(pc *passCtx) []Finding
+	scope func(cfg SourceConfig) []string
+	run   func(pc *passCtx) []Finding
 }
 
-// passes is the driver's registry, in stable order.
+// passRegistry lists the driver's passes in the order they run.
 func passRegistry() []passDef {
 	return []passDef{
-		{
-			name:   "determinism",
-			checks: []string{CheckWallClock, CheckDeterminismTaint},
+		{ // wallclock, determinism-taint
 			scope: func(cfg SourceConfig) []string {
 				return append(append([]string(nil), cfg.VirtualClockDirs...), cfg.TaintDirs...)
 			},
 			run: determinismPass,
 		},
-		{
-			name:   "maprange",
-			checks: []string{CheckMapRange},
-			scope:  func(cfg SourceConfig) []string { return cfg.DeterministicDirs },
-			run:    mapRangePass,
+		{ // maprange
+			scope: func(cfg SourceConfig) []string { return cfg.DeterministicDirs },
+			run:   mapRangePass,
 		},
-		{
-			name:   "lockorder",
-			checks: []string{CheckLockOrder},
-			scope:  func(cfg SourceConfig) []string { return cfg.LockDirs },
-			run:    lockOrderPass,
+		{ // lock-order
+			scope: func(cfg SourceConfig) []string { return cfg.LockDirs },
+			run:   lockOrderPass,
 		},
-		{
-			name:   "durability",
-			checks: []string{CheckDurability},
-			scope:  func(cfg SourceConfig) []string { return cfg.DurabilityDirs },
-			run:    durabilityPass,
+		{ // durability
+			scope: func(cfg SourceConfig) []string { return cfg.DurabilityDirs },
+			run:   durabilityPass,
 		},
-		{
-			name:   "wiredrift",
-			checks: []string{CheckWireDrift},
-			scope:  func(cfg SourceConfig) []string { return cfg.WireDirs },
-			run:    wireDriftPass,
+		{ // wire-drift
+			scope: func(cfg SourceConfig) []string { return cfg.WireDirs },
+			run:   wireDriftPass,
 		},
 	}
 }
 
-// PassTiming reports one pass's wall-clock cost over the whole package
-// graph (the `fluxvet -timings` / `make lint` summary).
-type PassTiming struct {
-	Pass     string
-	Wall     time.Duration
-	Packages int
-	Findings int
-}
-
-// RunSourceChecks runs the layer-3 driver with an optional check
-// selection: only restricts the run to the named checks, skip removes
-// checks from the full set (at most one of the two may be non-empty;
-// names must come from SourceCheckNames). It returns the merged,
-// waiver-filtered findings plus per-pass timings.
-func RunSourceChecks(cfg SourceConfig, only, skip []string) ([]Finding, []PassTiming, error) {
-	enabled, err := selectChecks(only, skip)
-	if err != nil {
-		return nil, nil, err
-	}
+// RunSource runs the layer-3 driver: it loads the package graph once,
+// runs every registered pass in registry order, and returns the merged
+// findings after the allow-directive filter, sorted.
+func RunSource(cfg SourceConfig) ([]Finding, error) {
 	units, err := loadUnits(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	type passResult struct {
-		findings []Finding
-		timing   PassTiming
-	}
-	defs := passRegistry()
-	results := make([]passResult, len(defs))
-	var wg sync.WaitGroup
-	for i, def := range defs {
-		wants := false
-		for _, c := range def.checks {
-			wants = wants || enabled[c]
-		}
-		if !wants {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, def passDef) {
-			defer wg.Done()
-			scope := map[string]bool{}
-			for _, d := range def.scope(cfg) {
-				scope[d] = true
-			}
-			pc := &passCtx{cfg: cfg, units: units, facts: NewFacts(), scope: scope}
-			start := time.Now() //fluxvet:allow wallclock — per-pass timing telemetry for `fluxvet -timings`; never feeds an analysis
-			fs := def.run(pc)
-			results[i] = passResult{
-				findings: fs,
-				timing: PassTiming{
-					Pass: def.name, Wall: time.Since(start), //fluxvet:allow wallclock — pairs with the timing start above
-					Packages: len(units), Findings: len(fs),
-				},
-			}
-		}(i, def)
-	}
-	wg.Wait()
-
 	var raw []Finding
-	var timings []PassTiming
-	for i := range results {
-		if results[i].timing.Pass == "" {
-			continue
+	for _, def := range passRegistry() {
+		scope := map[string]bool{}
+		for _, d := range def.scope(cfg) {
+			scope[d] = true
 		}
-		raw = append(raw, results[i].findings...)
-		timings = append(timings, results[i].timing)
+		raw = append(raw, def.run(&passCtx{cfg: cfg, units: units, facts: NewFacts(), scope: scope})...)
 	}
-
-	out := filterAllows(units, raw, enabled)
+	out := filterAllows(units, raw)
 	Sort(out)
-	return out, timings, nil
-}
-
-// selectChecks resolves -only/-skip into the enabled check set.
-func selectChecks(only, skip []string) (map[string]bool, error) {
-	known := map[string]bool{}
-	for _, c := range SourceCheckNames() {
-		known[c] = true
-	}
-	if len(only) > 0 && len(skip) > 0 {
-		return nil, fmt.Errorf("vet: only and skip are mutually exclusive")
-	}
-	for _, c := range append(append([]string(nil), only...), skip...) {
-		if !known[c] {
-			return nil, fmt.Errorf("vet: unknown check %q (known: %s)", c, strings.Join(SourceCheckNames(), ", "))
-		}
-	}
-	enabled := map[string]bool{}
-	switch {
-	case len(only) > 0:
-		for _, c := range only {
-			enabled[c] = true
-		}
-	default:
-		for _, c := range SourceCheckNames() {
-			enabled[c] = true
-		}
-		for _, c := range skip {
-			delete(enabled, c)
-		}
-	}
-	return enabled, nil
+	return out, nil
 }
 
 // filterAllows suppresses findings covered by an allow directive (marking
-// the directive used), drops findings of disabled checks, and appends the
-// directive-hygiene findings: unknown-allow for directives naming a check
-// that does not exist, stale-allow for directives of enabled checks that
-// suppressed nothing this run.
-func filterAllows(units []*unit, raw []Finding, enabled map[string]bool) []Finding {
+// the directive used) and appends the directive-hygiene findings:
+// unknown-allow for directives naming a check that does not exist,
+// stale-allow for directives that suppressed nothing this run.
+func filterAllows(units []*unit, raw []Finding) []Finding {
 	var out []Finding
 	byFile := map[string]*sourcePkg{}
 	for _, u := range units {
@@ -246,9 +145,6 @@ func filterAllows(units []*unit, raw []Finding, enabled map[string]bool) []Findi
 		}
 	}
 	for _, f := range raw {
-		if !enabled[f.Check] {
-			continue
-		}
 		if p := byFile[f.File]; p != nil {
 			if d := p.allowFor(f.File, f.Line, f.Check); d != nil {
 				d.used = true
@@ -271,7 +167,7 @@ func filterAllows(units []*unit, raw []Finding, enabled map[string]bool) []Findi
 					Message: fmt.Sprintf("allow directive names unknown check %q (known: %s)",
 						d.check, strings.Join(SourceCheckNames(), ", ")),
 				})
-			case enabled[d.check] && !d.used:
+			case !d.used:
 				out = append(out, Finding{
 					Check: CheckStaleAllow, Severity: Warn,
 					File: d.file, Line: d.line,
@@ -311,7 +207,7 @@ func loadUnits(cfg SourceConfig) ([]*unit, error) {
 	var units []*unit
 	byPath := map[string]*unit{}
 	for _, dir := range dirs {
-		pkg, err := loadPackage(fset, imp, filepath.Join(cfg.Root, dir), cfg.IncludeTests)
+		pkg, err := loadPackage(fset, imp, filepath.Join(cfg.Root, dir))
 		if err != nil {
 			return nil, fmt.Errorf("vet: loading %s: %w", dir, err)
 		}

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// fixture with one violation per selectable pass family, for selection
-// and determinism tests.
+// fixture with a wallclock and a maprange violation, for the determinism
+// test.
 func mixedFixture(t *testing.T) SourceConfig {
 	t.Helper()
 	root := writeFixtureRepo(t, map[string]string{
@@ -33,87 +33,13 @@ func Render(m map[string]int) string {
 	}
 }
 
-func TestDriverOnlyRestrictsChecks(t *testing.T) {
-	cfg := mixedFixture(t)
-	fs, _, err := RunSourceChecks(cfg, []string{CheckMapRange}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 || fs[0].Check != CheckMapRange {
-		t.Fatalf("-only maprange should yield exactly the maprange finding, got %v", fs)
-	}
-}
-
-func TestDriverSkipRemovesChecks(t *testing.T) {
-	cfg := mixedFixture(t)
-	fs, _, err := RunSourceChecks(cfg, nil, []string{CheckWallClock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fs {
-		if f.Check == CheckWallClock {
-			t.Fatalf("-skip wallclock should drop wallclock findings, got %v", fs)
-		}
-	}
-	if len(findAll(fs, CheckMapRange)) != 1 {
-		t.Fatalf("other checks must survive a skip, got %v", fs)
-	}
-}
-
-func TestDriverSelectionErrors(t *testing.T) {
-	cfg := mixedFixture(t)
-	if _, _, err := RunSourceChecks(cfg, []string{CheckMapRange}, []string{CheckWallClock}); err == nil {
-		t.Fatal("only+skip together must error")
-	}
-	if _, _, err := RunSourceChecks(cfg, []string{"nosuch"}, nil); err == nil {
-		t.Fatal("unknown check in only must error")
-	}
-	if _, _, err := RunSourceChecks(cfg, nil, []string{"nosuch"}); err == nil {
-		t.Fatal("unknown check in skip must error")
-	}
-}
-
-// TestDriverTimings: every selected pass reports a timing row; a
-// restricted run reports only its pass.
-func TestDriverTimings(t *testing.T) {
-	cfg := mixedFixture(t)
-	_, timings, err := RunSourceChecks(cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, tm := range timings {
-		names = append(names, tm.Pass)
-		if tm.Packages == 0 {
-			t.Fatalf("pass %s reports zero packages", tm.Pass)
-		}
-	}
-	want := []string{"determinism", "maprange", "lockorder", "durability", "wiredrift"}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("full run timings = %v, want %v", names, want)
-	}
-	_, timings, err = RunSourceChecks(cfg, []string{CheckMapRange}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(timings) != 1 || timings[0].Pass != "maprange" {
-		t.Fatalf("restricted run timings = %v", timings)
-	}
-}
-
-// TestDriverDeterministicOutput: the passes run concurrently, but the
-// merged finding list is identical across runs.
+// TestDriverDeterministicOutput: the merged finding list is identical
+// across runs.
 func TestDriverDeterministicOutput(t *testing.T) {
 	cfg := mixedFixture(t)
-	first, _, err := RunSourceChecks(cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runFixture(t, cfg)
 	for i := 0; i < 5; i++ {
-		again, _, err := RunSourceChecks(cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		again := runFixture(t, cfg)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d diverged:\n%v\nvs\n%v", i, again, first)
 		}
@@ -141,8 +67,7 @@ var x = 1
 }
 
 // TestDriverStaleAllow: a directive for a real check that suppresses
-// nothing is reported, and only when its check is enabled (a -only run
-// must not call other checks' directives stale).
+// nothing is reported.
 func TestDriverStaleAllow(t *testing.T) {
 	root := writeFixtureRepo(t, map[string]string{
 		"internal/netsim/a.go": `package netsim
@@ -151,23 +76,15 @@ func TestDriverStaleAllow(t *testing.T) {
 var x = 1
 `,
 	})
-	cfg := SourceConfig{Root: root, VirtualClockDirs: []string{"internal/netsim"}}
-	fs := runFixture(t, cfg)
+	fs := runFixture(t, SourceConfig{Root: root, VirtualClockDirs: []string{"internal/netsim"}})
 	got := findAll(fs, CheckStaleAllow)
 	if len(got) != 1 || got[0].Line != 3 || got[0].Severity != Warn {
 		t.Fatalf("want stale-allow warn at line 3, got %v", fs)
 	}
-	fs, _, err := RunSourceChecks(cfg, []string{CheckMapRange}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Fatalf("wallclock disabled: its directive must not be judged stale, got %v", fs)
-	}
 }
 
-// TestSourceCheckNamesStable pins the selectable check list — CLI flags,
-// docs, and CI reference these names.
+// TestSourceCheckNamesStable pins the source check list — allow
+// directives and docs reference these names.
 func TestSourceCheckNamesStable(t *testing.T) {
 	want := []string{
 		CheckDeterminismTaint, CheckDurability, CheckLockOrder,

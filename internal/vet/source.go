@@ -15,15 +15,15 @@ import (
 // Layer 3 — Go source passes.
 //
 // A self-contained go/analysis-style pass driver over the standard
-// library's go/ast + go/types (the container bakes no golang.org/x/tools,
+// library's go/ast + go/types (the module depends on no golang.org/x/tools,
 // so there is no multichecker to lean on; the driver shape mirrors it
 // closely enough that migrating later is mechanical). The repo's package
-// graph is loaded and type-checked exactly once, passes run in parallel
-// (one goroutine per pass, packages visited in import-dependency order so
+// graph is loaded and type-checked exactly once, the passes run one after
+// another (each visiting packages in import-dependency order so
 // per-package facts flow from imported packages to their importers), and
 // every diagnostic funnels through the same positioned Finding type and
-// the //fluxvet:allow waiver machinery. See driver.go for the scheduler
-// and pass registry; the individual analyses live in pass_*.go:
+// the //fluxvet:allow waiver machinery. See driver.go for the loop and
+// pass registry; the individual analyses live in pass_*.go:
 //
 //	wallclock          — direct wall-clock reads (time.Now, time.Sleep,
 //	                     timers/tickers) in virtual-clock packages
@@ -69,7 +69,7 @@ import (
 // nothing is a stale-allow finding, so annotations cannot rot.
 const AllowDirective = "//fluxvet:allow"
 
-// Source-layer check names. Waivers and -only/-skip match on these.
+// Source-layer check names. Allow directives match on these.
 const (
 	CheckWallClock        = "wallclock"
 	CheckDeterminismTaint = "determinism-taint"
@@ -78,12 +78,13 @@ const (
 	CheckDurability       = "durability"
 	CheckWireDrift        = "wire-drift"
 	// CheckStaleAllow and CheckUnknownAllow are emitted by the driver
-	// itself (directive hygiene); they are not selectable.
+	// itself (directive hygiene); no directive can allow them.
 	CheckStaleAllow   = "stale-allow"
 	CheckUnknownAllow = "unknown-allow"
 )
 
-// SourceCheckNames lists the selectable source checks in stable order.
+// SourceCheckNames lists the source checks an allow directive may name,
+// in stable order.
 func SourceCheckNames() []string {
 	return []string{
 		CheckDeterminismTaint, CheckDurability, CheckLockOrder,
@@ -119,9 +120,6 @@ type SourceConfig struct {
 	// WireDirs are Root-relative package directories in which the
 	// wire-drift check runs.
 	WireDirs []string
-	// IncludeTests also lints _test.go files (off by default: tests
-	// routinely use real timeouts).
-	IncludeTests bool
 }
 
 // DefaultSourceConfig returns the repo's shipped invariant scope: every
@@ -188,14 +186,6 @@ func DefaultSourceConfig(root string) SourceConfig {
 	return cfg
 }
 
-// RunSource runs every layer-3 pass and returns positioned findings.
-// Back-compat façade over the driver; see RunSourceChecks for check
-// selection and per-pass timings.
-func RunSource(cfg SourceConfig) ([]Finding, error) {
-	fs, _, err := RunSourceChecks(cfg, nil, nil)
-	return fs, err
-}
-
 // sourcePkg is one parsed (and best-effort type-checked) package.
 type sourcePkg struct {
 	fset     *token.FileSet
@@ -211,8 +201,8 @@ type sourcePkg struct {
 }
 
 // allowDirective is one //fluxvet:allow comment. The driver marks it
-// used when it suppresses a finding; an unused directive for an enabled
-// check becomes a stale-allow finding.
+// used when it suppresses a finding; an unused directive becomes a
+// stale-allow finding.
 type allowDirective struct {
 	file  string
 	line  int
@@ -220,12 +210,13 @@ type allowDirective struct {
 	used  bool
 }
 
-// loadPackage parses every Go file of one directory (non-recursive) and
-// type-checks it with a permissive importer: the standard library resolves
-// for real (from GOROOT source), everything else gets an empty placeholder
+// loadPackage parses every non-test Go file of one directory
+// (non-recursive; tests routinely use real timeouts) and type-checks it
+// with a permissive importer: the standard library resolves for real
+// (from GOROOT source), everything else gets an empty placeholder
 // package. Type errors are expected and ignored; the recorded types.Info
 // still resolves everything package-local.
-func loadPackage(fset *token.FileSet, imp types.Importer, dir string, includeTests bool) (*sourcePkg, error) {
+func loadPackage(fset *token.FileSet, imp types.Importer, dir string) (*sourcePkg, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -233,10 +224,7 @@ func loadPackage(fset *token.FileSet, imp types.Importer, dir string, includeTes
 	p := &sourcePkg{fset: fset, allowIdx: map[string]map[int]map[string]*allowDirective{}}
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		path := filepath.Join(dir, name)

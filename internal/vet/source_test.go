@@ -209,11 +209,7 @@ var deadline = time.Now()
 	})
 	fs := runFixture(t, SourceConfig{Root: root, VirtualClockDirs: []string{"internal/netsim"}})
 	if len(fs) != 0 {
-		t.Fatalf("_test.go should be skipped by default: %v", fs)
-	}
-	fs = runFixture(t, SourceConfig{Root: root, VirtualClockDirs: []string{"internal/netsim"}, IncludeTests: true})
-	if got := findAll(fs, "wallclock"); len(got) != 1 {
-		t.Fatalf("IncludeTests should lint the test file: %v", fs)
+		t.Fatalf("_test.go should be skipped: %v", fs)
 	}
 }
 

@@ -21,7 +21,7 @@
 //	                       source tree (stdlib-only go/analysis
 //	                       analogue): the package graph is loaded and
 //	                       type-checked once, topologically sorted, and
-//	                       named passes run in parallel exchanging
+//	                       the passes run in turn, exchanging
 //	                       per-package facts. Checks: wallclock,
 //	                       determinism-taint, maprange, lock-order,
 //	                       durability, wire-drift, plus stale-allow /

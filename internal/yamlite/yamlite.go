@@ -35,8 +35,10 @@ type Map map[string]Value
 
 // Parse parses the spec subset: `key: value`, `key: [a, b]`, and
 // `key:` followed by a consistently deeper-indented block of the same
-// shapes (one nesting level). Parse errors are prefixed with errPrefix,
-// e.g. Parse(data, "lab: spec") yields "lab: spec line 7: ...".
+// shapes (one nesting level). A key may appear once at top level and
+// once within each block; a repeat is an error rather than a silent
+// overwrite. Parse errors are prefixed with errPrefix, e.g.
+// Parse(data, "lab: spec") yields "lab: spec line 7: ...".
 func Parse(data []byte, errPrefix string) (Map, error) {
 	root := Map{}
 	var (
@@ -75,6 +77,9 @@ func Parse(data []byte, errPrefix string) (Map, error) {
 		switch {
 		case indent == 0:
 			closeBlock()
+			if _, dup := root[key]; dup {
+				return nil, fmt.Errorf("%s line %d: duplicate key %q", errPrefix, ln+1, key)
+			}
 			if rest == "" {
 				// Opens a nested block; entries follow deeper-indented.
 				blockKey, block = key, Map{}
@@ -94,6 +99,9 @@ func Parse(data []byte, errPrefix string) (Map, error) {
 			}
 			if rest == "" {
 				return nil, fmt.Errorf("%s line %d: nested blocks deeper than one level are not supported", errPrefix, ln+1)
+			}
+			if _, dup := block[key]; dup {
+				return nil, fmt.Errorf("%s line %d: duplicate key %q in block %q", errPrefix, ln+1, key, blockKey)
 			}
 			v, err := parseScalar(rest, errPrefix, ln+1)
 			if err != nil {

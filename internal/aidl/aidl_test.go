@@ -265,29 +265,29 @@ func TestMarshalCallArgsTypes(t *testing.T) {
 	if p.Len() != 8 {
 		t.Errorf("parcel len = %d", p.Len())
 	}
-	if got := p.MustInt32(); got != 1 {
-		t.Errorf("a = %d", got)
+	if got, err := p.Int32At(0); err != nil || got != 1 {
+		t.Errorf("a = %d, %v", got, err)
 	}
-	if got := p.MustInt64(); got != 2 {
-		t.Errorf("b = %d", got)
+	if got, err := p.Int64At(1); err != nil || got != 2 {
+		t.Errorf("b = %d, %v", got, err)
 	}
-	if got := p.MustFloat64(); got != 3.5 {
-		t.Errorf("c = %g", got)
+	if got, err := p.EntryString(2); err != nil || got != "f:3.5" {
+		t.Errorf("c = %q, %v", got, err)
 	}
-	if got := p.MustBool(); !got {
-		t.Error("d = false")
+	if got, err := p.BoolAt(3); err != nil || !got {
+		t.Errorf("d = %t, %v", got, err)
 	}
-	if got := p.MustString(); got != "hi" {
-		t.Errorf("e = %q", got)
+	if got, err := p.StringAt(4); err != nil || got != "hi" {
+		t.Errorf("e = %q, %v", got, err)
 	}
-	if got := p.MustString(); got != "blob" {
-		t.Errorf("f = %q", got)
+	if got, err := p.StringAt(5); err != nil || got != "blob" {
+		t.Errorf("f = %q, %v", got, err)
 	}
-	if got := p.MustHandle(); got != 4 {
-		t.Errorf("g = %d", got)
+	if got, err := p.HandleAt(6); err != nil || got != 4 {
+		t.Errorf("g = %d, %v", got, err)
 	}
-	if got := p.MustFD(); got != 5 {
-		t.Errorf("h = %d", got)
+	if got, err := p.FDAt(7); err != nil || got != 5 {
+		t.Errorf("h = %d, %v", got, err)
 	}
 }
 
@@ -318,27 +318,41 @@ func TestCheckArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckArgs(m, p); err != nil {
+	args, err := CheckArgs(m, p)
+	if err != nil {
 		t.Fatalf("CheckArgs on a marshalled parcel: %v", err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = CheckArgs(m, p) }); allocs != 0 {
+	if args.Int(0) != 1 || args.Long(1) != 2 || !args.Bool(3) || args.String(4) != "hi" || args.String(5) != "blob" {
+		t.Errorf("Args = %d %d %t %q %q, want 1 2 true hi blob", args.Int(0), args.Long(1), args.Bool(3), args.String(4), args.String(5))
+	}
+	// An index or type the signature does not declare reads as zero.
+	if args.Int(1) != 0 || args.String(8) != "" || args.Long(-1) != 0 {
+		t.Error("Args getter outside the signature returned a non-zero value")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = CheckArgs(m, p) }); allocs != 0 {
 		t.Errorf("CheckArgs allocates %v times per call, want 0", allocs)
 	}
-	if err := CheckArgs(itf.Method("none"), binder.NewParcel()); err != nil {
+	if _, err := CheckArgs(itf.Method("none"), binder.NewParcel()); err != nil {
 		t.Fatalf("CheckArgs on an empty call: %v", err)
+	}
+	if _, err := CheckArgs(itf.Method("none"), nil); err != nil {
+		t.Fatalf("CheckArgs on a nil request to a method without parameters: %v", err)
+	}
+	if _, err := CheckArgs(m, nil); err == nil || !strings.Contains(err.Error(), "takes 8 args, parcel holds 0") {
+		t.Errorf("nil request: err = %v", err)
 	}
 
 	short := binder.NewParcel()
 	short.WriteInt32(1)
-	if err := CheckArgs(m, short); err == nil || !strings.Contains(err.Error(), "takes 8 args, parcel holds 1") {
+	if _, err := CheckArgs(m, short); err == nil || !strings.Contains(err.Error(), "takes 8 args, parcel holds 1") {
 		t.Errorf("missing arguments: err = %v", err)
 	}
-	if err := CheckArgs(m, binder.NewParcel()); err == nil {
+	if _, err := CheckArgs(m, binder.NewParcel()); err == nil {
 		t.Error("empty parcel accepted")
 	}
 	extra := binder.NewParcel()
 	extra.WriteInt32(1)
-	if err := CheckArgs(itf.Method("none"), extra); err == nil {
+	if _, err := CheckArgs(itf.Method("none"), extra); err == nil {
 		t.Error("extra argument accepted")
 	}
 
@@ -348,7 +362,7 @@ func TestCheckArgs(t *testing.T) {
 	for i := 2; i < 8; i++ {
 		wrong.WriteInt32(0)
 	}
-	if err := CheckArgs(m, wrong); err == nil || !strings.Contains(err.Error(), "arg 1 (b): parcel holds int32, want int64") {
+	if _, err := CheckArgs(m, wrong); err == nil || !strings.Contains(err.Error(), "arg 1 (b): parcel holds int32, want int64") {
 		t.Errorf("mistyped argument: err = %v", err)
 	}
 }
@@ -373,7 +387,7 @@ func TestArgString(t *testing.T) {
 }
 
 func TestClientDispatcherEndToEnd(t *testing.T) {
-	itf := MustParse(`interface IEcho { String echo(String msg); int add(int a, int b); }`)
+	itf := MustParse(`interface IEcho { String echo(String msg); int add(int a, int b); oneway void ping(); }`)
 	d := binder.NewDriver()
 	sys, err := d.OpenProc(1, "system_server")
 	if err != nil {
@@ -383,19 +397,20 @@ func TestClientDispatcherEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	handled := 0
 	disp := NewDispatcher(itf).
-		Handle("echo", func(call *binder.Call, m *Method) error {
-			s, err := call.Data.ReadString()
-			if err != nil {
-				return err
-			}
-			call.Reply.WriteString(s + s)
+		Handle("echo", func(call *binder.Call, args Args) error {
+			handled++
+			call.Reply.WriteString(args.String(0) + args.String(0))
 			return nil
 		}).
-		Handle("add", func(call *binder.Call, m *Method) error {
-			a := call.Data.MustInt32()
-			b := call.Data.MustInt32()
-			call.Reply.WriteInt32(a + b)
+		Handle("add", func(call *binder.Call, args Args) error {
+			handled++
+			call.Reply.WriteInt32(args.Int(0) + args.Int(1))
+			return nil
+		}).
+		Handle("ping", func(call *binder.Call, args Args) error {
+			handled++
 			return nil
 		})
 	if _, err := binder.AddService(sys, "echo", itf.Name, disp); err != nil {
@@ -409,18 +424,52 @@ func TestClientDispatcherEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reply.MustString(); got != "abab" {
-		t.Errorf("echo = %q", got)
+	if got, err := reply.StringAt(0); err != nil || got != "abab" {
+		t.Errorf("echo = %q, %v", got, err)
 	}
 	reply, err = c.Call("add", 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reply.MustInt32(); got != 5 {
-		t.Errorf("add = %d", got)
+	if got, err := reply.Int32At(0); err != nil || got != 5 {
+		t.Errorf("add = %d, %v", got, err)
 	}
 	if _, err := c.Call("nosuch"); err == nil {
 		t.Error("unknown method call succeeded")
+	}
+	if _, err := c.Call("ping"); err != nil {
+		t.Errorf("oneway ping: %v", err)
+	}
+	// A request that does not match the signature is refused before any
+	// handler runs: short, mistyped, trailing and nil.
+	short := binder.NewParcel()
+	short.WriteInt32(2)
+	mistyped := binder.NewParcel()
+	mistyped.WriteInt32(2)
+	mistyped.WriteString("3")
+	trailing := binder.NewParcel()
+	trailing.WriteString("ab")
+	trailing.WriteString("cd")
+	add, echo := itf.Method("add").Code, itf.Method("echo").Code
+	before := handled
+	for _, bad := range []struct {
+		code uint32
+		data *binder.Parcel
+	}{{add, short}, {add, mistyped}, {echo, trailing}, {echo, nil}} {
+		if _, err := app.Transact(c.Handle, bad.code, bad.data); err == nil {
+			t.Errorf("code %d with %v dispatched", bad.code, bad.data)
+		}
+	}
+	// A oneway call has no reply parcel, so it may only reach a oneway
+	// method.
+	ok := binder.NewParcel()
+	ok.WriteInt32(2)
+	ok.WriteInt32(3)
+	if err := app.TransactOneWay(c.Handle, add, ok); err == nil {
+		t.Error("oneway call to a two-way method dispatched")
+	}
+	if handled != before {
+		t.Errorf("%d handlers ran on malformed requests", handled-before)
 	}
 }
 

@@ -229,21 +229,33 @@ func marshalArg(p *binder.Parcel, param Param, arg any) error {
 	return nil
 }
 
-// CheckArgs reports whether a request parcel holds exactly what
-// MarshalCallArgs writes for m: one entry per parameter, each of the
-// kind its parameter type marshals to. Replay runs it on every parcel it
-// decodes, so a log entry whose parcel lacks or mistypes an argument is
-// an error there rather than a panic in the service's dispatch code.
-func CheckArgs(m *Method, p *binder.Parcel) error {
+// Args is a request parcel CheckArgs has matched against its method's
+// signature. Its getters take a parameter index and cannot fail: each
+// returns the zero value for an index or type the signature does not
+// declare, which a checked parcel never holds.
+type Args struct{ p *binder.Parcel }
+
+// Int, Long, Bool and String return parameter i of that AIDL type;
+// String also reads parcelables.
+func (a Args) Int(i int) int32     { v, _ := a.p.Int32At(i); return v }
+func (a Args) Long(i int) int64    { v, _ := a.p.Int64At(i); return v }
+func (a Args) Bool(i int) bool     { v, _ := a.p.BoolAt(i); return v }
+func (a Args) String(i int) string { v, _ := a.p.StringAt(i); return v }
+
+// CheckArgs checks that a request parcel (nil is empty) holds exactly
+// what MarshalCallArgs writes for m: one entry per parameter, each of the
+// kind its parameter type marshals to. The Dispatcher runs it before
+// every handler, so a malformed request is an error, never a panic.
+func CheckArgs(m *Method, p *binder.Parcel) (Args, error) {
 	if p.Len() != len(m.Params) {
-		return fmt.Errorf("aidl: %s takes %d args, parcel holds %d entries", m.Name, len(m.Params), p.Len())
+		return Args{}, fmt.Errorf("aidl: %s takes %d args, parcel holds %d entries", m.Name, len(m.Params), p.Len())
 	}
 	for i, param := range m.Params {
 		if got, want := p.KindAt(i), parcelKind(param.Type); got != want {
-			return fmt.Errorf("aidl: %s arg %d (%s): parcel holds %v, want %v", m.Name, i, param.Name, got, want)
+			return Args{}, fmt.Errorf("aidl: %s arg %d (%s): parcel holds %v, want %v", m.Name, i, param.Name, got, want)
 		}
 	}
-	return nil
+	return Args{p}, nil
 }
 
 // parcelKind is the parcel entry kind marshalArg writes for t.
@@ -330,16 +342,16 @@ func (c *Client) Call(method string, args ...any) (*binder.Parcel, error) {
 }
 
 // Dispatcher is the service-side stub, the analogue of an AIDL-generated
-// Stub class: it resolves transaction codes to methods and invokes the
-// registered handler.
+// Stub class: it resolves transaction codes to methods, checks the call
+// against the method and invokes the registered handler.
 type Dispatcher struct {
 	Itf      *Interface
 	handlers []Handler // by transaction code - 1
 }
 
-// Handler implements one service method. The call's Data parcel is
-// positioned at the first argument.
-type Handler func(call *binder.Call, m *Method) error
+// Handler implements one service method from the checked request args,
+// writing its results to call.Reply.
+type Handler func(call *binder.Call, args Args) error
 
 // NewDispatcher creates an empty dispatcher for itf.
 func NewDispatcher(itf *Interface) *Dispatcher {
@@ -367,5 +379,13 @@ func (d *Dispatcher) Transact(call *binder.Call) error {
 	if h == nil {
 		return fmt.Errorf("aidl: %s.%s not implemented", d.Itf.Name, m.Name)
 	}
-	return h(call, m)
+	// A oneway call carries no reply parcel for a two-way handler to fill.
+	if call.Reply == nil && !m.OneWay {
+		return fmt.Errorf("aidl: oneway call to two-way method %s.%s", d.Itf.Name, m.Name)
+	}
+	args, err := CheckArgs(m, call.Data)
+	if err != nil {
+		return err
+	}
+	return h(call, args)
 }

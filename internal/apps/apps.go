@@ -116,7 +116,10 @@ func (s *Session) UseSensors(sensors ...int32) error {
 	if err != nil {
 		return err
 	}
-	h := reply.MustHandle()
+	h, err := reply.HandleAt(0)
+	if err != nil {
+		return err
+	}
 	conn := &aidl.Client{Itf: services.SensorConnectionInterface, Proc: s.App.Process().Binder(), Handle: h}
 	for _, sensor := range sensors {
 		if _, err := conn.Call("enableSensor", int(sensor), true, 20000); err != nil {
@@ -127,8 +130,12 @@ func (s *Session) UseSensors(sensors ...int32) error {
 	if err != nil {
 		return err
 	}
+	fd, err := ch.FDAt(0)
+	if err != nil {
+		return err
+	}
 	s.App.PutSavedState("sensor.handle", fmt.Sprintf("%d", h))
-	s.App.PutSavedState("sensor.fd", fmt.Sprintf("%d", ch.MustFD()))
+	s.App.PutSavedState("sensor.fd", fmt.Sprintf("%d", fd))
 	return nil
 }
 

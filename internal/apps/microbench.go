@@ -202,7 +202,7 @@ func runBench(profile device.Profile, bench Microbench, iters int, recording boo
 		return 0, err
 	}
 	if !recording {
-		dev.Kernel.Binder().RemoveInterposer(dev.Recorder)
+		dev.Kernel.Binder().SetInterposer(nil)
 	}
 	app, err := dev.Runtime.Launch(benchSpec())
 	if err != nil {

@@ -16,7 +16,7 @@ func TestConcurrentTransactions(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	svc := TransactorFunc(func(call *Call) error {
-		s, err := call.Data.ReadString()
+		s, err := call.Data.StringAt(0)
 		if err != nil {
 			return err
 		}
@@ -51,8 +51,8 @@ func TestConcurrentTransactions(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := reply.MustString(); got != fmt.Sprintf("%d/%d", id, j) {
-					errs <- fmt.Errorf("echo mismatch: %q", got)
+				if got, err := reply.StringAt(0); err != nil || got != fmt.Sprintf("%d/%d", id, j) {
+					errs <- fmt.Errorf("echo mismatch: %q, %v", got, err)
 					return
 				}
 			}

@@ -10,7 +10,6 @@ package binder
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -40,18 +39,17 @@ var (
 )
 
 // Call carries one Binder transaction. Services receive the request parcel
-// and fill in the reply parcel. OneWay transactions have a nil Reply.
+// and fill in the reply parcel. Oneway transactions have a nil Reply.
 //
 // Services see a parcel whose embedded handles are translated into their
-// own handle space. Interposers (Selective Record) see the caller-space
-// original plus the caller's handle in Handle, so a replayed parcel
-// re-translates correctly against a restored handle table.
+// own handle space. The interposer (Selective Record) sees the
+// caller-space original plus the caller's handle in Handle, so a replayed
+// parcel re-translates correctly against a restored handle table.
 type Call struct {
 	Code       uint32
 	Data       *Parcel
 	Reply      *Parcel
 	CallingPID int
-	OneWay     bool
 	Handle     Handle // caller-side handle the transaction was issued on
 }
 
@@ -73,21 +71,17 @@ func (f TransactorFunc) Transact(call *Call) error { return f(call) }
 type Driver struct {
 	mu         sync.Mutex
 	nextNodeID NodeID
-	nodes      map[NodeID]*Node
 	procs      map[int]*Proc
 	sm         *ServiceManager
 
-	// interposers run before every transaction that is dispatched through
-	// the driver. Selective Record installs itself here. The slice is
-	// copy-on-write: Add/RemoveInterposer publish a new slice and never
-	// modify a published one, so transact reads it under mu and iterates
-	// it after unlocking without copying.
-	interposers []Interposer
+	// interposer observes every successful transaction dispatched through
+	// the driver; Selective Record installs itself here. Guarded by mu.
+	interposer Interposer
 }
 
 // Interposer observes transactions in flight. It runs on the caller's side
 // after the transaction completes successfully. Selective Record is the
-// only interposer in Flux, but the hook is generic.
+// only interposer in Flux.
 type Interposer interface {
 	ObserveTransaction(callingPID int, node *Node, call *Call)
 }
@@ -96,7 +90,6 @@ type Interposer interface {
 func NewDriver() *Driver {
 	d := &Driver{
 		nextNodeID: 1,
-		nodes:      make(map[NodeID]*Node),
 		procs:      make(map[int]*Proc),
 	}
 	d.sm = newServiceManager(d)
@@ -106,24 +99,13 @@ func NewDriver() *Driver {
 // ServiceManager returns the device's context manager.
 func (d *Driver) ServiceManager() *ServiceManager { return d.sm }
 
-// AddInterposer installs a transaction observer. It applies to transactions
-// started after the call returns.
-func (d *Driver) AddInterposer(ip Interposer) {
+// SetInterposer installs the transaction observer, replacing any other;
+// nil removes it. It applies to transactions started after the call
+// returns.
+func (d *Driver) SetInterposer(ip Interposer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.interposers = append(slices.Clip(d.interposers), ip)
-}
-
-// RemoveInterposer uninstalls a previously added observer.
-func (d *Driver) RemoveInterposer(ip Interposer) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, have := range d.interposers {
-		if have == ip {
-			d.interposers = slices.Delete(slices.Clone(d.interposers), i, i+1)
-			return
-		}
-	}
+	d.interposer = ip
 }
 
 // Node is the service side of a Binder connection: an object owned by one
@@ -225,7 +207,6 @@ func (p *Proc) Publish(descr string, svc Transactor) (*Node, error) {
 	}
 	n := &Node{id: d.nextNodeID, owner: p, svc: svc, descr: descr}
 	d.nextNodeID++
-	d.nodes[n.id] = n
 	p.owned[n.id] = n
 	return n, nil
 }
@@ -395,7 +376,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 		return nil, ErrDeadObject
 	}
 	// Translate embedded handles into the callee's handle space, working on
-	// a copy so the caller's parcel — which interposers observe and the
+	// a copy so the caller's parcel — which the interposer observes and the
 	// record log persists — keeps caller-space handle values.
 	delivered := data
 	if data != nil && data.hasHandle() {
@@ -417,15 +398,12 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 			delivered.entries[i].i64 = int64(th)
 		}
 	}
-	ips := d.interposers
+	ip := d.interposer
 	d.mu.Unlock()
 
-	call := &Call{Code: code, Data: delivered, CallingPID: p.pid, OneWay: oneway, Handle: h}
+	call := &Call{Code: code, Data: delivered, CallingPID: p.pid, Handle: h}
 	if !oneway {
 		call.Reply = NewParcel()
-	}
-	if delivered != nil {
-		delivered.Reset()
 	}
 	if err := node.svc.Transact(call); err != nil {
 		return nil, err
@@ -454,18 +432,12 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 			}
 			d.mu.Unlock()
 		}
-		call.Reply.Reset()
 	}
-	if len(ips) > 0 {
-		if data != nil {
-			data.Reset()
-		}
-		// The service is done with call: interposers observe it with the
-		// caller-space request in place of the translated one.
+	if ip != nil {
+		// The service is done with call: the interposer observes it with
+		// the caller-space request in place of the translated one.
 		call.Data = data
-		for _, ip := range ips {
-			ip.ObserveTransaction(p.pid, node, call)
-		}
+		ip.ObserveTransaction(p.pid, node, call)
 	}
 	return call.Reply, nil
 }
@@ -511,11 +483,4 @@ func (p *Proc) Dead() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return p.dead
-}
-
-// NodeByID resolves a node id, returning nil if unknown.
-func (d *Driver) NodeByID(id NodeID) *Node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nodes[id]
 }

@@ -10,7 +10,7 @@ import (
 type echoService struct{ suffix string }
 
 func (e *echoService) Transact(call *Call) error {
-	s, err := call.Data.ReadString()
+	s, err := call.Data.StringAt(0)
 	if err != nil {
 		return err
 	}
@@ -55,8 +55,8 @@ func TestRegisterAndCallService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Transact: %v", err)
 	}
-	if got := reply.MustString(); got != "ping!" {
-		t.Errorf("reply = %q, want %q", got, "ping!")
+	if got, err := reply.StringAt(0); err != nil || got != "ping!" {
+		t.Errorf("reply = %q, %v; want %q", got, err, "ping!")
 	}
 }
 
@@ -193,7 +193,7 @@ type handlePassingService struct {
 }
 
 func (s *handlePassingService) Transact(call *Call) error {
-	h, err := call.Data.ReadHandle()
+	h, err := call.Data.HandleAt(0)
 	if err != nil {
 		return err
 	}
@@ -205,7 +205,7 @@ func (s *handlePassingService) Transact(call *Call) error {
 	if err != nil {
 		return err
 	}
-	msg, err := reply.ReadString()
+	msg, err := reply.StringAt(0)
 	if err != nil {
 		return err
 	}
@@ -242,8 +242,8 @@ func TestEmbeddedHandleTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Transact: %v", err)
 	}
-	if got := reply.MustString(); got != "nested-cb" {
-		t.Errorf("nested call through translated handle = %q, want %q", got, "nested-cb")
+	if got, err := reply.StringAt(0); err != nil || got != "nested-cb" {
+		t.Errorf("nested call through translated handle = %q, %v; want %q", got, err, "nested-cb")
 	}
 	if recv.received == cbHandle && recv.received != 0 {
 		// They could coincide numerically; assert the service can resolve it.
@@ -269,8 +269,8 @@ func TestInjectRefPreservesHandleID(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Transact on injected handle: %v", err)
 	}
-	if got := reply.MustString(); got != "q?" {
-		t.Errorf("reply = %q", got)
+	if got, err := reply.StringAt(0); err != nil || got != "q?" {
+		t.Errorf("reply = %q, %v", got, err)
 	}
 	// New handles must allocate above the injected id.
 	n2, err := sys.Publish("ISvc2", &echoService{})
@@ -422,10 +422,10 @@ func TestListServicesViaTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for {
-		s, err := reply.ReadString()
+	for i := 0; i < reply.Len(); i++ {
+		s, err := reply.StringAt(i)
 		if err != nil {
-			break
+			t.Fatalf("ListServices entry %d: %v", i, err)
 		}
 		got = append(got, s)
 	}
@@ -458,7 +458,7 @@ func TestInterposerObservesTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ip := &countingInterposer{}
-	d.AddInterposer(ip)
+	d.SetInterposer(ip)
 	h, err := GetService(app, "echo")
 	if err != nil {
 		t.Fatal(err)
@@ -475,12 +475,21 @@ func TestInterposerObservesTransactions(t *testing.T) {
 	if ip.last != "IEcho" {
 		t.Errorf("interposer last descriptor = %q", ip.last)
 	}
-	d.RemoveInterposer(ip)
-	if _, err := app.Transact(h, 1, func() *Parcel { p := NewParcel(); p.WriteString("y"); return p }()); err != nil {
+	// Installing another interposer replaces the first.
+	next := &countingInterposer{}
+	d.SetInterposer(next)
+	if _, err := app.Transact(h, 1, data); err != nil {
 		t.Fatal(err)
 	}
-	if ip.calls != 2 {
-		t.Errorf("interposer saw transaction after removal: %d", ip.calls)
+	if ip.calls != 2 || next.calls != 1 {
+		t.Errorf("after replacement: first saw %d transactions, second %d; want 2 and 1", ip.calls, next.calls)
+	}
+	d.SetInterposer(nil)
+	if _, err := app.Transact(h, 1, data); err != nil {
+		t.Fatal(err)
+	}
+	if ip.calls != 2 || next.calls != 1 {
+		t.Errorf("interposer saw transaction after removal: %d, %d", ip.calls, next.calls)
 	}
 }
 

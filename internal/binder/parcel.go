@@ -8,13 +8,12 @@ import (
 )
 
 // Parcel is the unit of data exchanged in a Binder transaction. It mirrors
-// Android's Parcel: a flat, typed, append-only buffer that both sides read
-// and write in the same order. Parcels serialize to a self-describing binary
-// form so they can be persisted in the record log and shipped across devices
-// inside a checkpoint image.
+// Android's Parcel: a flat, typed, append-only buffer whose entries are
+// read by position, so reading never changes it. Parcels serialize to a
+// self-describing binary form so they can be persisted in the record log
+// and shipped across devices inside a checkpoint image.
 type Parcel struct {
 	entries []entry
-	rpos    int
 }
 
 // Kind is the type tag of one parcel entry.
@@ -64,11 +63,16 @@ type entry struct {
 // NewParcel returns an empty parcel ready for writing.
 func NewParcel() *Parcel { return &Parcel{} }
 
-// Len reports the number of entries written to the parcel.
-func (p *Parcel) Len() int { return len(p.entries) }
+// Len reports the number of entries written to the parcel; nil has none.
+func (p *Parcel) Len() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.entries)
+}
 
-// KindAt reports the kind of the i-th entry, independent of the read
-// cursor, or 0 when the parcel has no such entry.
+// KindAt reports the kind of the i-th entry, or 0 when the parcel has no
+// such entry.
 func (p *Parcel) KindAt(i int) Kind {
 	if i < 0 || i >= len(p.entries) {
 		return 0
@@ -76,10 +80,7 @@ func (p *Parcel) KindAt(i int) Kind {
 	return p.entries[i].kind
 }
 
-// Reset rewinds the read cursor so the parcel can be re-read from the start.
-func (p *Parcel) Reset() { p.rpos = 0 }
-
-// Clone returns a deep copy of the parcel with the read cursor rewound.
+// Clone returns a deep copy of the parcel.
 func (p *Parcel) Clone() *Parcel {
 	c := &Parcel{entries: make([]entry, len(p.entries))}
 	copy(c.entries, p.entries)
@@ -126,76 +127,48 @@ func (p *Parcel) WriteHandle(h Handle) {
 // process-local; CRIA records them so restore can reserve the same numbers.
 func (p *Parcel) WriteFD(fd int) { p.entries = append(p.entries, entry{kind: KindFD, i64: int64(fd)}) }
 
-var errParcelExhausted = fmt.Errorf("binder: parcel exhausted")
-
-func (p *Parcel) next(k Kind) (entry, error) {
-	if p.rpos >= len(p.entries) {
-		return entry{}, errParcelExhausted
+// at returns the i-th entry when it has kind k.
+func (p *Parcel) at(i int, k Kind) (entry, error) {
+	if i < 0 || i >= p.Len() {
+		return entry{}, fmt.Errorf("binder: parcel has no entry %d (len %d)", i, p.Len())
 	}
-	e := p.entries[p.rpos]
+	e := p.entries[i]
 	if e.kind != k {
-		return entry{}, fmt.Errorf("binder: parcel type mismatch at %d: have %v, want %v", p.rpos, e.kind, k)
+		return entry{}, fmt.Errorf("binder: parcel entry %d is %v, want %v", i, e.kind, k)
 	}
-	p.rpos++
 	return e, nil
 }
 
-func (p *Parcel) ReadInt32() (int32, error) {
-	e, err := p.next(KindInt32)
+// Int32At, Int64At, BoolAt, StringAt, HandleAt and FDAt return the i-th
+// entry, or an error when there is none or it is of another kind.
+func (p *Parcel) Int32At(i int) (int32, error) {
+	e, err := p.at(i, KindInt32)
 	return int32(e.i64), err
 }
 
-func (p *Parcel) ReadInt64() (int64, error) {
-	e, err := p.next(KindInt64)
+func (p *Parcel) Int64At(i int) (int64, error) {
+	e, err := p.at(i, KindInt64)
 	return e.i64, err
 }
 
-func (p *Parcel) ReadFloat64() (float64, error) {
-	e, err := p.next(KindFloat64)
-	return e.f64, err
-}
-
-func (p *Parcel) ReadBool() (bool, error) {
-	e, err := p.next(KindBool)
+func (p *Parcel) BoolAt(i int) (bool, error) {
+	e, err := p.at(i, KindBool)
 	return e.i64 != 0, err
 }
 
-func (p *Parcel) ReadString() (string, error) {
-	e, err := p.next(KindString)
+func (p *Parcel) StringAt(i int) (string, error) {
+	e, err := p.at(i, KindString)
 	return e.str, err
 }
 
-func (p *Parcel) ReadBytes() ([]byte, error) {
-	e, err := p.next(KindBytes)
-	return e.b, err
-}
-
-func (p *Parcel) ReadHandle() (Handle, error) {
-	e, err := p.next(KindHandle)
+func (p *Parcel) HandleAt(i int) (Handle, error) {
+	e, err := p.at(i, KindHandle)
 	return Handle(e.i64), err
 }
 
-func (p *Parcel) ReadFD() (int, error) {
-	e, err := p.next(KindFD)
+func (p *Parcel) FDAt(i int) (int, error) {
+	e, err := p.at(i, KindFD)
 	return int(e.i64), err
-}
-
-// MustInt32 and friends are convenience accessors for service dispatch code
-// where a malformed parcel indicates a framework bug; they panic on error.
-func (p *Parcel) MustInt32() int32     { return must(p.ReadInt32()) }
-func (p *Parcel) MustInt64() int64     { return must(p.ReadInt64()) }
-func (p *Parcel) MustFloat64() float64 { return must(p.ReadFloat64()) }
-func (p *Parcel) MustBool() bool       { return must(p.ReadBool()) }
-func (p *Parcel) MustString() string   { return must(p.ReadString()) }
-func (p *Parcel) MustBytes() []byte    { return must(p.ReadBytes()) }
-func (p *Parcel) MustHandle() Handle   { return must(p.ReadHandle()) }
-func (p *Parcel) MustFD() int          { return must(p.ReadFD()) }
-
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // Size returns the wire size of the parcel in bytes. The migration pipeline
@@ -363,9 +336,8 @@ func (p *Parcel) hasHandle() bool {
 	return false
 }
 
-// EntryString returns the canonical string form of the i-th entry,
-// independent of the read cursor. Selective Record compares these strings
-// when evaluating @if signatures.
+// EntryString returns the canonical string form of the i-th entry.
+// Selective Record compares these strings when evaluating @if signatures.
 func (p *Parcel) EntryString(i int) (string, error) {
 	if i < 0 || i >= len(p.entries) {
 		return "", fmt.Errorf("binder: parcel has no entry %d (len %d)", i, len(p.entries))

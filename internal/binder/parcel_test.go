@@ -22,63 +22,61 @@ func TestParcelRoundTripTypes(t *testing.T) {
 	p.WriteHandle(7)
 	p.WriteFD(33)
 
-	if got := p.MustInt32(); got != -42 {
-		t.Errorf("int32 = %d, want -42", got)
+	if got, err := p.Int32At(0); err != nil || got != -42 {
+		t.Errorf("int32 = %d, %v; want -42", got, err)
 	}
-	if got := p.MustInt64(); got != 1<<40 {
-		t.Errorf("int64 = %d, want %d", got, int64(1)<<40)
+	if got, err := p.Int64At(1); err != nil || got != 1<<40 {
+		t.Errorf("int64 = %d, %v; want %d", got, err, int64(1)<<40)
 	}
-	if got := p.MustFloat64(); got != 3.25 {
-		t.Errorf("float64 = %g, want 3.25", got)
+	if got, err := p.EntryString(2); err != nil || got != "f:3.25" {
+		t.Errorf("float64 = %q, %v; want f:3.25", got, err)
 	}
-	if got := p.MustBool(); !got {
-		t.Error("bool#1 = false, want true")
+	if got, err := p.BoolAt(3); err != nil || !got {
+		t.Errorf("bool#1 = %t, %v; want true", got, err)
 	}
-	if got := p.MustBool(); got {
-		t.Error("bool#2 = true, want false")
+	if got, err := p.BoolAt(4); err != nil || got {
+		t.Errorf("bool#2 = %t, %v; want false", got, err)
 	}
-	if got := p.MustString(); got != "notification" {
-		t.Errorf("string = %q", got)
+	if got, err := p.StringAt(5); err != nil || got != "notification" {
+		t.Errorf("string = %q, %v", got, err)
 	}
-	if got := p.MustBytes(); !bytes.Equal(got, []byte{0, 1, 2, 255}) {
-		t.Errorf("bytes = %v", got)
+	if got, err := p.EntryString(6); err != nil || got != "b:000102ff" {
+		t.Errorf("bytes = %q, %v", got, err)
 	}
-	if got := p.MustHandle(); got != 7 {
-		t.Errorf("handle = %d, want 7", got)
+	if got, err := p.HandleAt(7); err != nil || got != 7 {
+		t.Errorf("handle = %d, %v; want 7", got, err)
 	}
-	if got := p.MustFD(); got != 33 {
-		t.Errorf("fd = %d, want 33", got)
+	if got, err := p.FDAt(8); err != nil || got != 33 {
+		t.Errorf("fd = %d, %v; want 33", got, err)
+	}
+	// Reading is positional: it never consumes an entry.
+	if got, err := p.Int32At(0); err != nil || got != -42 {
+		t.Errorf("int32 re-read = %d, %v; want -42", got, err)
 	}
 }
 
 func TestParcelReadPastEnd(t *testing.T) {
 	p := NewParcel()
 	p.WriteInt32(1)
-	if _, err := p.ReadInt32(); err != nil {
-		t.Fatalf("first read: %v", err)
+	if _, err := p.Int32At(0); err != nil {
+		t.Fatalf("read of entry 0: %v", err)
 	}
-	if _, err := p.ReadInt32(); err == nil {
-		t.Fatal("read past end succeeded, want error")
+	for _, i := range []int{1, -1} {
+		if _, err := p.Int32At(i); err == nil {
+			t.Errorf("read of entry %d succeeded, want error", i)
+		}
+	}
+	var nilParcel *Parcel
+	if _, err := nilParcel.StringAt(0); err == nil {
+		t.Error("read of a nil parcel succeeded, want error")
 	}
 }
 
 func TestParcelTypeMismatch(t *testing.T) {
 	p := NewParcel()
 	p.WriteString("x")
-	if _, err := p.ReadInt64(); err == nil {
+	if _, err := p.Int64At(0); err == nil {
 		t.Fatal("type-mismatched read succeeded, want error")
-	}
-}
-
-func TestParcelResetRereads(t *testing.T) {
-	p := NewParcel()
-	p.WriteInt32(9)
-	if got := p.MustInt32(); got != 9 {
-		t.Fatalf("first read = %d", got)
-	}
-	p.Reset()
-	if got := p.MustInt32(); got != 9 {
-		t.Fatalf("read after Reset = %d", got)
 	}
 }
 
@@ -158,11 +156,9 @@ func TestParcelCloneIsDeep(t *testing.T) {
 	p := NewParcel()
 	p.WriteBytes([]byte{1, 2, 3})
 	c := p.Clone()
-	orig := p.MustBytes()
-	orig[0] = 99
-	got := c.MustBytes()
-	if got[0] != 1 {
-		t.Errorf("clone shares byte storage: got %v", got)
+	p.entries[0].b[0] = 99
+	if got, _ := c.EntryString(0); got != "b:010203" {
+		t.Errorf("clone shares byte storage: got %s", got)
 	}
 }
 

@@ -33,7 +33,6 @@ func newServiceManager(d *Driver) *ServiceManager {
 	d.procs[0] = owner
 	sm.node = &Node{id: d.nextNodeID, owner: owner, svc: sm, descr: "android.os.IServiceManager"}
 	d.nextNodeID++
-	d.nodes[sm.node.id] = sm.node
 	owner.owned[sm.node.id] = sm.node
 	return sm
 }
@@ -103,7 +102,7 @@ func (sm *ServiceManager) dropNodeLocked(n *Node) {
 func (sm *ServiceManager) Transact(call *Call) error {
 	switch call.Code {
 	case SMGetService:
-		name, err := call.Data.ReadString()
+		name, err := call.Data.StringAt(0)
 		if err != nil {
 			return err
 		}
@@ -122,11 +121,11 @@ func (sm *ServiceManager) Transact(call *Call) error {
 		call.Reply.WriteHandle(h)
 		return nil
 	case SMAddService:
-		name, err := call.Data.ReadString()
+		name, err := call.Data.StringAt(0)
 		if err != nil {
 			return err
 		}
-		h, err := call.Data.ReadHandle()
+		h, err := call.Data.HandleAt(1)
 		if err != nil {
 			return err
 		}
@@ -157,14 +156,14 @@ func GetService(p *Proc, name string) (Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	ok, err := reply.ReadBool()
+	ok, err := reply.BoolAt(0)
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
 		return 0, fmt.Errorf("binder: service %q not found", name)
 	}
-	return reply.ReadHandle()
+	return reply.HandleAt(1)
 }
 
 // AddService publishes svc under name from process p, returning the node.

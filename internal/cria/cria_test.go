@@ -231,8 +231,8 @@ func TestRestoreRebindsHandlesAndKeepsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transact on re-bound handle: %v", err)
 	}
-	if got := reply.MustInt32(); got != 0 {
-		t.Errorf("guest notification count = %d before replay, want 0", got)
+	if got, err := reply.Int32At(0); err != nil || got != 0 {
+		t.Errorf("guest notification count = %d, %v before replay, want 0", got, err)
 	}
 	// Restored process is namespaced with the original pid.
 	p := restored.App.Process()

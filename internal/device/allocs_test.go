@@ -11,7 +11,7 @@ func TestNewAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes how many objects a boot allocates")
 	}
-	const pinned = 563
+	const pinned = 555
 	p := Nexus4("allocs")
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := New(p); err != nil {

@@ -169,7 +169,7 @@ func New(p Profile) (*Device, error) {
 		installs:   make(map[string]*Install),
 		paired:     make(map[string]bool),
 	}
-	k.Binder().AddInterposer(rec)
+	k.Binder().SetInterposer(rec)
 	return d, nil
 }
 

@@ -274,13 +274,20 @@ func (m *Migrator) rollback(rep *Report, homeApp, guestApp *android.App, cause e
 	// in post-migration bookkeeping), so a native start stays legal; we
 	// additionally bring the app back to the foreground so the user
 	// lands where they started.
-	if ferr := m.Home.Runtime.Foreground(homeApp); ferr != nil {
-		// The app survives backgrounded; report but don't mask the cause.
-		cause = fmt.Errorf("%v (home foreground: %v)", cause, ferr)
-	}
+	cause = m.foregroundHome(homeApp, cause)
 	rep.Outcome = OutcomeRolledBack
 	rep.FaultEvents = m.Opts.Faults.Stats()
 	return rep, fmt.Errorf("%w: %v", ErrRolledBack, cause)
+}
+
+// foregroundHome resumes the home app after a refusal or a rollback. If
+// that fails the app survives backgrounded, and the failure is appended
+// to cause rather than masking it.
+func (m *Migrator) foregroundHome(app *android.App, cause error) error {
+	if ferr := m.Home.Runtime.Foreground(app); ferr != nil {
+		return fmt.Errorf("%w (home foreground: %v)", cause, ferr)
+	}
+	return cause
 }
 
 // chunkWires partitions a sequential transfer's wire bytes into the

@@ -356,13 +356,13 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	if err := app.HandleTrimMemory(); err != nil {
 		sp.End()
 		if errors.Is(err, gpu.ErrContextPreserved) {
-			return nil, fmt.Errorf("%w: %s", ErrPreserveEGL, pkg)
+			return nil, m.foregroundHome(app, fmt.Errorf("%w: %s", ErrPreserveEGL, pkg))
 		}
-		return nil, fmt.Errorf("migration: trim: %w", err)
+		return nil, m.foregroundHome(app, fmt.Errorf("migration: trim: %w", err))
 	}
 	if err := app.EGLUnload(); err != nil {
 		sp.End()
-		return nil, fmt.Errorf("migration: eglUnload: %w", err)
+		return nil, m.foregroundHome(app, fmt.Errorf("migration: eglUnload: %w", err))
 	}
 	prepWork := prepFixed + cpuWork(texBytes, prepRate, homeCPU)
 	m.advanceBoth(prepWork)
@@ -387,7 +387,7 @@ func (m *Migrator) Migrate(pkg string) (rep *Report, err error) {
 	})
 	if err != nil {
 		sp.End()
-		return nil, err
+		return nil, m.foregroundHome(app, err)
 	}
 	// The checkpoint is taken: from here on every error rolls back, so
 	// the home app returns to the foreground and the guest keeps nothing.

@@ -125,14 +125,20 @@ func (w *world) runWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	connHandle := reply.MustHandle()
+	connHandle, err := reply.HandleAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	conn := &aidl.Client{Itf: services.SensorConnectionInterface, Proc: w.app.Process().Binder(), Handle: connHandle}
 	w.call(t, conn, "enableSensor", int(services.SensorAccelerometer), true, 20000)
 	chReply, err := conn.Call("getSensorChannel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := chReply.MustFD()
+	fd, err := chReply.FDAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.app.PutSavedState("sensor.fd", fmt.Sprintf("%d", fd))
 	w.app.PutSavedState("sensor.handle", fmt.Sprintf("%d", connHandle))
 	w.app.PutSavedState("scroll", "page-42")
@@ -329,6 +335,35 @@ func TestFacebookMultiProcessRefused(t *testing.T) {
 	}
 	if rep.App == nil {
 		t.Error("no restored app")
+	}
+}
+
+// TestRefusalKeepsHomeForeground: a refusal found after preparation has
+// moved the app to the background (Subway Surfers' preserved EGL context
+// in the trim step, Facebook's extra processes at the checkpoint) still
+// returns the app to the foreground, and the error is unchanged.
+func TestRefusalKeepsHomeForeground(t *testing.T) {
+	for _, tc := range []struct {
+		pkg  string
+		edit func(*android.AppSpec)
+		want error
+	}{
+		{"com.kiloo.subwaysurf", func(s *android.AppSpec) { s.PreserveEGLContext = true }, migration.ErrPreserveEGL},
+		{"com.facebook.katana", func(s *android.AppSpec) { s.ExtraProcesses = 2 }, migration.ErrMultiProcess},
+	} {
+		t.Run(tc.pkg, func(t *testing.T) {
+			s := spec()
+			s.Package = tc.pkg
+			tc.edit(&s)
+			w := newWorld(t, s)
+			rep, err := migration.New(w.home, w.guest, migration.Options{}).Migrate(tc.pkg)
+			if rep != nil || !errors.Is(err, tc.want) {
+				t.Fatalf("Migrate = (%v, %v), want a refusal with %v", rep, err, tc.want)
+			}
+			if act := w.app.TopActivity(); act == nil || act.State() != android.StateResumed {
+				t.Error("home app not foregrounded after the refusal")
+			}
+		})
 	}
 }
 
@@ -586,6 +621,51 @@ func TestRollbackOnShortParcel(t *testing.T) {
 	assertRolledBack(t, w, rep, err)
 	if !strings.Contains(err.Error(), "setWifiEnabled takes 1 args, parcel holds 0 entries") {
 		t.Errorf("rollback error does not name the cause: %v", err)
+	}
+}
+
+// TestRollbackOnMalformedRecordedReply: the sensor proxies rebuild state
+// from the reply the home device recorded, which a CRC-clean image can
+// still carry malformed. A connection reply without its handle, or a
+// channel reply holding a string where the fd belongs, fails replay and
+// rolls back instead of panicking in the proxy.
+func TestRollbackOnMalformedRecordedReply(t *testing.T) {
+	notFD := binder.NewParcel()
+	notFD.WriteString("fd")
+	for _, tc := range []struct {
+		itf             *aidl.Interface
+		service, method string
+		args            []any
+		reply           *binder.Parcel
+	}{
+		{services.SensorInterface, "sensorservice", "createSensorEventConnection", []any{pkg}, binder.NewParcel()},
+		{services.SensorConnectionInterface, "sensorservice.connection", "getSensorChannel", nil, notFD},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			w := newWorld(t, spec())
+			w.runWorkload(t)
+			var h binder.Handle
+			if tc.itf == services.SensorInterface {
+				h = w.client(t, tc.itf, tc.service).Handle
+			} else {
+				fmt.Sscanf(w.app.SavedState()["sensor.handle"], "%d", &h)
+			}
+			m := tc.itf.Method(tc.method)
+			data, err := aidl.MarshalCallArgs(m, tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.home.Recorder.Log().Append(&record.Entry{
+				App: pkg, Service: tc.service, Interface: tc.itf.Name,
+				Method: m.Name, Code: m.Code, Handle: h,
+				At: w.home.Kernel.Clock().Now(), Data: data.Marshal(), Reply: tc.reply.Marshal(),
+			})
+			rep, err := migration.New(w.home, w.guest, migration.Options{}).Migrate(pkg)
+			assertRolledBack(t, w, rep, err)
+			if !strings.Contains(err.Error(), tc.method+" entry") || !strings.Contains(err.Error(), "reply") {
+				t.Errorf("rollback error does not name the entry and its reply: %v", err)
+			}
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ func newBenchPruneFixture(b *testing.B, total int) *benchPruneFixture {
 		b.Fatal(err)
 	}
 	itf := aidl.MustParse(benchPruneSrc)
-	nop := func(call *binder.Call, m *aidl.Method) error { return nil }
+	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	disp := aidl.NewDispatcher(itf).
 		Handle("enqueueNotification", nop).
 		Handle("cancelNotification", nop).
@@ -132,7 +132,7 @@ func newBenchPruneFixture(b *testing.B, total int) *benchPruneFixture {
 		},
 	})
 	rec.RegisterInterface("notification", itf)
-	driver.AddInterposer(rec)
+	driver.SetInterposer(rec)
 
 	// Populate: total entries split over 16 apps and 5 methods. Only
 	// enqueueNotification entries are drop candidates for app0's cancels.

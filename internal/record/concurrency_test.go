@@ -27,7 +27,7 @@ func TestConcurrentAppendAcrossApps(t *testing.T) {
 		t.Fatal(err)
 	}
 	itf := aidl.MustParse(notifSrc)
-	nop := func(call *binder.Call, m *aidl.Method) error { return nil }
+	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	disp := aidl.NewDispatcher(itf).
 		Handle("enqueueNotification", nop).
 		Handle("cancelNotification", nop).
@@ -49,7 +49,7 @@ func TestConcurrentAppendAcrossApps(t *testing.T) {
 		},
 	})
 	rec.RegisterInterface("notification", itf)
-	driver.AddInterposer(rec)
+	driver.SetInterposer(rec)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, apps)

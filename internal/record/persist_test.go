@@ -55,8 +55,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.MustInt32(); got != 2 {
-		t.Errorf("payload seq = %d", got)
+	if got, err := p.Int32At(0); err != nil || got != 2 {
+		t.Errorf("payload seq = %d, %v", got, err)
 	}
 }
 

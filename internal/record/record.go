@@ -75,14 +75,6 @@ type Entry struct {
 	dead bool
 }
 
-// ReplyParcel decodes the entry's reply parcel, or returns nil for oneway.
-func (e *Entry) ReplyParcel() (*binder.Parcel, error) {
-	if e.Reply == nil {
-		return nil, nil
-	}
-	return binder.UnmarshalParcel(e.Reply)
-}
-
 // Parcel decodes the entry's request parcel.
 func (e *Entry) Parcel() (*binder.Parcel, error) {
 	return binder.UnmarshalParcel(e.Data)
@@ -289,7 +281,7 @@ type registeredInterface struct {
 }
 
 // Recorder implements Selective Record. Install it on a device's Binder
-// driver with driver.AddInterposer(recorder).
+// driver with driver.SetInterposer(recorder).
 type Recorder struct {
 	log   *Log
 	now   func() time.Time

@@ -66,7 +66,7 @@ func newFixture(t testing.TB) *fixture {
 
 	f.notifItf = aidl.MustParse(notifSrc)
 	f.alarmItf = aidl.MustParse(alarmSrc)
-	nop := func(call *binder.Call, m *aidl.Method) error { return nil }
+	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	notifDisp := aidl.NewDispatcher(f.notifItf).
 		Handle("enqueueNotification", nop).
 		Handle("cancelNotification", nop).
@@ -92,7 +92,7 @@ func newFixture(t testing.TB) *fixture {
 	})
 	f.rec.RegisterInterface("notification", f.notifItf)
 	f.rec.RegisterInterface("alarm", f.alarmItf)
-	f.driver.AddInterposer(f.rec)
+	f.driver.SetInterposer(f.rec)
 
 	if f.notif, err = aidl.NewClient(f.notifItf, f.app, "notification"); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestCancelAnnihilatesEnqueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id := p.MustInt32(); id != 2 {
-		t.Errorf("surviving enqueue id = %d, want 2", id)
+	if id, err := p.Int32At(0); err != nil || id != 2 {
+		t.Errorf("surviving enqueue id = %d, %v; want 2", id, err)
 	}
 }
 
@@ -188,9 +188,8 @@ func TestAlarmSetReplacementKeepsNewest(t *testing.T) {
 		t.Fatalf("log = %v, want single set", got)
 	}
 	p, _ := f.rec.Log().AppEntries("com.example.app")[0].Parcel()
-	p.MustInt32()
-	if at := p.MustInt64(); at != 2000 {
-		t.Errorf("surviving alarm time = %d, want 2000 (replacement)", at)
+	if at, err := p.Int64At(1); err != nil || at != 2000 {
+		t.Errorf("surviving alarm time = %d, %v; want 2000 (replacement)", at, err)
 	}
 }
 
@@ -307,8 +306,8 @@ func TestLogMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.MustInt32(); got != 7 {
-		t.Errorf("entry 0 id = %d", got)
+	if got, err := p.Int32At(0); err != nil || got != 7 {
+		t.Errorf("entry 0 id = %d, %v", got, err)
 	}
 	if e.Reply == nil {
 		t.Error("entry 0 lost reply parcel")

@@ -276,9 +276,7 @@ func TestLazyArgCacheMatchesAppendTimeCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.MustInt32()
-	p.MustInt64()
-	if op := p.MustString(); op != "pi:other" {
-		t.Errorf("survivor operation = %q, want pi:other", op)
+	if op, err := p.StringAt(2); err != nil || op != "pi:other" {
+		t.Errorf("survivor operation = %q, %v; want pi:other", op, err)
 	}
 }

@@ -18,9 +18,9 @@
 // Everything else replays through the restored app's own Binder handles,
 // which CRIA re-bound to the guest's services at the original handle ids —
 // so a recorded parcel replays bit-for-bit, including embedded handles.
-// Every request parcel replay decodes is first checked against its
-// method's signature (aidl.CheckArgs): a malformed log entry is an error,
-// never a panic in the service that would read it.
+// A malformed log entry is an error, never a panic: every request meets
+// the guest aidl.Dispatcher's signature check, and the proxies check what
+// they read (aidl.CheckArgs, positional reads of recorded replies).
 package replay
 
 import (
@@ -213,7 +213,7 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 			}
 			continue
 		}
-		data, err := request(entry, m)
+		data, err := entry.Parcel()
 		if err != nil {
 			return stats, fmt.Errorf("replay: entry %d parcel: %w", entry.Seq, err)
 		}
@@ -226,30 +226,25 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 }
 
 // request decodes an entry's request parcel and checks it against m's
-// signature, so neither a proxy nor the service it reaches can read past
-// a short or mistyped parcel.
-func request(e *record.Entry, m *aidl.Method) (*binder.Parcel, error) {
+// signature, for the proxies that read arguments before any service
+// does.
+func request(e *record.Entry, m *aidl.Method) (*binder.Parcel, aidl.Args, error) {
 	data, err := e.Parcel()
 	if err != nil {
-		return nil, err
+		return nil, aidl.Args{}, err
 	}
-	if err := aidl.CheckArgs(m, data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	args, err := aidl.CheckArgs(m, data)
+	return data, args, err
 }
 
 // AlarmMgrSet is the paper's Figure 10 proxy: verify the alarm is still in
 // the future relative to the checkpoint instant, then re-issue the set.
 func AlarmMgrSet(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
-	data, err := request(e, m)
+	data, args, err := request(e, m)
 	if err != nil {
 		return false, err
 	}
-	cp := data.Clone()
-	cp.MustInt32() // type
-	triggerAt := cp.MustInt64()
-	if triggerAt <= ctx.CheckpointTime.UnixMilli() {
+	if args.Long(1) <= ctx.CheckpointTime.UnixMilli() { // set(type, triggerAtTime, operation)
 		return true, nil // already fired on the home device
 	}
 	_, err = ctx.AppProc.Transact(e.Handle, e.Code, data)
@@ -260,13 +255,11 @@ func AlarmMgrSet(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
 // ratio, for both setStreamVolume(stream,index,flags) and
 // adjustStreamVolume(stream,direction,flags).
 func AudioSetStreamVolume(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
-	data, err := request(e, m)
+	_, args, err := request(e, m)
 	if err != nil {
 		return false, err
 	}
-	stream := data.MustInt32()
-	val := data.MustInt32()
-	flags := data.MustInt32()
+	stream, val, flags := args.Int(0), args.Int(1), args.Int(2)
 	if m.Name == "setStreamVolume" && ctx.HomeVolumeSteps > 0 {
 		guestSteps := ctx.System.Audio.MaxSteps()
 		val = int32(float64(val)*float64(guestSteps)/float64(ctx.HomeVolumeSteps) + 0.5)
@@ -283,14 +276,14 @@ func AudioSetStreamVolume(ctx *Context, e *record.Entry, m *aidl.Method) (bool, 
 // SensorService and injects it at the handle the app held before migration
 // (taken from the recorded reply parcel).
 func SensorCreateConnection(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
-	reply, err := e.ReplyParcel()
+	reply, err := binder.UnmarshalParcel(e.Reply)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("replay: createSensorEventConnection entry %d reply: %w", e.Seq, err)
 	}
-	if reply == nil {
-		return false, fmt.Errorf("replay: createSensorEventConnection entry %d has no recorded reply", e.Seq)
+	origHandle, err := reply.HandleAt(0)
+	if err != nil {
+		return false, fmt.Errorf("replay: createSensorEventConnection entry %d reply: %w", e.Seq, err)
 	}
-	origHandle := reply.MustHandle()
 	conn, err := ctx.System.Sensors.NewConnection(ctx.Pkg)
 	if err != nil {
 		return false, err
@@ -321,14 +314,14 @@ func appendOriginal(ctx *Context, e *record.Entry) {
 // SensorGetChannel re-opens the connection's event socket and dup2()s it
 // onto the descriptor number the app held before migration.
 func SensorGetChannel(ctx *Context, e *record.Entry, m *aidl.Method) (bool, error) {
-	reply, err := e.ReplyParcel()
+	reply, err := binder.UnmarshalParcel(e.Reply)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("replay: getSensorChannel entry %d reply: %w", e.Seq, err)
 	}
-	if reply == nil {
-		return false, fmt.Errorf("replay: getSensorChannel entry %d has no recorded reply", e.Seq)
+	origFD, err := reply.FDAt(0)
+	if err != nil {
+		return false, fmt.Errorf("replay: getSensorChannel entry %d reply: %w", e.Seq, err)
 	}
-	origFD := reply.MustFD()
 	// The connection node sits at the entry's recorded handle (the create
 	// proxy put it back there). Call through Binder so the guest service
 	// opens a fresh channel in the app's fd table. Recording pauses so the
@@ -342,7 +335,10 @@ func SensorGetChannel(ctx *Context, e *record.Entry, m *aidl.Method) (bool, erro
 	if err != nil {
 		return false, err
 	}
-	newFD := fresh.MustFD()
+	newFD, err := fresh.FDAt(0)
+	if err != nil {
+		return false, fmt.Errorf("replay: guest getSensorChannel reply: %w", err)
+	}
 	if newFD == origFD {
 		return false, nil
 	}

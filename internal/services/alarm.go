@@ -66,20 +66,20 @@ func newAlarmManagerService(s *System) *AlarmManagerService {
 	disp := aidl.NewDispatcher(AlarmInterface).
 		Handle("set", a.set).
 		Handle("remove", a.remove).
-		Handle("setTime", func(call *binder.Call, m *aidl.Method) error { return nil }).
-		Handle("setTimeZone", func(call *binder.Call, m *aidl.Method) error { return nil })
+		Handle("setTime", func(call *binder.Call, args aidl.Args) error { return nil }).
+		Handle("setTimeZone", func(call *binder.Call, args aidl.Args) error { return nil })
 	s.register("alarm", AlarmInterface, AlarmAIDL, false, 4, 20, disp, a)
 	return a
 }
 
-func (a *AlarmManagerService) set(call *binder.Call, m *aidl.Method) error {
+func (a *AlarmManagerService) set(call *binder.Call, args aidl.Args) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	typ := call.Data.MustInt32()
-	triggerAt := call.Data.MustInt64()
-	operation := call.Data.MustString()
+	typ := args.Int(0)
+	triggerAt := args.Long(1)
+	operation := args.String(2)
 	a.Set(pkg, typ, triggerAt, operation)
 	return nil
 }
@@ -119,12 +119,12 @@ func (a *AlarmManagerService) fire(pkg, operation string) {
 	})
 }
 
-func (a *AlarmManagerService) remove(call *binder.Call, m *aidl.Method) error {
+func (a *AlarmManagerService) remove(call *binder.Call, args aidl.Args) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	operation := call.Data.MustString()
+	operation := args.String(0)
 	a.Remove(pkg, operation)
 	return nil
 }

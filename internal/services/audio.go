@@ -100,13 +100,13 @@ func newAudioService(s *System, steps int) *AudioService {
 // adaptive replay proxy needs from both sides.
 func (a *AudioService) MaxSteps() int32 { return a.maxSteps }
 
-func (a *AudioService) setStreamVolume(call *binder.Call, m *aidl.Method) error {
+func (a *AudioService) setStreamVolume(call *binder.Call, args aidl.Args) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	stream := call.Data.MustInt32()
-	index := call.Data.MustInt32()
+	stream := args.Int(0)
+	index := args.Int(1)
 	a.SetStreamVolume(pkg, stream, index)
 	return nil
 }
@@ -126,13 +126,13 @@ func (a *AudioService) SetStreamVolume(pkg string, stream, index int32) {
 	a.setBy[stream] = pkg
 }
 
-func (a *AudioService) adjustStreamVolume(call *binder.Call, m *aidl.Method) error {
+func (a *AudioService) adjustStreamVolume(call *binder.Call, args aidl.Args) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	stream := call.Data.MustInt32()
-	direction := call.Data.MustInt32()
+	stream := args.Int(0)
+	direction := args.Int(1)
 	a.mu.Lock()
 	cur := a.volumes[stream]
 	a.mu.Unlock()
@@ -140,12 +140,12 @@ func (a *AudioService) adjustStreamVolume(call *binder.Call, m *aidl.Method) err
 	return nil
 }
 
-func (a *AudioService) setRingerMode(call *binder.Call, m *aidl.Method) error {
+func (a *AudioService) setRingerMode(call *binder.Call, args aidl.Args) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	mode := call.Data.MustInt32()
+	mode := args.Int(0)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.ringerMode = mode
@@ -153,12 +153,12 @@ func (a *AudioService) setRingerMode(call *binder.Call, m *aidl.Method) error {
 	return nil
 }
 
-func (a *AudioService) setSpeakerphoneOn(call *binder.Call, m *aidl.Method) error {
+func (a *AudioService) setSpeakerphoneOn(call *binder.Call, args aidl.Args) error {
 	pkg, err := a.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	on := call.Data.MustBool()
+	on := args.Bool(0)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.speaker = on
@@ -166,16 +166,15 @@ func (a *AudioService) setSpeakerphoneOn(call *binder.Call, m *aidl.Method) erro
 	return nil
 }
 
-func (a *AudioService) getStreamVolume(call *binder.Call, m *aidl.Method) error {
-	stream := call.Data.MustInt32()
+func (a *AudioService) getStreamVolume(call *binder.Call, args aidl.Args) error {
+	stream := args.Int(0)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	call.Reply.WriteInt32(a.volumes[stream])
 	return nil
 }
 
-func (a *AudioService) getStreamMaxVolume(call *binder.Call, m *aidl.Method) error {
-	call.Data.MustInt32()
+func (a *AudioService) getStreamMaxVolume(call *binder.Call, args aidl.Args) error {
 	call.Reply.WriteInt32(a.maxSteps)
 	return nil
 }

@@ -44,17 +44,17 @@ type WifiService struct {
 func newWifiService(s *System) *WifiService {
 	w := &WifiService{sys: s, kv: newAppKV(), enabled: true}
 	disp := aidl.NewDispatcher(WifiInterface).
-		Handle("setWifiEnabled", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setWifiEnabled", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			w.enabled = call.Data.MustBool()
+			w.enabled = args.Bool(0)
 			w.lastBy = pkg
 			w.kv.set(pkg, "wifi", fmt.Sprintf("%t", w.enabled))
 			return nil
 		}).
-		Handle("getWifiEnabledState", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getWifiEnabledState", func(call *binder.Call, args aidl.Args) error {
 			state := int32(1)
 			if w.enabled {
 				state = 3 // WIFI_STATE_ENABLED
@@ -62,8 +62,8 @@ func newWifiService(s *System) *WifiService {
 			call.Reply.WriteInt32(state)
 			return nil
 		}).
-		Handle("startScan", func(call *binder.Call, m *aidl.Method) error { return nil }).
-		Handle("getConnectionInfo", func(call *binder.Call, m *aidl.Method) error {
+		Handle("startScan", func(call *binder.Call, args aidl.Args) error { return nil }).
+		Handle("getConnectionInfo", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString(s.cfg.NetworkName)
 			return nil
 		})
@@ -107,19 +107,19 @@ type ConnectivityManagerService struct {
 func newConnectivityManagerService(s *System, network string) *ConnectivityManagerService {
 	c := &ConnectivityManagerService{sys: s, kv: newAppKV(), network: network}
 	disp := aidl.NewDispatcher(ConnectivityInterface).
-		Handle("setAirplaneMode", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setAirplaneMode", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			c.kv.set(pkg, "airplane", fmt.Sprintf("%t", call.Data.MustBool()))
+			c.kv.set(pkg, "airplane", fmt.Sprintf("%t", args.Bool(0)))
 			return nil
 		}).
-		Handle("getActiveNetworkInfo", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getActiveNetworkInfo", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString(c.network)
 			return nil
 		}).
-		Handle("isActiveNetworkMetered", func(call *binder.Call, m *aidl.Method) error {
+		Handle("isActiveNetworkMetered", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteBool(false)
 			return nil
 		})
@@ -168,24 +168,23 @@ type LocationManagerService struct {
 func newLocationManagerService(s *System) *LocationManagerService {
 	l := &LocationManagerService{sys: s, subs: newAppSet()}
 	disp := aidl.NewDispatcher(LocationInterface).
-		Handle("requestLocationUpdates", func(call *binder.Call, m *aidl.Method) error {
+		Handle("requestLocationUpdates", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			l.subs.add(pkg, call.Data.MustString())
+			l.subs.add(pkg, args.String(0))
 			return nil
 		}).
-		Handle("removeUpdates", func(call *binder.Call, m *aidl.Method) error {
+		Handle("removeUpdates", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			l.subs.remove(pkg, call.Data.MustString())
+			l.subs.remove(pkg, args.String(0))
 			return nil
 		}).
-		Handle("getLastKnownLocation", func(call *binder.Call, m *aidl.Method) error {
-			call.Data.MustString()
+		Handle("getLastKnownLocation", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("44.837,-0.579") // Bordeaux
 			return nil
 		})
@@ -241,33 +240,33 @@ type PowerManagerService struct {
 
 func newPowerManagerService(s *System) *PowerManagerService {
 	p := &PowerManagerService{sys: s, locks: newAppSet()}
-	nop := func(call *binder.Call, m *aidl.Method) error { return nil }
+	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	disp := aidl.NewDispatcher(PowerInterface).
-		Handle("acquireWakeLock", func(call *binder.Call, m *aidl.Method) error {
+		Handle("acquireWakeLock", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			tag := call.Data.MustString()
+			tag := args.String(0)
 			if !p.locks.has(pkg, tag) {
 				p.locks.add(pkg, tag)
 				s.Kernel().Wakelocks.Acquire(pkg + ":" + tag)
 			}
 			return nil
 		}).
-		Handle("releaseWakeLock", func(call *binder.Call, m *aidl.Method) error {
+		Handle("releaseWakeLock", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			tag := call.Data.MustString()
+			tag := args.String(0)
 			if p.locks.has(pkg, tag) {
 				p.locks.remove(pkg, tag)
 				return s.Kernel().Wakelocks.Release(pkg + ":" + tag)
 			}
 			return nil
 		}).
-		Handle("isScreenOn", func(call *binder.Call, m *aidl.Method) error {
+		Handle("isScreenOn", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteBool(true)
 			return nil
 		}).
@@ -330,15 +329,15 @@ type VibratorService struct {
 func newVibratorService(s *System) *VibratorService {
 	v := &VibratorService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(VibratorInterface).
-		Handle("vibrate", func(call *binder.Call, m *aidl.Method) error {
+		Handle("vibrate", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			v.kv.set(pkg, "vibrating", fmt.Sprintf("%d", call.Data.MustInt64()))
+			v.kv.set(pkg, "vibrating", fmt.Sprintf("%d", args.Long(0)))
 			return nil
 		}).
-		Handle("cancelVibrate", func(call *binder.Call, m *aidl.Method) error {
+		Handle("cancelVibrate", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -347,15 +346,15 @@ func newVibratorService(s *System) *VibratorService {
 			v.kv.del(pkg, "pattern")
 			return nil
 		}).
-		Handle("vibratePattern", func(call *binder.Call, m *aidl.Method) error {
+		Handle("vibratePattern", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			v.kv.set(pkg, "pattern", call.Data.MustString())
+			v.kv.set(pkg, "pattern", args.String(0))
 			return nil
 		}).
-		Handle("hasVibrator", func(call *binder.Call, m *aidl.Method) error {
+		Handle("hasVibrator", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteBool(true)
 			return nil
 		})
@@ -404,15 +403,15 @@ type InputMethodManagerService struct {
 func newInputMethodManagerService(s *System) *InputMethodManagerService {
 	im := &InputMethodManagerService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(InputMethodInterface).
-		Handle("setInputMethod", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setInputMethod", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			im.kv.set(pkg, "ime", call.Data.MustString())
+			im.kv.set(pkg, "ime", args.String(0))
 			return nil
 		}).
-		Handle("showSoftInput", func(call *binder.Call, m *aidl.Method) error {
+		Handle("showSoftInput", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -420,7 +419,7 @@ func newInputMethodManagerService(s *System) *InputMethodManagerService {
 			im.kv.set(pkg, "softinput", "shown")
 			return nil
 		}).
-		Handle("hideSoftInput", func(call *binder.Call, m *aidl.Method) error {
+		Handle("hideSoftInput", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -428,7 +427,7 @@ func newInputMethodManagerService(s *System) *InputMethodManagerService {
 			im.kv.del(pkg, "softinput")
 			return nil
 		}).
-		Handle("getCurrentInputMethod", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getCurrentInputMethod", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("com.android.inputmethod.latin")
 			return nil
 		})
@@ -467,15 +466,15 @@ type InputManagerService struct {
 func newInputManagerService(s *System) *InputManagerService {
 	in := &InputManagerService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(InputInterface).
-		Handle("setPointerSpeed", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setPointerSpeed", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			in.kv.set(pkg, "pointerSpeed", fmt.Sprintf("%d", call.Data.MustInt32()))
+			in.kv.set(pkg, "pointerSpeed", fmt.Sprintf("%d", args.Int(0)))
 			return nil
 		}).
-		Handle("getInputDeviceCount", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getInputDeviceCount", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(2)
 			return nil
 		})
@@ -519,11 +518,11 @@ type CountryDetectorService struct {
 func newCountryDetectorService(s *System) *CountryDetectorService {
 	c := &CountryDetectorService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(CountryInterface).
-		Handle("detectCountry", func(call *binder.Call, m *aidl.Method) error {
+		Handle("detectCountry", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("FR")
 			return nil
 		}).
-		Handle("addCountryListener", func(call *binder.Call, m *aidl.Method) error {
+		Handle("addCountryListener", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -531,7 +530,7 @@ func newCountryDetectorService(s *System) *CountryDetectorService {
 			c.kv.set(pkg, "listener", "registered")
 			return nil
 		}).
-		Handle("removeCountryListener", func(call *binder.Call, m *aidl.Method) error {
+		Handle("removeCountryListener", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -581,23 +580,23 @@ type CameraManagerService struct {
 func newCameraManagerService(s *System) *CameraManagerService {
 	c := &CameraManagerService{sys: s, open: newAppSet()}
 	disp := aidl.NewDispatcher(CameraInterface).
-		Handle("connectDevice", func(call *binder.Call, m *aidl.Method) error {
+		Handle("connectDevice", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			c.open.add(pkg, fmt.Sprintf("cam%d", call.Data.MustInt32()))
+			c.open.add(pkg, fmt.Sprintf("cam%d", args.Int(0)))
 			return nil
 		}).
-		Handle("disconnectDevice", func(call *binder.Call, m *aidl.Method) error {
+		Handle("disconnectDevice", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			c.open.remove(pkg, fmt.Sprintf("cam%d", call.Data.MustInt32()))
+			c.open.remove(pkg, fmt.Sprintf("cam%d", args.Int(0)))
 			return nil
 		}).
-		Handle("getNumberOfCameras", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getNumberOfCameras", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(2)
 			return nil
 		})
@@ -645,7 +644,7 @@ type BluetoothService struct {
 func newBluetoothService(s *System) *BluetoothService {
 	b := &BluetoothService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(BluetoothInterface).
-		Handle("enable", func(call *binder.Call, m *aidl.Method) error {
+		Handle("enable", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -653,7 +652,7 @@ func newBluetoothService(s *System) *BluetoothService {
 			b.kv.set(pkg, "adapter", "on")
 			return nil
 		}).
-		Handle("disable", func(call *binder.Call, m *aidl.Method) error {
+		Handle("disable", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -661,7 +660,7 @@ func newBluetoothService(s *System) *BluetoothService {
 			b.kv.set(pkg, "adapter", "off")
 			return nil
 		}).
-		Handle("getState", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getState", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(12) // STATE_ON
 			return nil
 		})
@@ -701,16 +700,16 @@ type SerialService struct {
 func newSerialService(s *System) *SerialService {
 	sr := &SerialService{sys: s, open: newAppSet()}
 	disp := aidl.NewDispatcher(SerialInterface).
-		Handle("getSerialPorts", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getSerialPorts", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("/dev/ttyS0")
 			return nil
 		}).
-		Handle("openSerialPort", func(call *binder.Call, m *aidl.Method) error {
+		Handle("openSerialPort", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			sr.open.add(pkg, call.Data.MustString())
+			sr.open.add(pkg, args.String(0))
 			return nil
 		})
 	s.register("serial", SerialInterface, SerialAIDL, true, 2, -1, disp, sr)
@@ -759,28 +758,28 @@ type UsbService struct {
 func newUsbService(s *System) *UsbService {
 	u := &UsbService{sys: s, kv: newAppKV(), grants: newAppSet()}
 	disp := aidl.NewDispatcher(UsbInterface).
-		Handle("setCurrentFunction", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setCurrentFunction", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			u.kv.set(pkg, "function", call.Data.MustString())
+			u.kv.set(pkg, "function", args.String(0))
 			return nil
 		}).
-		Handle("grantDevicePermission", func(call *binder.Call, m *aidl.Method) error {
+		Handle("grantDevicePermission", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			u.grants.add(pkg, call.Data.MustString())
+			u.grants.add(pkg, args.String(0))
 			return nil
 		}).
-		Handle("hasDevicePermission", func(call *binder.Call, m *aidl.Method) error {
+		Handle("hasDevicePermission", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			call.Reply.WriteBool(u.grants.has(pkg, call.Data.MustString()))
+			call.Reply.WriteBool(u.grants.has(pkg, args.String(0)))
 			return nil
 		})
 	s.register("usb", UsbInterface, UsbAIDL, true, 19, -1, disp, u)

@@ -55,13 +55,13 @@ func newNotificationManagerService(s *System) *NotificationManagerService {
 	return n
 }
 
-func (n *NotificationManagerService) enqueue(call *binder.Call, m *aidl.Method) error {
+func (n *NotificationManagerService) enqueue(call *binder.Call, args aidl.Args) error {
 	pkg, err := n.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	id := call.Data.MustInt32()
-	payload := call.Data.MustString()
+	id := args.Int(0)
+	payload := args.String(1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.active[pkg] == nil {
@@ -71,19 +71,19 @@ func (n *NotificationManagerService) enqueue(call *binder.Call, m *aidl.Method) 
 	return nil
 }
 
-func (n *NotificationManagerService) cancel(call *binder.Call, m *aidl.Method) error {
+func (n *NotificationManagerService) cancel(call *binder.Call, args aidl.Args) error {
 	pkg, err := n.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	id := call.Data.MustInt32()
+	id := args.Int(0)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.active[pkg], id)
 	return nil
 }
 
-func (n *NotificationManagerService) cancelAll(call *binder.Call, m *aidl.Method) error {
+func (n *NotificationManagerService) cancelAll(call *binder.Call, args aidl.Args) error {
 	pkg, err := n.sys.callerPkg(call)
 	if err != nil {
 		return err
@@ -94,7 +94,7 @@ func (n *NotificationManagerService) cancelAll(call *binder.Call, m *aidl.Method
 	return nil
 }
 
-func (n *NotificationManagerService) count(call *binder.Call, m *aidl.Method) error {
+func (n *NotificationManagerService) count(call *binder.Call, args aidl.Args) error {
 	pkg, err := n.sys.callerPkg(call)
 	if err != nil {
 		return err
@@ -105,12 +105,12 @@ func (n *NotificationManagerService) count(call *binder.Call, m *aidl.Method) er
 	return nil
 }
 
-func (n *NotificationManagerService) get(call *binder.Call, m *aidl.Method) error {
+func (n *NotificationManagerService) get(call *binder.Call, args aidl.Args) error {
 	pkg, err := n.sys.callerPkg(call)
 	if err != nil {
 		return err
 	}
-	id := call.Data.MustInt32()
+	id := args.Int(0)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	call.Reply.WriteString(n.active[pkg][id])

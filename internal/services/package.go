@@ -49,8 +49,8 @@ type PackageManagerService struct {
 func newPackageManagerService(s *System) *PackageManagerService {
 	p := &PackageManagerService{sys: s, pkgs: make(map[string]PackageInfo)}
 	disp := aidl.NewDispatcher(PackageInterface).
-		Handle("getPackageInfo", func(call *binder.Call, m *aidl.Method) error {
-			name := call.Data.MustString()
+		Handle("getPackageInfo", func(call *binder.Call, args aidl.Args) error {
+			name := args.String(0)
 			info, ok := p.Info(name)
 			if !ok {
 				call.Reply.WriteString("")
@@ -63,17 +63,17 @@ func newPackageManagerService(s *System) *PackageManagerService {
 			call.Reply.WriteString(info.Label + "/" + kind)
 			return nil
 		}).
-		Handle("isInstalled", func(call *binder.Call, m *aidl.Method) error {
-			_, ok := p.Info(call.Data.MustString())
+		Handle("isInstalled", func(call *binder.Call, args aidl.Args) error {
+			_, ok := p.Info(args.String(0))
 			call.Reply.WriteBool(ok)
 			return nil
 		}).
-		Handle("getApiLevel", func(call *binder.Call, m *aidl.Method) error {
-			info, _ := p.Info(call.Data.MustString())
+		Handle("getApiLevel", func(call *binder.Call, args aidl.Args) error {
+			info, _ := p.Info(args.String(0))
 			call.Reply.WriteInt32(int32(info.APILevel))
 			return nil
 		}).
-		Handle("getInstalledPackages", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getInstalledPackages", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString(strings.Join(p.Packages(), ";"))
 			return nil
 		})

@@ -84,7 +84,7 @@ func newSensorService(s *System) *SensorService {
 	sv := &SensorService{sys: s, nextConn: 1, conns: make(map[string][]*SensorEventConnection)}
 	disp := aidl.NewDispatcher(SensorInterface).
 		Handle("createSensorEventConnection", sv.createConnection).
-		Handle("getSensorList", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getSensorList", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(4)
 			return nil
 		})
@@ -97,7 +97,7 @@ func newSensorService(s *System) *SensorService {
 	return sv
 }
 
-func (sv *SensorService) createConnection(call *binder.Call, m *aidl.Method) error {
+func (sv *SensorService) createConnection(call *binder.Call, args aidl.Args) error {
 	pkg, err := sv.sys.callerPkg(call)
 	if err != nil {
 		return err
@@ -144,10 +144,10 @@ func (c *SensorEventConnection) Node() *binder.Node { return c.node }
 // ID returns the connection's service-local id.
 func (c *SensorEventConnection) ID() int { return c.id }
 
-func (c *SensorEventConnection) enableSensor(call *binder.Call, m *aidl.Method) error {
-	sensor := call.Data.MustInt32()
-	enabled := call.Data.MustBool()
-	period := call.Data.MustInt32()
+func (c *SensorEventConnection) enableSensor(call *binder.Call, args aidl.Args) error {
+	sensor := args.Int(0)
+	enabled := args.Bool(1)
+	period := args.Int(2)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.destroyed {
@@ -161,7 +161,7 @@ func (c *SensorEventConnection) enableSensor(call *binder.Call, m *aidl.Method) 
 	return nil
 }
 
-func (c *SensorEventConnection) getSensorChannel(call *binder.Call, m *aidl.Method) error {
+func (c *SensorEventConnection) getSensorChannel(call *binder.Call, args aidl.Args) error {
 	proc := c.svc.sys.Kernel().Process(call.CallingPID)
 	if proc == nil {
 		return fmt.Errorf("services: getSensorChannel from unknown pid %d", call.CallingPID)
@@ -214,7 +214,7 @@ func (c *SensorEventConnection) EnabledSensors() []int32 {
 	return out
 }
 
-func (c *SensorEventConnection) destroy(call *binder.Call, m *aidl.Method) error {
+func (c *SensorEventConnection) destroy(call *binder.Call, args aidl.Args) error {
 	c.mu.Lock()
 	c.destroyed = true
 	c.enabled = make(map[int32]int32)

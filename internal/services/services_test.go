@@ -18,7 +18,7 @@ type fixture struct {
 	app *android.App
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	dev, err := device.New(device.Nexus4("home"))
 	if err != nil {
@@ -37,7 +37,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{dev: dev, app: app}
 }
 
-func (f *fixture) client(t *testing.T, itf *aidl.Interface, name string) *aidl.Client {
+func (f *fixture) client(t testing.TB, itf *aidl.Interface, name string) *aidl.Client {
 	t.Helper()
 	c, err := aidl.NewClient(itf, f.app.Process().Binder(), name)
 	if err != nil {
@@ -131,8 +131,8 @@ func TestNotificationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reply.MustInt32(); got != 2 {
-		t.Errorf("active = %d", got)
+	if got, err := reply.Int32At(0); err != nil || got != 2 {
+		t.Errorf("active = %d, %v", got, err)
 	}
 	f.call(t, c, "cancelNotification", 1)
 	st := f.dev.System.Notifications.AppState("com.example.app")
@@ -228,9 +228,9 @@ func TestSensorConnectionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	connHandle := reply.MustHandle()
-	if connHandle == 0 {
-		t.Fatal("zero connection handle")
+	connHandle, err := reply.HandleAt(0)
+	if err != nil || connHandle == 0 {
+		t.Fatalf("connection handle = %d, %v", connHandle, err)
 	}
 	conn := &aidl.Client{Itf: services.SensorConnectionInterface, Proc: f.app.Process().Binder(), Handle: connHandle}
 	f.call(t, conn, "enableSensor", int(services.SensorAccelerometer), true, 20000)
@@ -240,7 +240,10 @@ func TestSensorConnectionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := chReply.MustFD()
+	fd, err := chReply.FDAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f.app.Process().FD(fd) == nil {
 		t.Errorf("channel fd %d not in app's table", fd)
 	}
@@ -286,8 +289,8 @@ func TestAudioVolumeAndNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reply.MustInt32(); got != 15 {
-		t.Errorf("max volume = %d", got)
+	if got, err := reply.Int32At(0); err != nil || got != 15 {
+		t.Errorf("max volume = %d, %v", got, err)
 	}
 }
 

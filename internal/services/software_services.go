@@ -52,32 +52,32 @@ type ActivityManagerService struct {
 
 func newActivityManagerService(s *System) *ActivityManagerService {
 	a := &ActivityManagerService{sys: s, receivers: newAppSet()}
-	nop := func(call *binder.Call, m *aidl.Method) error { return nil }
+	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	disp := aidl.NewDispatcher(ActivityInterface).
-		Handle("registerReceiver", func(call *binder.Call, m *aidl.Method) error {
+		Handle("registerReceiver", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			a.receivers.add(pkg, call.Data.MustString())
+			a.receivers.add(pkg, args.String(0))
 			return nil
 		}).
-		Handle("unregisterReceiver", func(call *binder.Call, m *aidl.Method) error {
+		Handle("unregisterReceiver", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			a.receivers.remove(pkg, call.Data.MustString())
+			a.receivers.remove(pkg, args.String(0))
 			return nil
 		}).
-		Handle("broadcastIntent", func(call *binder.Call, m *aidl.Method) error {
-			action := call.Data.MustString()
-			payload := call.Data.MustString()
+		Handle("broadcastIntent", func(call *binder.Call, args aidl.Args) error {
+			action := args.String(0)
+			payload := args.String(1)
 			s.cfg.Broadcast(android.Intent{Action: action, Extras: map[string]string{"payload": payload}})
 			return nil
 		}).
 		Handle("moveTaskToBack", nop).
-		Handle("getMemoryClass", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getMemoryClass", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(192)
 			return nil
 		}).
@@ -128,20 +128,20 @@ type ClipboardService struct {
 func newClipboardService(s *System) *ClipboardService {
 	c := &ClipboardService{sys: s}
 	disp := aidl.NewDispatcher(ClipboardInterface).
-		Handle("setPrimaryClip", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setPrimaryClip", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			c.clip = call.Data.MustString()
+			c.clip = args.String(0)
 			c.owner = pkg
 			return nil
 		}).
-		Handle("getPrimaryClip", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getPrimaryClip", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString(c.clip)
 			return nil
 		}).
-		Handle("hasPrimaryClip", func(call *binder.Call, m *aidl.Method) error {
+		Handle("hasPrimaryClip", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteBool(c.clip != "")
 			return nil
 		})
@@ -198,23 +198,23 @@ type KeyguardService struct {
 func newKeyguardService(s *System) *KeyguardService {
 	k := &KeyguardService{sys: s, tokens: newAppSet()}
 	disp := aidl.NewDispatcher(KeyguardInterface).
-		Handle("disableKeyguard", func(call *binder.Call, m *aidl.Method) error {
+		Handle("disableKeyguard", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			k.tokens.add(pkg, call.Data.MustString())
+			k.tokens.add(pkg, args.String(0))
 			return nil
 		}).
-		Handle("reenableKeyguard", func(call *binder.Call, m *aidl.Method) error {
+		Handle("reenableKeyguard", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			k.tokens.remove(pkg, call.Data.MustString())
+			k.tokens.remove(pkg, args.String(0))
 			return nil
 		}).
-		Handle("isKeyguardLocked", func(call *binder.Call, m *aidl.Method) error {
+		Handle("isKeyguardLocked", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteBool(false)
 			return nil
 		})
@@ -262,20 +262,20 @@ type NsdService struct {
 func newNsdService(s *System) *NsdService {
 	n := &NsdService{sys: s, regs: newAppSet()}
 	disp := aidl.NewDispatcher(NsdInterface).
-		Handle("registerService", func(call *binder.Call, m *aidl.Method) error {
+		Handle("registerService", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			n.regs.add(pkg, call.Data.MustString())
+			n.regs.add(pkg, args.String(0))
 			return nil
 		}).
-		Handle("unregisterService", func(call *binder.Call, m *aidl.Method) error {
+		Handle("unregisterService", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			n.regs.remove(pkg, call.Data.MustString())
+			n.regs.remove(pkg, args.String(0))
 			return nil
 		})
 	s.register("servicediscovery", NsdInterface, NsdAIDL, false, 2, 3, disp, n)
@@ -318,19 +318,19 @@ type TextServicesManagerService struct {
 func newTextServicesManagerService(s *System) *TextServicesManagerService {
 	t := &TextServicesManagerService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(TextServicesInterface).
-		Handle("setCurrentSpellChecker", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setCurrentSpellChecker", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			t.kv.set(pkg, "spellchecker", call.Data.MustString())
+			t.kv.set(pkg, "spellchecker", args.String(0))
 			return nil
 		}).
-		Handle("getCurrentSpellChecker", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getCurrentSpellChecker", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("com.android.spellchecker")
 			return nil
 		}).
-		Handle("isSpellCheckerEnabled", func(call *binder.Call, m *aidl.Method) error {
+		Handle("isSpellCheckerEnabled", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteBool(true)
 			return nil
 		})
@@ -380,15 +380,15 @@ type UiModeManagerService struct {
 func newUiModeManagerService(s *System) *UiModeManagerService {
 	u := &UiModeManagerService{sys: s, kv: newAppKV()}
 	disp := aidl.NewDispatcher(UiModeInterface).
-		Handle("setNightMode", func(call *binder.Call, m *aidl.Method) error {
+		Handle("setNightMode", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
 			}
-			u.kv.set(pkg, "night", fmt.Sprintf("%d", call.Data.MustInt32()))
+			u.kv.set(pkg, "night", fmt.Sprintf("%d", args.Int(0)))
 			return nil
 		}).
-		Handle("enableCarMode", func(call *binder.Call, m *aidl.Method) error {
+		Handle("enableCarMode", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -396,7 +396,7 @@ func newUiModeManagerService(s *System) *UiModeManagerService {
 			u.kv.set(pkg, "car", "on")
 			return nil
 		}).
-		Handle("disableCarMode", func(call *binder.Call, m *aidl.Method) error {
+		Handle("disableCarMode", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
 			if err != nil {
 				return err
@@ -404,11 +404,11 @@ func newUiModeManagerService(s *System) *UiModeManagerService {
 			u.kv.del(pkg, "car")
 			return nil
 		}).
-		Handle("getCurrentModeType", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getCurrentModeType", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(1) // UI_MODE_TYPE_NORMAL
 			return nil
 		}).
-		Handle("getNightMode", func(call *binder.Call, m *aidl.Method) error {
+		Handle("getNightMode", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteInt32(0)
 			return nil
 		})

@@ -53,10 +53,7 @@ func Parse(data []byte, errPrefix string) (Map, error) {
 		}
 	}
 	for ln, raw := range strings.Split(string(data), "\n") {
-		line := raw
-		if i := strings.Index(line, "#"); i >= 0 && !strings.Contains(line[:i], "\"") {
-			line = line[:i]
-		}
+		line := stripComment(raw)
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -114,6 +111,29 @@ func Parse(data []byte, errPrefix string) (Map, error) {
 	}
 	closeBlock()
 	return root, nil
+}
+
+// stripComment cuts line at the first # outside a quoted span ("…" or
+// '…'). As in YAML, a quote opens a span only where a scalar starts,
+// after a colon, bracket or comma, so an apostrophe in a plain scalar
+// (don't) opens none.
+func stripComment(line string) string {
+	var quote, last byte // last: the previous non-space byte outside quotes
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case (c == '"' || c == '\'') && strings.IndexByte(":[,", last) >= 0:
+			quote = c
+		case c == '#':
+			return line[:i]
+		case c != ' ':
+			last = c
+		}
+	}
+	return line
 }
 
 // parseScalar parses a scalar or a flow list into a Value.

@@ -50,6 +50,12 @@ sweep:
   workers: [1, 0]
   label: 'x'
 empty: []
+quoted: "smoke"   # note
+single: 'a # b'
+double: "a # b"
+plain: smoke # note
+apostrophe: don't # note
+listed: ['a # b', "c"] # note
 `), "p")
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +68,14 @@ empty: []
 			"label":   {Scalar: "x"},
 		}},
 		"empty": {IsList: true},
+		// # starts a comment only outside a quoted span.
+		"quoted": {Scalar: "smoke"},
+		"single": {Scalar: "a # b"},
+		"double": {Scalar: "a # b"},
+		"plain":  {Scalar: "smoke"},
+		// A quote inside a plain scalar opens no span.
+		"apostrophe": {Scalar: "don't"},
+		"listed":     {IsList: true, List: []string{"a # b", "c"}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Parse = %#v\nwant %#v", got, want)
@@ -138,6 +152,8 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add([]byte("seed: 1\nseed: 2\n"))
 	f.Add([]byte("a:\n  b: [1, 2\n\tc: 3\n"))
+	f.Add([]byte("name: \"smoke\"   # note\n"))
+	f.Add([]byte("name: 'a # b'\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, err := Parse(data, "fuzz: spec")
 		if err != nil && !strings.HasPrefix(err.Error(), "fuzz: spec line ") {

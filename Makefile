@@ -7,7 +7,8 @@
 #   make lint        fluxvet alone: decorator-spec analysis (layer 1) plus
 #                    the repo source invariants (layer 3)
 #   make race        -race pass over the concurrency-sensitive packages
-#   make bench       hot-path microbenchmarks + matrix scaling benchmarks
+#   make bench       hot-path microbenchmarks (record, obs, device boot) +
+#                    matrix scaling benchmarks
 #   make bench-pipeline  parallel-marshal / chunking / streamed-link /
 #                    rsyncx benchmarks plus the matrix lab spec (streamed
 #                    vs sequential across worker widths)
@@ -82,14 +83,16 @@ bench-module:
 # concurrent fault injector, the image marshaller's worker pool, the
 # memoized sync trees and the mutex-guarded chunk store are only correct
 # if they are race-clean. So are the process-wide tables aidl.Parse
-# compiles and every Recorder, Dispatcher and replay Engine reads
-# (device's parallel-pairs test reads them from concurrent boots).
+# compiles and every Recorder, Dispatcher and replay Engine reads, and
+# the per-profile system partitions concurrent boots share (device's
+# parallel-pairs test reads both from concurrent boots).
 race:
 	$(GO) test -race ./internal/record/ ./internal/experiments/ ./internal/binder/ ./internal/obs/ ./internal/migration/ ./internal/cria/ ./internal/netsim/ ./internal/rsyncx/ ./internal/faults/ ./internal/chunkstore/ ./internal/lab/ ./internal/fleet/ ./internal/seglog/ ./internal/aidl/ ./internal/replay/ ./internal/services/ ./internal/device/ ./internal/android/
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/record/
 	$(GO) test -bench=. -benchmem ./internal/obs/
+	$(GO) test -bench=. -benchmem ./internal/device/
 	$(GO) test -bench='BenchmarkMatrixWorkers' -benchmem .
 
 # The streaming-pipeline hot paths: parallel FXC2 marshal (run with

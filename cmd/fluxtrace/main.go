@@ -30,6 +30,7 @@ import (
 	"flux/internal/device"
 	"flux/internal/record"
 	"flux/internal/seglog"
+	"flux/internal/services"
 )
 
 func main() {
@@ -97,7 +98,7 @@ func trace(app flux.App, full bool) ([]*record.Entry, record.Stats, *record.Log,
 		return nil, record.Stats{}, nil, err
 	}
 	if full {
-		for _, reg := range dev.System.Catalog() {
+		for _, reg := range services.Catalog() {
 			dev.Recorder.SetFullRecord(reg.Descriptor, true)
 		}
 	}

@@ -389,11 +389,11 @@ func TestArgString(t *testing.T) {
 func TestClientDispatcherEndToEnd(t *testing.T) {
 	itf := MustParse(`interface IEcho { String echo(String msg); int add(int a, int b); oneway void ping(); }`)
 	d := binder.NewDriver()
-	sys, err := d.OpenProc(1, "system_server")
+	sys, err := d.OpenProc(1, 1000, "system_server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := d.OpenProc(100, "app")
+	app, err := d.OpenProc(100, 10000, "app")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // because interleaving is unordered.
 func TestConcurrentTransactions(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
 
 	var mu sync.Mutex
 	calls := 0
@@ -34,7 +34,7 @@ func TestConcurrentTransactions(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, procs)
 	for i := 0; i < procs; i++ {
-		p := mustOpen(t, d, 100+i, fmt.Sprintf("app%d", i))
+		p := mustOpen(t, d, 100+i, 10000+i, fmt.Sprintf("app%d", i))
 		wg.Add(1)
 		go func(p *Proc, id int) {
 			defer wg.Done()
@@ -75,11 +75,11 @@ func TestConcurrentTransactions(t *testing.T) {
 // death, checking the driver never hands out dangling nodes.
 func TestConcurrentPublishAndExit(t *testing.T) {
 	d := NewDriver()
-	observer := mustOpen(t, d, 1, "observer")
+	observer := mustOpen(t, d, 1, 1000, "observer")
 	const workers = 6
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		p := mustOpen(t, d, 10+i, fmt.Sprintf("w%d", i))
+		p := mustOpen(t, d, 10+i, 10000+i, fmt.Sprintf("w%d", i))
 		wg.Add(1)
 		go func(p *Proc, i int) {
 			defer wg.Done()

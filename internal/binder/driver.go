@@ -36,7 +36,15 @@ var (
 	ErrBadHandle = errors.New("binder: bad handle")
 	// ErrProcDead is returned for operations on an exited process.
 	ErrProcDead = errors.New("binder: process has exited")
+	// ErrNotSystem is returned when a process running under an
+	// application UID tries to add a service to the ServiceManager.
+	// Android lets only system UIDs register services.
+	ErrNotSystem = errors.New("binder: only a system UID may add a service")
 )
+
+// firstApplicationUID is the lowest UID Android assigns to applications
+// (Process.FIRST_APPLICATION_UID). UIDs below it belong to the system.
+const firstApplicationUID = 10000
 
 // Call carries one Binder transaction. Services receive the request parcel
 // and fill in the reply parcel. Oneway transactions have a nil Reply.
@@ -50,6 +58,7 @@ type Call struct {
 	Data       *Parcel
 	Reply      *Parcel
 	CallingPID int
+	CallingUID int    // UID the caller opened the driver with
 	Handle     Handle // caller-side handle the transaction was issued on
 }
 
@@ -111,12 +120,11 @@ func (d *Driver) SetInterposer(ip Interposer) {
 // Node is the service side of a Binder connection: an object owned by one
 // process that other processes reference through handles.
 type Node struct {
-	id      NodeID
-	owner   *Proc
-	svc     Transactor
-	descr   string // interface descriptor, e.g. "android.app.INotificationManager"
-	dead    bool
-	oneDead sync.Once
+	id    NodeID
+	owner *Proc
+	svc   Transactor
+	descr string // interface descriptor, e.g. "android.app.INotificationManager"
+	dead  bool
 }
 
 // ID returns the node's driver-unique id.
@@ -131,7 +139,9 @@ func (n *Node) Descriptor() string { return n.descr }
 // Service returns the Transactor behind the node.
 func (n *Node) Service() Transactor { return n.svc }
 
-// ref is one process's reference to a node, with registered death recipients.
+// ref is one process's reference to a node, with registered death
+// recipients. Handle tables hold refs by value: code that changes one
+// writes it back.
 type ref struct {
 	node  *Node
 	death []func()
@@ -141,11 +151,12 @@ type ref struct {
 type Proc struct {
 	driver *Driver
 	pid    int
+	uid    int
 	name   string
 	dead   bool
 
 	nextHandle Handle
-	handles    map[Handle]*ref
+	handles    map[Handle]ref
 	// handleOf indexes handles by node: the handle Ref returns for a node
 	// the process already references. Every insert into handles updates
 	// it (OpenProc's handle 0, refLocked, InjectRef); when a node is held
@@ -154,28 +165,31 @@ type Proc struct {
 	owned    map[NodeID]*Node
 }
 
-// OpenProc registers a process with the driver and installs the handle-0
-// reference to the ServiceManager. It is analogous to opening /dev/binder.
-func (d *Driver) OpenProc(pid int, name string) (*Proc, error) {
+// OpenProc registers a process running as uid with the driver and
+// installs the handle-0 reference to the ServiceManager. It is analogous
+// to opening /dev/binder. The driver stamps uid on every transaction the
+// process starts.
+func (d *Driver) OpenProc(pid, uid int, name string) (*Proc, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.procs[pid]; ok {
 		return nil, fmt.Errorf("binder: pid %d already open", pid)
 	}
-	p := newProc(d, pid, name)
-	p.handles[ContextManagerHandle] = &ref{node: d.sm.node}
+	p := newProc(d, pid, uid, name)
+	p.handles[ContextManagerHandle] = ref{node: d.sm.node}
 	p.handleOf[d.sm.node] = ContextManagerHandle
 	d.procs[pid] = p
 	return p, nil
 }
 
-func newProc(d *Driver, pid int, name string) *Proc {
+func newProc(d *Driver, pid, uid int, name string) *Proc {
 	return &Proc{
 		driver:     d,
 		pid:        pid,
+		uid:        uid,
 		name:       name,
 		nextHandle: 1,
-		handles:    make(map[Handle]*ref),
+		handles:    make(map[Handle]ref),
 		handleOf:   make(map[*Node]Handle),
 		owned:      make(map[NodeID]*Node),
 	}
@@ -202,9 +216,14 @@ func (p *Proc) Publish(descr string, svc Transactor) (*Node, error) {
 	d := p.driver
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return p.publishLocked(descr, svc)
+}
+
+func (p *Proc) publishLocked(descr string, svc Transactor) (*Node, error) {
 	if p.dead {
 		return nil, ErrProcDead
 	}
+	d := p.driver
 	n := &Node{id: d.nextNodeID, owner: p, svc: svc, descr: descr}
 	d.nextNodeID++
 	p.owned[n.id] = n
@@ -233,7 +252,7 @@ func (p *Proc) refLocked(node *Node) (Handle, error) {
 	}
 	h := p.nextHandle
 	p.nextHandle++
-	p.handles[h] = &ref{node: node}
+	p.handles[h] = ref{node: node}
 	p.handleOf[node] = h
 	return h, nil
 }
@@ -259,7 +278,7 @@ func (p *Proc) InjectRef(h Handle, node *Node) error {
 			delete(p.handleOf, old.node)
 		}
 	}
-	p.handles[h] = &ref{node: node}
+	p.handles[h] = ref{node: node}
 	if _, ok := p.handleOf[node]; !ok {
 		p.handleOf[node] = h
 	}
@@ -339,6 +358,7 @@ func (p *Proc) LinkToDeath(h Handle, fn func()) error {
 		return nil
 	}
 	r.death = append(r.death, fn)
+	p.handles[h] = r
 	d.mu.Unlock()
 	return nil
 }
@@ -401,7 +421,7 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 	ip := d.interposer
 	d.mu.Unlock()
 
-	call := &Call{Code: code, Data: delivered, CallingPID: p.pid, Handle: h}
+	call := &Call{Code: code, Data: delivered, CallingPID: p.pid, CallingUID: p.uid, Handle: h}
 	if !oneway {
 		call.Reply = NewParcel()
 	}
@@ -462,11 +482,12 @@ func (p *Proc) Exit() {
 	// Collect death recipients while holding the lock, fire after releasing.
 	var recipients []func()
 	for _, other := range d.procs {
-		for _, r := range other.handles {
+		for h, r := range other.handles {
 			for _, n := range dying {
-				if r.node == n {
+				if r.node == n && r.death != nil {
 					recipients = append(recipients, r.death...)
 					r.death = nil
+					other.handles[h] = r
 				}
 			}
 		}

@@ -20,9 +20,9 @@ func (e *echoService) Transact(call *Call) error {
 	return nil
 }
 
-func mustOpen(t *testing.T, d *Driver, pid int, name string) *Proc {
+func mustOpen(t *testing.T, d *Driver, pid, uid int, name string) *Proc {
 	t.Helper()
-	p, err := d.OpenProc(pid, name)
+	p, err := d.OpenProc(pid, uid, name)
 	if err != nil {
 		t.Fatalf("OpenProc(%d): %v", pid, err)
 	}
@@ -31,16 +31,16 @@ func mustOpen(t *testing.T, d *Driver, pid int, name string) *Proc {
 
 func TestOpenProcDuplicatePID(t *testing.T) {
 	d := NewDriver()
-	mustOpen(t, d, 100, "app")
-	if _, err := d.OpenProc(100, "again"); err == nil {
+	mustOpen(t, d, 100, 10000, "app")
+	if _, err := d.OpenProc(100, 10001, "again"); err == nil {
 		t.Fatal("duplicate OpenProc succeeded")
 	}
 }
 
 func TestRegisterAndCallService(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "com.example.app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "com.example.app")
 
 	if _, err := AddService(sys, "echo", "IEcho", &echoService{suffix: "!"}); err != nil {
 		t.Fatalf("AddService: %v", err)
@@ -62,7 +62,7 @@ func TestRegisterAndCallService(t *testing.T) {
 
 func TestGetServiceUnknownName(t *testing.T) {
 	d := NewDriver()
-	app := mustOpen(t, d, 100, "app")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := GetService(app, "nope"); err == nil {
 		t.Fatal("GetService on unknown name succeeded")
 	}
@@ -70,8 +70,8 @@ func TestGetServiceUnknownName(t *testing.T) {
 
 func TestGetServiceReusesHandle(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := AddService(sys, "echo", "IEcho", &echoService{}); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGetServiceReusesHandle(t *testing.T) {
 
 func TestHandleZeroIsServiceManager(t *testing.T) {
 	d := NewDriver()
-	app := mustOpen(t, d, 100, "app")
+	app := mustOpen(t, d, 100, 10000, "app")
 	node, err := app.Node(ContextManagerHandle)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestHandleZeroIsServiceManager(t *testing.T) {
 
 func TestDeadObjectAfterOwnerExit(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := AddService(sys, "echo", "IEcho", &echoService{}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestDeadObjectAfterOwnerExit(t *testing.T) {
 
 func TestDeathNotification(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := AddService(sys, "echo", "IEcho", &echoService{}); err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func TestDeathNotification(t *testing.T) {
 
 func TestLinkToDeathOnAlreadyDeadNode(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := AddService(sys, "echo", "IEcho", &echoService{}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestLinkToDeathOnAlreadyDeadNode(t *testing.T) {
 
 func TestTransactBadHandle(t *testing.T) {
 	d := NewDriver()
-	app := mustOpen(t, d, 100, "app")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := app.Transact(42, 1, NewParcel()); !errors.Is(err, ErrBadHandle) {
 		t.Errorf("err = %v, want ErrBadHandle", err)
 	}
@@ -178,7 +178,7 @@ func TestTransactBadHandle(t *testing.T) {
 
 func TestExitedProcCannotTransact(t *testing.T) {
 	d := NewDriver()
-	app := mustOpen(t, d, 100, "app")
+	app := mustOpen(t, d, 100, 10000, "app")
 	app.Exit()
 	if _, err := app.Transact(ContextManagerHandle, SMListServices, NewParcel()); !errors.Is(err, ErrProcDead) {
 		t.Errorf("err = %v, want ErrProcDead", err)
@@ -215,8 +215,8 @@ func (s *handlePassingService) Transact(call *Call) error {
 
 func TestEmbeddedHandleTranslation(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 
 	recv := &handlePassingService{d: d, self: sys}
 	if _, err := AddService(sys, "receiver", "IReceiver", recv); err != nil {
@@ -253,8 +253,8 @@ func TestEmbeddedHandleTranslation(t *testing.T) {
 
 func TestInjectRefPreservesHandleID(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	node, err := sys.Publish("ISvc", &echoService{suffix: "?"})
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +292,8 @@ func TestInjectRefPreservesHandleID(t *testing.T) {
 // and a handle re-injected over a dead node moves to the new node.
 func TestRefReusesIndexedHandle(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	n1, _ := sys.Publish("A", &echoService{})
 	n2, _ := sys.Publish("B", &echoService{})
 	h1, err := app.Ref(n1)
@@ -315,7 +315,7 @@ func TestRefReusesIndexedHandle(t *testing.T) {
 	}
 
 	// A dead node's handle can be re-injected; the index follows it.
-	other := mustOpen(t, d, 2, "other")
+	other := mustOpen(t, d, 2, 10001, "other")
 	dying, _ := other.Publish("C", &echoService{})
 	const reused = Handle(50)
 	if err := app.InjectRef(reused, dying); err != nil {
@@ -339,8 +339,8 @@ func TestRefReusesIndexedHandle(t *testing.T) {
 
 func TestInjectRefOverLiveHandleFails(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	n1, _ := sys.Publish("A", &echoService{})
 	n2, _ := sys.Publish("B", &echoService{})
 	h, err := app.Ref(n1)
@@ -354,8 +354,8 @@ func TestInjectRefOverLiveHandleFails(t *testing.T) {
 
 func TestHandlesSnapshotSortedAndComplete(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	for i := 0; i < 5; i++ {
 		if _, err := AddService(sys, fmt.Sprintf("svc%d", i), "ISvc", &echoService{}); err != nil {
 			t.Fatal(err)
@@ -383,7 +383,7 @@ func TestHandlesSnapshotSortedAndComplete(t *testing.T) {
 
 func TestServiceManagerNameOf(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
 	node, err := AddService(sys, "notification", "INotificationManager", &echoService{})
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +410,8 @@ func TestServiceManagerNameOf(t *testing.T) {
 
 func TestListServicesViaTransaction(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	for _, name := range []string{"alarm", "notification", "sensor"} {
 		if _, err := AddService(sys, name, "I"+name, &echoService{}); err != nil {
 			t.Fatal(err)
@@ -452,8 +452,8 @@ func (c *countingInterposer) ObserveTransaction(pid int, node *Node, call *Call)
 
 func TestInterposerObservesTransactions(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	if _, err := AddService(sys, "echo", "IEcho", &echoService{}); err != nil {
 		t.Fatal(err)
 	}
@@ -495,8 +495,8 @@ func TestInterposerObservesTransactions(t *testing.T) {
 
 func TestOneWayTransactionHasNoReply(t *testing.T) {
 	d := NewDriver()
-	sys := mustOpen(t, d, 1, "system_server")
-	app := mustOpen(t, d, 100, "app")
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	app := mustOpen(t, d, 100, 10000, "app")
 	sawNilReply := false
 	svc := TransactorFunc(func(call *Call) error {
 		sawNilReply = call.Reply == nil
@@ -519,7 +519,7 @@ func TestOneWayTransactionHasNoReply(t *testing.T) {
 
 func TestOwnedNodes(t *testing.T) {
 	d := NewDriver()
-	app := mustOpen(t, d, 100, "app")
+	app := mustOpen(t, d, 100, 10000, "app")
 	n1, _ := app.Publish("A", &echoService{})
 	n2, _ := app.Publish("B", &echoService{})
 	ids := app.OwnedNodes()

@@ -28,8 +28,9 @@ const (
 func newServiceManager(d *Driver) *ServiceManager {
 	sm := &ServiceManager{driver: d, names: make(map[string]*Node)}
 	// The ServiceManager's own node is owned by a synthetic pid-0 process
-	// so it survives any app exiting.
-	owner := newProc(d, 0, "servicemanager")
+	// so it survives any app exiting. It runs as the system UID (1000), as
+	// Android's servicemanager does.
+	owner := newProc(d, 0, 1000, "servicemanager")
 	d.procs[0] = owner
 	sm.node = &Node{id: d.nextNodeID, owner: owner, svc: sm, descr: "android.os.IServiceManager"}
 	d.nextNodeID++
@@ -121,6 +122,9 @@ func (sm *ServiceManager) Transact(call *Call) error {
 		call.Reply.WriteHandle(h)
 		return nil
 	case SMAddService:
+		if call.CallingUID >= firstApplicationUID {
+			return ErrNotSystem
+		}
 		name, err := call.Data.StringAt(0)
 		if err != nil {
 			return err
@@ -167,20 +171,29 @@ func GetService(p *Proc, name string) (Handle, error) {
 }
 
 // AddService publishes svc under name from process p, returning the node.
+// It takes the steps of an SMAddService transaction without building its
+// parcels, in the same order and under one driver lock: publish the node,
+// ref it in p, ref it in the ServiceManager's owner (the handle the
+// driver would translate the request's handle to), then bind the name.
+// So the node ids, handles and names are those the transaction yields. A
+// process running under an application UID is refused with ErrNotSystem
+// before anything is published.
 func AddService(p *Proc, name, descr string, svc Transactor) (*Node, error) {
-	node, err := p.Publish(descr, svc)
+	if p.uid >= firstApplicationUID {
+		return nil, ErrNotSystem
+	}
+	d := p.driver
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	node, err := p.publishLocked(descr, svc)
 	if err != nil {
 		return nil, err
 	}
-	h, err := p.Ref(node)
-	if err != nil {
+	if _, err := p.refLocked(node); err != nil {
 		return nil, err
 	}
-	data := NewParcel()
-	data.WriteString(name)
-	data.WriteHandle(h)
-	if _, err := p.Transact(ContextManagerHandle, SMAddService, data); err != nil {
+	if _, err := d.sm.node.owner.refLocked(node); err != nil {
 		return nil, err
 	}
-	return node, nil
+	return node, d.sm.Register(name, node)
 }

@@ -3,6 +3,12 @@
 // Selective Record recorder, the system partition file tree (for pairing),
 // and the app install database. Profiles model the paper's evaluation
 // hardware: Nexus 4, Nexus 7 (2012), and Nexus 7 (2013).
+//
+// A boot builds only what belongs to one device. Every device of one
+// model and Android version has the same system partition, so the tree
+// is built once per process for each such profile and shared read-only;
+// the Table 2 catalog and the compiled AIDL tables are shared the same
+// way by the services and aidl packages.
 package device
 
 import (
@@ -164,7 +170,7 @@ func New(p Profile) (*Device, error) {
 		Runtime:    rt,
 		System:     sys,
 		Recorder:   rec,
-		systemTree: systemPartition(p),
+		systemTree: sharedPartition(p),
 		fluxDir:    make(map[string]*rsyncx.Tree),
 		installs:   make(map[string]*Install),
 		paired:     make(map[string]bool),
@@ -180,6 +186,8 @@ func (d *Device) Profile() Profile { return d.profile }
 func (d *Device) Name() string { return d.profile.Name }
 
 // SystemTree returns the device's system partition (frameworks + libs).
+// Every device of the same model, SoC, GPU and Android version returns
+// the same tree, so it must not be modified; pairing only reads it.
 func (d *Device) SystemTree() *rsyncx.Tree { return d.systemTree }
 
 // FluxDir returns the synced copy of homeDevice's frameworks on this
@@ -262,12 +270,43 @@ func hashContent(parts ...string) uint64 {
 	return h.Sum64()
 }
 
+// partitions memoizes systemPartition for the whole process. Boots on
+// concurrent goroutines (experiments.ForEach workers) share it, hence the
+// mutex.
+var partitions = struct {
+	sync.Mutex
+	trees map[partitionKey]*rsyncx.Tree
+}{trees: make(map[partitionKey]*rsyncx.Tree)}
+
+// partitionKey holds every Profile field systemPartition reads. The
+// instance name is not one of them.
+type partitionKey struct {
+	model, androidVersion, soc, vendorLib, vendorBlob string
+}
+
+// sharedPartition returns the process-wide system partition for p's
+// profile, building it on first use. The file list is sorted before the
+// tree is first handed out, so a shared tree is only ever read.
+func sharedPartition(p Profile) *rsyncx.Tree {
+	k := partitionKey{p.Model, p.AndroidVersion, p.SoC, p.GPU.VendorLib, p.GPU.VendorBlob}
+	partitions.Lock()
+	defer partitions.Unlock()
+	t, ok := partitions.trees[k]
+	if !ok {
+		t = systemPartition(p)
+		t.Files()
+		partitions.trees[k] = t
+	}
+	return t
+}
+
 // systemPartition synthesizes a device's /system tree: ~215 MB of core
 // frameworks and libraries. Files common to an Android version hash
 // identically across devices (hard-linkable during pairing); vendor blobs
 // and device overlays hash per-device. The shared/device split is tuned to
 // the paper's pairing numbers: 215 MB total, 123 MB after linking, 56 MB
-// compressed delta.
+// compressed delta. It is a pure function of the partitionKey fields;
+// boots go through sharedPartition.
 func systemPartition(p Profile) *rsyncx.Tree {
 	t := rsyncx.NewTree()
 	// Shared framework jars: identical for a given Android version.

@@ -1,9 +1,12 @@
 package device
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"flux/internal/android"
+	"flux/internal/binder"
 	"flux/internal/rsyncx"
 )
 
@@ -176,47 +179,85 @@ func TestHashContentStable(t *testing.T) {
 	}
 }
 
-// TestBootHandleIDs pins the handle ids a boot assigns: system_server
-// refs each service node as it publishes it, and the ServiceManager's
-// owner refs it again when the registration's embedded handle is
-// translated. Ref answers a repeat from the node→handle index, so these
-// ids depend only on registration order.
-func TestBootHandleIDs(t *testing.T) {
-	d, err := New(Nexus4("handles"))
+// TestBootState pins the Binder state a Nexus 4 boot leaves behind: the
+// ServiceManager's names, each name's node id and owner, and the handle
+// tables of system_server and of the ServiceManager's owner (pid 0). Boot
+// registers the services in catalog order; system_server refs each node
+// as it publishes it and pid 0 refs it as the ServiceManager binds the
+// name, so both tables hold handle i for the i-th service. Any change to
+// how boot registers services must leave every value here unchanged.
+func TestBootState(t *testing.T) {
+	d, err := New(Nexus4("state"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	services := []string{
-		"INotificationManager", "IAlarmManager", "ISensorServer", "IAudioService",
-		"IActivityManager", "IClipboard", "IWifiManager", "IConnectivityManager",
-		"ILocationManager", "IPowerManager", "IVibratorService", "IInputMethodManager",
-		"IInputManager", "IKeyguardService", "IUiModeManager", "INsdManager",
-		"ITextServicesManager", "ICountryDetector", "ICameraService", "IBluetooth",
-		"ISerialManager", "IUsbManager", "IPackageManager",
+	type row struct {
+		handle     binder.Handle
+		node       binder.NodeID
+		name       string
+		descriptor string
 	}
-	// system_server also holds handle 0, the ServiceManager; the
-	// ServiceManager's owner holds only the services, from handle 1.
+	booted := []row{
+		{1, 2, "notification", "INotificationManager"},
+		{2, 3, "alarm", "IAlarmManager"},
+		{3, 4, "sensorservice", "ISensorServer"},
+		{4, 5, "audio", "IAudioService"},
+		{5, 6, "activity", "IActivityManager"},
+		{6, 7, "clipboard", "IClipboard"},
+		{7, 8, "wifi", "IWifiManager"},
+		{8, 9, "connectivity", "IConnectivityManager"},
+		{9, 10, "location", "ILocationManager"},
+		{10, 11, "power", "IPowerManager"},
+		{11, 12, "vibrator", "IVibratorService"},
+		{12, 13, "input_method", "IInputMethodManager"},
+		{13, 14, "input", "IInputManager"},
+		{14, 15, "keyguard", "IKeyguardService"},
+		{15, 16, "uimode", "IUiModeManager"},
+		{16, 17, "servicediscovery", "INsdManager"},
+		{17, 18, "textservices", "ITextServicesManager"},
+		{18, 19, "country_detector", "ICountryDetector"},
+		{19, 20, "camera", "ICameraService"},
+		{20, 21, "bluetooth_manager", "IBluetooth"},
+		{21, 22, "serial", "ISerialManager"},
+		{22, 23, "usb", "IUsbManager"},
+		{23, 24, "package", "IPackageManager"},
+	}
+	if pid := d.System.Proc().PID(); pid != 1 {
+		t.Fatalf("system_server booted as pid %d, want 1", pid)
+	}
+	drv := d.Kernel.Binder()
+	sm := drv.ServiceManager()
+	var names []string
+	for _, r := range booted {
+		names = append(names, r.name)
+		n := sm.Lookup(r.name)
+		if n == nil || n.ID() != r.node || n.OwnerPID() != 1 {
+			t.Errorf("Lookup(%q) = %v, want node %d owned by pid 1", r.name, n, r.node)
+		}
+	}
+	sort.Strings(names)
+	if got := sm.Names(); !reflect.DeepEqual(got, names) {
+		t.Errorf("Names() = %v, want %v", got, names)
+	}
+
+	var services []binder.HandleEntry
+	for _, r := range booted {
+		services = append(services, binder.HandleEntry{Handle: r.handle, Node: r.node, OwnerPID: 1, Descriptor: r.descriptor})
+	}
 	for _, tc := range []struct {
 		proc string
 		pid  int
-		want []string
+		want []binder.HandleEntry
 	}{
-		{"system_server", d.System.Proc().PID(), append([]string{"android.os.IServiceManager"}, services...)},
+		{"system_server", 1, append([]binder.HandleEntry{{Handle: 0, Node: 1, OwnerPID: 0, Descriptor: "android.os.IServiceManager"}}, services...)},
 		{"servicemanager", 0, services},
 	} {
-		p := d.Kernel.Binder().Proc(tc.pid)
+		p := drv.Proc(tc.pid)
 		if p == nil {
 			t.Fatalf("%s: no binder state for pid %d", tc.proc, tc.pid)
 		}
-		got := p.Handles()
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s holds %d handles, want %d", tc.proc, len(got), len(tc.want))
-		}
-		offset := len(tc.want) - len(services)
-		for i, h := range got {
-			if int(h.Handle) != i+1-offset || h.Descriptor != tc.want[i] {
-				t.Errorf("%s handle row %d = {%d, %s}, want {%d, %s}", tc.proc, i, h.Handle, h.Descriptor, i+1-offset, tc.want[i])
-			}
+		if got := p.Handles(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s handles:\n got %v\nwant %v", tc.proc, got, tc.want)
 		}
 	}
 }

@@ -18,7 +18,10 @@ import (
 // already recorded, and then one app migrates with a verified log and is
 // replayed on the guest. Every Recorder, Dispatcher and replay Engine
 // reads the same process-wide tables aidl.Parse compiled, so under -race
-// this checks that those tables are only ever read.
+// (make race) this checks that those tables are only ever read. It also
+// shows that concurrent boots only read a shared system partition: three
+// pairs boot a Nexus 7 (2013) guest, and pairing reads that one tree as
+// each pair's link-dest.
 func TestParallelPairsShareTables(t *testing.T) {
 	pairs := experiments.Figure12Pairs()
 	if len(pairs) < 4 {

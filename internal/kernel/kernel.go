@@ -201,7 +201,7 @@ func (k *Kernel) CreateProcess(opts ProcessOptions) (*Process, error) {
 			return nil, err
 		}
 	}
-	bp, err := k.binder.OpenProc(pid, opts.Name)
+	bp, err := k.binder.OpenProc(pid, opts.UID, opts.Name)
 	if err != nil {
 		return nil, err
 	}

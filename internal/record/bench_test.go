@@ -108,7 +108,7 @@ func newBenchPruneFixture(b *testing.B, total int) *benchPruneFixture {
 	b.Helper()
 	driver := binder.NewDriver()
 	clock := kernel.NewClock()
-	sys, err := driver.OpenProc(1, "system_server")
+	sys, err := driver.OpenProc(1, 1000, "system_server")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func newBenchPruneFixture(b *testing.B, total int) *benchPruneFixture {
 		pid := 100 + a
 		name := fmt.Sprintf("bench.app%d", a)
 		pidApp[pid] = name
-		p, err := driver.OpenProc(pid, name)
+		p, err := driver.OpenProc(pid, 10000+a, name)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,7 +22,7 @@ import (
 func TestConcurrentAppendAcrossApps(t *testing.T) {
 	driver := binder.NewDriver()
 	clock := kernel.NewClock()
-	sys, err := driver.OpenProc(1, "system_server")
+	sys, err := driver.OpenProc(1, 1000, "system_server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConcurrentAppendAcrossApps(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, apps)
 	for i := 0; i < apps; i++ {
-		p, err := driver.OpenProc(100+i, pidApp[100+i])
+		p, err := driver.OpenProc(100+i, 10000+i, pidApp[100+i])
 		if err != nil {
 			t.Fatal(err)
 		}

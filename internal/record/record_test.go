@@ -55,11 +55,11 @@ type fixture struct {
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	f := &fixture{driver: binder.NewDriver(), clock: kernel.NewClock()}
-	sys, err := f.driver.OpenProc(1, "system_server")
+	sys, err := f.driver.OpenProc(1, 1000, "system_server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.app, err = f.driver.OpenProc(100, "com.example.app")
+	f.app, err = f.driver.OpenProc(100, 10000, "com.example.app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDifferentSignaturesDoNotCollide(t *testing.T) {
 
 func TestUnresolvablePIDNotRecorded(t *testing.T) {
 	f := newFixture(t)
-	other, err := f.driver.OpenProc(200, "daemon")
+	other, err := f.driver.OpenProc(200, 1000, "daemon")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func newAlarmManagerService(s *System) *AlarmManagerService {
 		Handle("remove", a.remove).
 		Handle("setTime", func(call *binder.Call, args aidl.Args) error { return nil }).
 		Handle("setTimeZone", func(call *binder.Call, args aidl.Args) error { return nil })
-	s.register("alarm", AlarmInterface, AlarmAIDL, false, 4, 20, disp, a)
+	s.register("alarm", AlarmInterface, disp, a)
 	return a
 }
 

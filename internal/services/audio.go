@@ -92,7 +92,7 @@ func newAudioService(s *System, steps int) *AudioService {
 		Handle("setSpeakerphoneOn", a.setSpeakerphoneOn).
 		Handle("getStreamVolume", a.getStreamVolume).
 		Handle("getStreamMaxVolume", a.getStreamMaxVolume)
-	s.register("audio", AudioInterface, AudioAIDL, true, 71, 150, disp, a)
+	s.register("audio", AudioInterface, disp, a)
 	return a
 }
 

@@ -67,7 +67,7 @@ func newWifiService(s *System) *WifiService {
 			call.Reply.WriteString(s.cfg.NetworkName)
 			return nil
 		})
-	s.register("wifi", WifiInterface, WifiAIDL, true, 47, 54, disp, w)
+	s.register("wifi", WifiInterface, disp, w)
 	return w
 }
 
@@ -123,7 +123,7 @@ func newConnectivityManagerService(s *System, network string) *ConnectivityManag
 			call.Reply.WriteBool(false)
 			return nil
 		})
-	s.register("connectivity", ConnectivityInterface, ConnectivityAIDL, true, 59, 26, disp, c)
+	s.register("connectivity", ConnectivityInterface, disp, c)
 	return c
 }
 
@@ -188,7 +188,7 @@ func newLocationManagerService(s *System) *LocationManagerService {
 			call.Reply.WriteString("44.837,-0.579") // Bordeaux
 			return nil
 		})
-	s.register("location", LocationInterface, LocationAIDL, true, 13, 15, disp, l)
+	s.register("location", LocationInterface, disp, l)
 	return l
 }
 
@@ -272,7 +272,7 @@ func newPowerManagerService(s *System) *PowerManagerService {
 		}).
 		Handle("goToSleep", nop).
 		Handle("wakeUp", nop)
-	s.register("power", PowerInterface, PowerAIDL, true, 19, 14, disp, p)
+	s.register("power", PowerInterface, disp, p)
 	return p
 }
 
@@ -358,7 +358,7 @@ func newVibratorService(s *System) *VibratorService {
 			call.Reply.WriteBool(true)
 			return nil
 		})
-	s.register("vibrator", VibratorInterface, VibratorAIDL, true, 4, 26, disp, v)
+	s.register("vibrator", VibratorInterface, disp, v)
 	return v
 }
 
@@ -431,7 +431,7 @@ func newInputMethodManagerService(s *System) *InputMethodManagerService {
 			call.Reply.WriteString("com.android.inputmethod.latin")
 			return nil
 		})
-	s.register("input_method", InputMethodInterface, InputMethodAIDL, true, 29, 37, disp, im)
+	s.register("input_method", InputMethodInterface, disp, im)
 	return im
 }
 
@@ -478,7 +478,7 @@ func newInputManagerService(s *System) *InputManagerService {
 			call.Reply.WriteInt32(2)
 			return nil
 		})
-	s.register("input", InputInterface, InputAIDL, true, 15, 11, disp, in)
+	s.register("input", InputInterface, disp, in)
 	return in
 }
 
@@ -538,7 +538,7 @@ func newCountryDetectorService(s *System) *CountryDetectorService {
 			c.kv.del(pkg, "listener")
 			return nil
 		})
-	s.register("country_detector", CountryInterface, CountryAIDL, true, 3, 5, disp, c)
+	s.register("country_detector", CountryInterface, disp, c)
 	return c
 }
 
@@ -600,7 +600,7 @@ func newCameraManagerService(s *System) *CameraManagerService {
 			call.Reply.WriteInt32(2)
 			return nil
 		})
-	s.register("camera", CameraInterface, CameraAIDL, true, 8, 31, disp, c)
+	s.register("camera", CameraInterface, disp, c)
 	return c
 }
 
@@ -664,7 +664,7 @@ func newBluetoothService(s *System) *BluetoothService {
 			call.Reply.WriteInt32(12) // STATE_ON
 			return nil
 		})
-	s.register("bluetooth_manager", BluetoothInterface, BluetoothAIDL, true, 202, -1, disp, b)
+	s.register("bluetooth_manager", BluetoothInterface, disp, b)
 	return b
 }
 
@@ -712,7 +712,7 @@ func newSerialService(s *System) *SerialService {
 			sr.open.add(pkg, args.String(0))
 			return nil
 		})
-	s.register("serial", SerialInterface, SerialAIDL, true, 2, -1, disp, sr)
+	s.register("serial", SerialInterface, disp, sr)
 	return sr
 }
 
@@ -782,7 +782,7 @@ func newUsbService(s *System) *UsbService {
 			call.Reply.WriteBool(u.grants.has(pkg, args.String(0)))
 			return nil
 		})
-	s.register("usb", UsbInterface, UsbAIDL, true, 19, -1, disp, u)
+	s.register("usb", UsbInterface, disp, u)
 	return u
 }
 

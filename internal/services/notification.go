@@ -51,7 +51,7 @@ func newNotificationManagerService(s *System) *NotificationManagerService {
 		Handle("cancelAllNotifications", n.cancelAll).
 		Handle("getActiveNotificationCount", n.count).
 		Handle("getNotification", n.get)
-	s.register("notification", NotificationInterface, NotificationAIDL, false, 14, 34, disp, n)
+	s.register("notification", NotificationInterface, disp, n)
 	return n
 }
 

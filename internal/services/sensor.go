@@ -88,7 +88,7 @@ func newSensorService(s *System) *SensorService {
 			call.Reply.WriteInt32(4)
 			return nil
 		})
-	s.register("sensorservice", SensorInterface, SensorAIDL, true, 6, 94, disp, sv)
+	s.register("sensorservice", SensorInterface, disp, sv)
 	if s.cfg.Recorder != nil {
 		// Connection objects are not in the ServiceManager; register their
 		// interface under a synthetic name so their calls are recordable.

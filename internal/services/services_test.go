@@ -1,12 +1,14 @@
 package services_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"flux/internal/aidl"
 	"flux/internal/android"
+	"flux/internal/binder"
 	"flux/internal/device"
 	"flux/internal/kernel"
 	"flux/internal/services"
@@ -54,14 +56,20 @@ func (f *fixture) call(t *testing.T, c *aidl.Client, method string, args ...any)
 	return c
 }
 
+// TestCatalogHasAll22Services checks the shared Table 2 rows, and that a
+// booted device registers each row's service under its descriptor.
 func TestCatalogHasAll22Services(t *testing.T) {
 	f := newFixture(t)
-	cat := f.dev.System.Catalog()
+	cat := services.Catalog()
 	if len(cat) != 22 {
 		t.Fatalf("catalog has %d services, want 22", len(cat))
 	}
+	sm := f.dev.Kernel.Binder().ServiceManager()
 	hardware, software := 0, 0
 	for _, reg := range cat {
+		if n := sm.Lookup(reg.Name); n == nil || n.Descriptor() != reg.Descriptor {
+			t.Errorf("%s: booted node %v, want descriptor %s", reg.Name, n, reg.Descriptor)
+		}
 		if reg.Hardware {
 			hardware++
 		} else {
@@ -83,7 +91,6 @@ func TestCatalogHasAll22Services(t *testing.T) {
 }
 
 func TestCatalogPaperNumbers(t *testing.T) {
-	f := newFixture(t)
 	want := map[string][2]int{ // name → {methods, loc}; loc -1 = TBD
 		"audio":             {71, 150},
 		"bluetooth_manager": {202, -1},
@@ -108,7 +115,7 @@ func TestCatalogPaperNumbers(t *testing.T) {
 		"textservices":      {9, 16},
 		"uimode":            {5, 9},
 	}
-	for _, reg := range f.dev.System.Catalog() {
+	for _, reg := range services.Catalog() {
 		w, ok := want[reg.Name]
 		if !ok {
 			t.Errorf("unexpected service %s", reg.Name)
@@ -460,5 +467,51 @@ func TestCallFromUnknownPIDRejected(t *testing.T) {
 	}
 	if _, err := c.Call("enqueueNotification", 1, aidl.Object("x")); err == nil {
 		t.Error("unattributable service call succeeded")
+	}
+}
+
+// TestAppCannotTakeOverService has a launched app (an application UID)
+// register its own node as "notification", once through binder.AddService
+// and once through a raw SMAddService transaction. Both are refused, and
+// the name still resolves to system_server's node.
+func TestAppCannotTakeOverService(t *testing.T) {
+	f := newFixture(t)
+	sm := f.dev.Kernel.Binder().ServiceManager()
+	booted := sm.Lookup("notification")
+	if booted == nil || booted.OwnerPID() != f.dev.System.Proc().PID() {
+		t.Fatalf("booted notification node = %v, want one owned by system_server", booted)
+	}
+	proc := f.app.Process().Binder()
+	fake := binder.TransactorFunc(func(*binder.Call) error { return nil })
+	if _, err := binder.AddService(proc, "notification", services.NotificationInterface.Name, fake); !errors.Is(err, binder.ErrNotSystem) {
+		t.Errorf("AddService from an app: err = %v, want ErrNotSystem", err)
+	}
+	if owned := proc.OwnedNodes(); len(owned) != 0 {
+		t.Errorf("refused AddService published nodes %v", owned)
+	}
+
+	node, err := proc.Publish(services.NotificationInterface.Name, fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := proc.Ref(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := binder.NewParcel()
+	data.WriteString("notification")
+	data.WriteHandle(h)
+	if _, err := proc.Transact(binder.ContextManagerHandle, binder.SMAddService, data); !errors.Is(err, binder.ErrNotSystem) {
+		t.Errorf("SMAddService transaction from an app: err = %v, want ErrNotSystem", err)
+	}
+
+	if got := sm.Lookup("notification"); got != booted || got.OwnerPID() != 1 {
+		t.Errorf("Lookup(notification) = node %d of pid %d, want system_server's node %d of pid 1", got.ID(), got.OwnerPID(), booted.ID())
+	}
+	if got := sm.NameOf(booted.ID()); got != "notification" {
+		t.Errorf("NameOf(system_server's node) = %q, want notification", got)
+	}
+	if got := sm.NameOf(node.ID()); got != "" {
+		t.Errorf("NameOf(app's node) = %q, want none", got)
 	}
 }

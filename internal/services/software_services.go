@@ -82,7 +82,7 @@ func newActivityManagerService(s *System) *ActivityManagerService {
 			return nil
 		}).
 		Handle("setProcessImportance", nop)
-	s.register("activity", ActivityInterface, ActivityAIDL, false, 178, 130, disp, a)
+	s.register("activity", ActivityInterface, disp, a)
 	return a
 }
 
@@ -145,7 +145,7 @@ func newClipboardService(s *System) *ClipboardService {
 			call.Reply.WriteBool(c.clip != "")
 			return nil
 		})
-	s.register("clipboard", ClipboardInterface, ClipboardAIDL, false, 7, 6, disp, c)
+	s.register("clipboard", ClipboardInterface, disp, c)
 	return c
 }
 
@@ -218,7 +218,7 @@ func newKeyguardService(s *System) *KeyguardService {
 			call.Reply.WriteBool(false)
 			return nil
 		})
-	s.register("keyguard", KeyguardInterface, KeyguardAIDL, false, 22, 16, disp, k)
+	s.register("keyguard", KeyguardInterface, disp, k)
 	return k
 }
 
@@ -278,7 +278,7 @@ func newNsdService(s *System) *NsdService {
 			n.regs.remove(pkg, args.String(0))
 			return nil
 		})
-	s.register("servicediscovery", NsdInterface, NsdAIDL, false, 2, 3, disp, n)
+	s.register("servicediscovery", NsdInterface, disp, n)
 	return n
 }
 
@@ -334,7 +334,7 @@ func newTextServicesManagerService(s *System) *TextServicesManagerService {
 			call.Reply.WriteBool(true)
 			return nil
 		})
-	s.register("textservices", TextServicesInterface, TextServicesAIDL, false, 9, 16, disp, t)
+	s.register("textservices", TextServicesInterface, disp, t)
 	return t
 }
 
@@ -412,7 +412,7 @@ func newUiModeManagerService(s *System) *UiModeManagerService {
 			call.Reply.WriteInt32(0)
 			return nil
 		})
-	s.register("uimode", UiModeInterface, UiModeAIDL, false, 5, 9, disp, u)
+	s.register("uimode", UiModeInterface, disp, u)
 	return u
 }
 

@@ -8,7 +8,6 @@ package services
 
 import (
 	"fmt"
-	"sort"
 
 	"flux/internal/aidl"
 	"flux/internal/android"
@@ -79,34 +78,9 @@ type System struct {
 	// but the pairing phase pseudo-installs through it (paper §3.1).
 	Packages *PackageManagerService
 
-	// Boot fills these and nothing changes them after, so they are read
+	// Boot fills staters and nothing changes it after, so it is read
 	// without a lock.
 	staters map[string]AppStater
-	catalog []registration
-}
-
-// Registration describes one booted service for Table 2 reporting.
-type Registration struct {
-	Name       string // ServiceManager name
-	Descriptor string
-	Hardware   bool // hardware-facing per Table 2's split
-	// PaperMethods and PaperLOC are the counts the paper reports for the
-	// full Android interface; MeasuredMethods and MeasuredLOC are what this
-	// reproduction's subset actually implements. PaperLOC < 0 means the
-	// paper lists TBD.
-	PaperMethods    int
-	PaperLOC        int
-	MeasuredMethods int
-	MeasuredLOC     int
-}
-
-// registration is one booted service's Table 2 row without its
-// MeasuredLOC, which Catalog counts from src: counting on every boot
-// would split all 23 sources into lines for a number only the Table 2
-// report reads.
-type registration struct {
-	Registration
-	src string
 }
 
 // Boot starts system_server and all 22 services.
@@ -127,7 +101,7 @@ func Boot(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, proc: proc, staters: make(map[string]AppStater)}
+	s := &System{cfg: cfg, proc: proc, staters: make(map[string]AppStater, len(Catalog()))}
 
 	s.Notifications = newNotificationManagerService(s)
 	s.Alarms = newAlarmManagerService(s)
@@ -174,9 +148,9 @@ func (s *System) callerPkg(call *binder.Call) (string, error) {
 	return pkg, nil
 }
 
-// register publishes a service and threads it through the ServiceManager,
-// the recorder, and the Table 2 catalog.
-func (s *System) register(name string, itf *aidl.Interface, src string, hardware bool, paperMethods, paperLOC int, svc binder.Transactor, stater AppStater) {
+// register publishes a service and threads it through the ServiceManager
+// and the recorder.
+func (s *System) register(name string, itf *aidl.Interface, svc binder.Transactor, stater AppStater) {
 	if _, err := binder.AddService(s.proc.Binder(), name, itf.Name, svc); err != nil {
 		panic(fmt.Sprintf("services: registering %s: %v", name, err))
 	}
@@ -186,25 +160,6 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 	if stater != nil {
 		s.staters[name] = stater
 	}
-	s.catalog = append(s.catalog, registration{Registration{
-		Name:            name,
-		Descriptor:      itf.Name,
-		Hardware:        hardware,
-		PaperMethods:    paperMethods,
-		PaperLOC:        paperLOC,
-		MeasuredMethods: len(itf.Methods),
-	}, src})
-}
-
-// Catalog returns the Table 2 registrations sorted by name.
-func (s *System) Catalog() []Registration {
-	out := make([]Registration, len(s.catalog))
-	for i, r := range s.catalog {
-		out[i] = r.Registration
-		out[i].MeasuredLOC = aidl.DecorationLOC(r.src)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // AppState aggregates every service's state for one app into a canonical

@@ -147,12 +147,13 @@ type Object string
 
 // MarshalCallArgs validates args against the method signature and builds
 // the request parcel. Each parameter occupies exactly one parcel entry, so
-// parameter index == parcel entry index, which ArgString relies on.
+// parameter index == parcel entry index, which ArgString relies on, and
+// the parcel is sized for them once.
 func MarshalCallArgs(m *Method, args ...any) (*binder.Parcel, error) {
 	if len(args) != len(m.Params) {
 		return nil, fmt.Errorf("aidl: %s takes %d args, got %d", m.Name, len(m.Params), len(args))
 	}
-	p := binder.NewParcel()
+	p := binder.NewParcelCap(len(m.Params))
 	for i, param := range m.Params {
 		if err := marshalArg(p, param, args[i]); err != nil {
 			return nil, fmt.Errorf("aidl: %s arg %d (%s): %w", m.Name, i, param.Name, err)

@@ -159,8 +159,9 @@ type Proc struct {
 	handles    map[Handle]ref
 	// handleOf indexes handles by node: the handle Ref returns for a node
 	// the process already references. Every insert into handles updates
-	// it (OpenProc's handle 0, refLocked, InjectRef); when a node is held
-	// at several handles it keeps the first.
+	// it (OpenProc's handle 0, refLocked, InjectRef), and so does the
+	// one delete (unrefLocked); when a node is held at several handles it
+	// keeps the first.
 	handleOf map[*Node]Handle
 	owned    map[NodeID]*Node
 }
@@ -378,6 +379,14 @@ func (p *Proc) TransactOneWay(h Handle, code uint32, data *Parcel) error {
 	return err
 }
 
+// frame is one transaction's call and its reply parcel, allocated as one
+// object. The reply handed back to the caller keeps the frame alive; no
+// service, proxy or interposer keeps the Call after it returns.
+type frame struct {
+	call  Call
+	reply Parcel
+}
+
 func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parcel, error) {
 	d := p.driver
 	d.mu.Lock()
@@ -397,8 +406,11 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 	}
 	// Translate embedded handles into the callee's handle space, working on
 	// a copy so the caller's parcel — which the interposer observes and the
-	// record log persists — keeps caller-space handle values.
+	// record log persists — keeps caller-space handle values. added holds
+	// the handles translation newly created in the callee's table, which a
+	// failed transaction takes back.
 	delivered := data
+	var added []Handle
 	if data != nil && data.hasHandle() {
 		delivered = data.Clone()
 		for i := range delivered.entries {
@@ -407,13 +419,19 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 			}
 			src, ok := p.handles[Handle(delivered.entries[i].i64)]
 			if !ok {
+				node.owner.unrefLocked(added)
 				d.mu.Unlock()
 				return nil, fmt.Errorf("%w: embedded handle %d", ErrBadHandle, delivered.entries[i].i64)
 			}
+			_, held := node.owner.handleOf[src.node]
 			th, err := node.owner.refLocked(src.node)
 			if err != nil {
+				node.owner.unrefLocked(added)
 				d.mu.Unlock()
 				return nil, fmt.Errorf("binder: translating embedded handle: %w", err)
+			}
+			if !held {
+				added = append(added, th)
 			}
 			delivered.entries[i].i64 = int64(th)
 		}
@@ -421,11 +439,17 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 	ip := d.interposer
 	d.mu.Unlock()
 
-	call := &Call{Code: code, Data: delivered, CallingPID: p.pid, CallingUID: p.uid, Handle: h}
+	f := &frame{call: Call{Code: code, Data: delivered, CallingPID: p.pid, CallingUID: p.uid, Handle: h}}
+	call := &f.call
 	if !oneway {
-		call.Reply = NewParcel()
+		call.Reply = &f.reply
 	}
 	if err := node.svc.Transact(call); err != nil {
+		if len(added) > 0 {
+			d.mu.Lock()
+			node.owner.unrefLocked(added)
+			d.mu.Unlock()
+		}
 		return nil, err
 	}
 	if call.Reply != nil {
@@ -460,6 +484,22 @@ func (p *Proc) transact(h Handle, code uint32, data *Parcel, oneway bool) (*Parc
 		ip.ObserveTransaction(p.pid, node, call)
 	}
 	return call.Reply, nil
+}
+
+// unrefLocked removes the refs at hs from the handle table, taking back
+// what a failed transaction's handle translation added. Caller holds
+// the driver mutex.
+func (p *Proc) unrefLocked(hs []Handle) {
+	for _, h := range hs {
+		r, ok := p.handles[h]
+		if !ok {
+			continue
+		}
+		delete(p.handles, h)
+		if p.handleOf[r.node] == h {
+			delete(p.handleOf, r.node)
+		}
+	}
 }
 
 // Exit tears down the process's Binder state: all owned nodes die and death

@@ -3,6 +3,7 @@ package binder
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -526,4 +527,53 @@ func TestOwnedNodes(t *testing.T) {
 	if len(ids) != 2 || ids[0] != n1.ID() || ids[1] != n2.ID() {
 		t.Errorf("OwnedNodes = %v, want [%d %d]", ids, n1.ID(), n2.ID())
 	}
+}
+
+// TestFailedTransactionTakesBackRefs: a system caller's SMAddService
+// without its name entry fails in the ServiceManager after the driver
+// has translated the embedded handle into pid 0's table. The driver
+// takes back the ref it created there, and keeps a ref pid 0 already
+// held before the call.
+func TestFailedTransactionTakesBackRefs(t *testing.T) {
+	d := NewDriver()
+	sys := mustOpen(t, d, 1, 1000, "system_server")
+	node, err := sys.Publish("IFake", &echoService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sys.Ref(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := d.Proc(0)
+	addWithoutName := func() {
+		t.Helper()
+		data := NewParcel()
+		data.WriteHandle(h)
+		before := sm.Handles()
+		if _, err := sys.Transact(ContextManagerHandle, SMAddService, data); err == nil {
+			t.Fatal("SMAddService without a name succeeded")
+		}
+		if after := sm.Handles(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("the failed call changed pid 0's handles:\n got %v\nwant %v", after, before)
+		}
+	}
+	addWithoutName()
+
+	// The ref was taken back from the node index as well: a well-formed
+	// call refs the node afresh and binds it.
+	data := NewParcel()
+	data.WriteString("fake")
+	data.WriteHandle(h)
+	if _, err := sys.Transact(ContextManagerHandle, SMAddService, data); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.ServiceManager().Lookup("fake"); got != node {
+		t.Fatalf("Lookup(fake) = %v, want the published node", got)
+	}
+	if hs := sm.Handles(); len(hs) != 1 || hs[0].Node != node.ID() {
+		t.Fatalf("pid 0 holds %v, want one handle to node %d", hs, node.ID())
+	}
+	// Now pid 0 already holds the node, so a failing call keeps its ref.
+	addWithoutName()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -52,46 +53,48 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// entry is one parcel value in 32 bytes. Integers, bools, handles and
+// fds sit in i64, a float64 as its IEEE 754 bits. A string or a byte
+// array sits in str: a byte array is copied in once when written and
+// never changes after, so entries can share it.
 type entry struct {
 	kind Kind
 	i64  int64
-	f64  float64
 	str  string
-	b    []byte
 }
 
 // NewParcel returns an empty parcel ready for writing.
 func NewParcel() *Parcel { return &Parcel{} }
 
+// NewParcelCap returns an empty parcel with room for n entries, for a
+// writer that knows how many it will write.
+func NewParcelCap(n int) *Parcel { return &Parcel{entries: make([]entry, 0, n)} }
+
 // Len reports the number of entries written to the parcel; nil has none.
-func (p *Parcel) Len() int {
+func (p *Parcel) Len() int { return len(p.list()) }
+
+// list returns the parcel's entries. A nil parcel is empty, as the
+// Dispatcher accepts it for a method without parameters.
+func (p *Parcel) list() []entry {
 	if p == nil {
-		return 0
+		return nil
 	}
-	return len(p.entries)
+	return p.entries
 }
 
 // KindAt reports the kind of the i-th entry, or 0 when the parcel has no
 // such entry.
 func (p *Parcel) KindAt(i int) Kind {
-	if i < 0 || i >= len(p.entries) {
+	if i < 0 || i >= p.Len() {
 		return 0
 	}
 	return p.entries[i].kind
 }
 
-// Clone returns a deep copy of the parcel.
+// Clone returns a copy of the parcel that shares no entry with it.
+// Entries hold no mutable storage, so copying them is deep.
 func (p *Parcel) Clone() *Parcel {
-	c := &Parcel{entries: make([]entry, len(p.entries))}
-	copy(c.entries, p.entries)
-	for i := range c.entries {
-		if c.entries[i].b != nil {
-			b := make([]byte, len(c.entries[i].b))
-			copy(b, c.entries[i].b)
-			c.entries[i].b = b
-		}
-	}
-	return c
+	return &Parcel{entries: slices.Clone(p.entries)}
 }
 
 func (p *Parcel) WriteInt32(v int32) {
@@ -99,7 +102,7 @@ func (p *Parcel) WriteInt32(v int32) {
 }
 func (p *Parcel) WriteInt64(v int64) { p.entries = append(p.entries, entry{kind: KindInt64, i64: v}) }
 func (p *Parcel) WriteFloat64(v float64) {
-	p.entries = append(p.entries, entry{kind: KindFloat64, f64: v})
+	p.entries = append(p.entries, entry{kind: KindFloat64, i64: int64(math.Float64bits(v))})
 }
 func (p *Parcel) WriteBool(v bool) {
 	var i int64
@@ -111,10 +114,10 @@ func (p *Parcel) WriteBool(v bool) {
 func (p *Parcel) WriteString(v string) {
 	p.entries = append(p.entries, entry{kind: KindString, str: v})
 }
+
+// WriteBytes appends a copy of v, so the caller may reuse v afterwards.
 func (p *Parcel) WriteBytes(v []byte) {
-	b := make([]byte, len(v))
-	copy(b, v)
-	p.entries = append(p.entries, entry{kind: KindBytes, b: b})
+	p.entries = append(p.entries, entry{kind: KindBytes, str: string(v)})
 }
 
 // WriteHandle appends a Binder object reference. The handle id is only
@@ -175,7 +178,7 @@ func (p *Parcel) FDAt(i int) (int, error) {
 // uses it to account for record-log transfer volume.
 func (p *Parcel) Size() int {
 	n := 4 // entry count
-	for _, e := range p.entries {
+	for _, e := range p.list() {
 		n++ // kind tag
 		switch e.kind {
 		case KindInt32:
@@ -184,40 +187,37 @@ func (p *Parcel) Size() int {
 			n += 8
 		case KindBool:
 			n++
-		case KindString:
+		case KindString, KindBytes:
 			n += 4 + len(e.str)
-		case KindBytes:
-			n += 4 + len(e.b)
 		}
 	}
 	return n
 }
 
 // Marshal encodes the parcel to its wire form.
-func (p *Parcel) Marshal() []byte {
-	buf := make([]byte, 0, p.Size())
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.entries)))
-	for _, e := range p.entries {
+func (p *Parcel) Marshal() []byte { return p.AppendWire(make([]byte, 0, p.Size())) }
+
+// AppendWire appends the parcel's wire form to buf and returns the
+// extended buffer; it grows buf only when buf has less than Size()
+// bytes of room.
+func (p *Parcel) AppendWire(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Len()))
+	for _, e := range p.list() {
 		buf = append(buf, byte(e.kind))
 		switch e.kind {
 		case KindInt32:
 			buf = binary.BigEndian.AppendUint32(buf, uint32(e.i64))
-		case KindInt64, KindHandle, KindFD:
+		case KindInt64, KindFloat64, KindHandle, KindFD:
 			buf = binary.BigEndian.AppendUint64(buf, uint64(e.i64))
-		case KindFloat64:
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.f64))
 		case KindBool:
 			b := byte(0)
 			if e.i64 != 0 {
 				b = 1
 			}
 			buf = append(buf, b)
-		case KindString:
+		case KindString, KindBytes:
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.str)))
 			buf = append(buf, e.str...)
-		case KindBytes:
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.b)))
-			buf = append(buf, e.b...)
 		}
 	}
 	return buf
@@ -252,17 +252,15 @@ func UnmarshalParcel(data []byte) (*Parcel, error) {
 			}
 			e.i64 = int64(int32(binary.BigEndian.Uint32(data)))
 			data = data[4:]
-		case KindInt64, KindHandle, KindFD:
+		case KindInt64, KindHandle, KindFD, KindFloat64:
 			if len(data) < 8 {
-				return nil, fmt.Errorf("binder: parcel truncated int64 at entry %d", i)
+				what := "int64"
+				if k == KindFloat64 {
+					what = "float64"
+				}
+				return nil, fmt.Errorf("binder: parcel truncated %s at entry %d", what, i)
 			}
 			e.i64 = int64(binary.BigEndian.Uint64(data))
-			data = data[8:]
-		case KindFloat64:
-			if len(data) < 8 {
-				return nil, fmt.Errorf("binder: parcel truncated float64 at entry %d", i)
-			}
-			e.f64 = math.Float64frombits(binary.BigEndian.Uint64(data))
 			data = data[8:]
 		case KindBool:
 			if len(data) < 1 {
@@ -275,19 +273,12 @@ func UnmarshalParcel(data []byte) (*Parcel, error) {
 			}
 			e.i64 = int64(data[0])
 			data = data[1:]
-		case KindString:
+		case KindString, KindBytes:
 			s, rest, err := readLenPrefixed(data, i)
 			if err != nil {
 				return nil, err
 			}
 			e.str = string(s)
-			data = rest
-		case KindBytes:
-			b, rest, err := readLenPrefixed(data, i)
-			if err != nil {
-				return nil, err
-			}
-			e.b = append([]byte(nil), b...)
 			data = rest
 		default:
 			return nil, fmt.Errorf("binder: parcel has unknown entry kind %d at entry %d", k, i)
@@ -336,20 +327,24 @@ func (p *Parcel) hasHandle() bool {
 	return false
 }
 
-// EntryString returns the canonical string form of the i-th entry.
-// Selective Record compares these strings when evaluating @if signatures.
+// float returns a float64 entry's value.
+func (e entry) float() float64 { return math.Float64frombits(uint64(e.i64)) }
+
+// EntryString returns the canonical string form of the i-th entry, the
+// reference rendering of what @if compares: EntryKey gives two entries
+// equal keys exactly when their EntryStrings are equal.
 func (p *Parcel) EntryString(i int) (string, error) {
-	if i < 0 || i >= len(p.entries) {
-		return "", fmt.Errorf("binder: parcel has no entry %d (len %d)", i, len(p.entries))
+	if i < 0 || i >= p.Len() {
+		return "", fmt.Errorf("binder: parcel has no entry %d (len %d)", i, p.Len())
 	}
 	e := p.entries[i]
 	switch e.kind {
 	case KindString:
 		return "s:" + e.str, nil
 	case KindBytes:
-		return fmt.Sprintf("b:%x", e.b), nil
+		return fmt.Sprintf("b:%x", e.str), nil
 	case KindFloat64:
-		return fmt.Sprintf("f:%g", e.f64), nil
+		return fmt.Sprintf("f:%g", e.float()), nil
 	case KindBool:
 		if e.i64 != 0 {
 			return "t", nil
@@ -364,6 +359,39 @@ func (p *Parcel) EntryString(i int) (string, error) {
 	}
 }
 
+// Key is the comparable identity of one parcel entry, what Selective
+// Record compares when it evaluates @if signatures. Two entries have
+// equal keys exactly when their EntryStrings are equal: an int32 and an
+// int64 of one value share a key, every NaN has the same key while +0
+// and -0 differ, a string never equals a byte array, and a bool has a
+// class of its own. A key shares the parcel's string, so making one
+// allocates nothing. The zero Key is no entry's key.
+type Key struct {
+	kind Kind
+	i64  int64
+	str  string
+}
+
+// nanBits is the payload every NaN's key holds, as EntryString renders
+// every NaN as "NaN".
+var nanBits = int64(math.Float64bits(math.NaN()))
+
+// EntryKey returns the key of the i-th entry, or the zero Key when the
+// parcel has no such entry.
+func (p *Parcel) EntryKey(i int) Key {
+	if i < 0 || i >= p.Len() {
+		return Key{}
+	}
+	e := p.entries[i]
+	switch {
+	case e.kind == KindInt32:
+		e.kind = KindInt64
+	case e.kind == KindFloat64 && math.IsNaN(e.float()):
+		e.i64 = nanBits
+	}
+	return Key(e)
+}
+
 // String renders a compact human-readable description, used by fluxtrace.
 func (p *Parcel) String() string {
 	s := "["
@@ -375,9 +403,9 @@ func (p *Parcel) String() string {
 		case KindString:
 			s += fmt.Sprintf("%q", e.str)
 		case KindBytes:
-			s += fmt.Sprintf("bytes(%d)", len(e.b))
+			s += fmt.Sprintf("bytes(%d)", len(e.str))
 		case KindFloat64:
-			s += fmt.Sprintf("%g", e.f64)
+			s += fmt.Sprintf("%g", e.float())
 		case KindBool:
 			s += fmt.Sprintf("%t", e.i64 != 0)
 		case KindHandle:

@@ -1,7 +1,6 @@
 package binder
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -126,8 +125,8 @@ func TestParcelUnmarshalTrailingGarbage(t *testing.T) {
 }
 
 // TestParcelUnmarshalHugeCount: a 4-byte header that claims 1<<20
-// entries is refused before it sizes the entry slice (64 bytes an
-// entry, so 64 MiB if it were trusted).
+// entries is refused before it sizes the entry slice (32 bytes an
+// entry, so 32 MiB if it were trusted).
 func TestParcelUnmarshalHugeCount(t *testing.T) {
 	wire := binary.BigEndian.AppendUint32(nil, 1<<20)
 	var before, after runtime.MemStats
@@ -152,13 +151,15 @@ func TestParcelUnmarshalNonCanonicalBool(t *testing.T) {
 	}
 }
 
-func TestParcelCloneIsDeep(t *testing.T) {
+// TestWriteBytesCopies: a byte-array entry holds its own copy, so the
+// caller may reuse its slice, and Clone can share entries.
+func TestWriteBytesCopies(t *testing.T) {
+	b := []byte{1, 2, 3}
 	p := NewParcel()
-	p.WriteBytes([]byte{1, 2, 3})
-	c := p.Clone()
-	p.entries[0].b[0] = 99
-	if got, _ := c.EntryString(0); got != "b:010203" {
-		t.Errorf("clone shares byte storage: got %s", got)
+	p.WriteBytes(b)
+	b[0] = 99
+	if got, _ := p.EntryString(0); got != "b:010203" {
+		t.Errorf("parcel shares the caller's byte storage: got %s", got)
 	}
 }
 
@@ -209,7 +210,7 @@ func TestParcelMarshalRoundTripProperty(t *testing.T) {
 		}
 		for i := range p.entries {
 			a, b := p.entries[i], q.entries[i]
-			if a.kind != b.kind || a.i64 != b.i64 || a.str != b.str || !bytes.Equal(a.b, b.b) {
+			if a != b {
 				return false
 			}
 		}

@@ -12,11 +12,11 @@ import (
 // through the Recorder allocates over a populated log: IAlarmManager.set
 // with a PendingIntent already recorded, so its `@drop this; @if
 // operation` rule prunes the old entry before the new one is appended.
-// The six are the triggering call's rendered @if value and the new
-// entry: its struct, marshalled request and reply, and the slice and
-// string of its cached @if argument.
+// The three are what the log keeps of the new entry: its struct, the
+// one buffer holding its marshalled request and reply, and its cached
+// @if keys. The @if match compares typed keys and renders nothing.
 func TestDecoratedCallAllocs(t *testing.T) {
-	const pinned = 6
+	const pinned = 3
 	f := newFixture(t)
 	for i := 0; i < 64; i++ {
 		f.call(t, f.alarm, "set", 0, int64(1000+i), aidl.Object(fmt.Sprintf("pi:%d", i)))
@@ -68,5 +68,28 @@ func TestAnchorWireAllocs(t *testing.T) {
 	t.Logf("AnchorWire allocations: %.0f at 10 entries, %.0f at 1,000", small, large)
 	if large > bound || large != small {
 		t.Fatalf("AnchorWire allocated %.0f objects at 1,000 entries and %.0f at 10; want at most %d at both", large, small, bound)
+	}
+}
+
+// TestUnmarshalEntriesAllocs bounds what decoding a log costs: each
+// entry its struct and the one buffer its request and reply share, plus
+// a constant for the entry slice and the names interned across the
+// blob, which holds one app's log.
+func TestUnmarshalEntriesAllocs(t *testing.T) {
+	const entries, perEntry, fixed = 1000, 2, 5
+	l := NewLog()
+	for i := 0; i < entries; i++ {
+		e := sampleEntry("com.a", "set", i)
+		e.Reply = []byte{0, 0, 0, 0}
+		l.Append(e)
+	}
+	blob := l.MarshalApp("com.a")
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := UnmarshalEntries(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > perEntry*entries+fixed {
+		t.Fatalf("UnmarshalEntries allocated %.0f objects for %d entries, want at most %d", allocs, entries, perEntry*entries+fixed)
 	}
 }

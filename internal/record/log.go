@@ -165,7 +165,9 @@ func (s *appShard) compactLocked() {
 // that match pred, returning how many were removed. It visits only the
 // index buckets of the candidate methods — the asymptotic win behind
 // @drop evaluation on large logs. pred runs under the shard lock and is
-// called in sequence order within each method bucket.
+// called in sequence order within each method bucket. A bucket pruned
+// empty stays in the index, so a method that keeps replacing its own
+// entry reuses it; there is at most one bucket per decorated method.
 func (l *Log) PruneMatching(app, iface string, methods []string, pred func(*Entry) bool) int {
 	s := l.peek(app)
 	if s == nil {
@@ -189,11 +191,9 @@ func (l *Log) PruneMatching(app, iface string, methods []string, pred func(*Entr
 			}
 			kept = append(kept, e)
 		}
-		if len(kept) == 0 {
-			delete(s.index, k)
-		} else {
-			s.index[k] = kept
-		}
+		// Clear the tail so pruned entries are collectable.
+		clear(bucket[len(kept):])
+		s.index[k] = kept
 	}
 	if removed > 0 {
 		s.compactLocked()

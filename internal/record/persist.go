@@ -94,8 +94,9 @@ func LoadFile(path string) (*Log, error) {
 		return nil, fmt.Errorf("record: %w", err)
 	}
 	l := NewLog()
+	names := make(interner)
 	for i, w := range wires {
-		e, consumed, err := decodeEntry(w)
+		e, consumed, err := decodeEntry(w, names)
 		if err != nil {
 			return nil, fmt.Errorf("record: log entry %d: %w", i, err)
 		}

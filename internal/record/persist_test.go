@@ -260,7 +260,8 @@ func UnmarshalMust(t *testing.T, blob []byte) []*Entry {
 
 // TestEntryWireFixedPoint: EntryWire(decode(w)) == w for entries with
 // nil, empty, and non-empty replies — the property anchor verification
-// on the guest depends on.
+// on the guest depends on — and the decoded request cannot grow into
+// the reply it shares a buffer with.
 func TestEntryWireFixedPoint(t *testing.T) {
 	cases := []*Entry{
 		sampleEntry("com.a", "m", 1), // nil reply
@@ -269,9 +270,14 @@ func TestEntryWireFixedPoint(t *testing.T) {
 	}
 	for i, e := range cases {
 		w := EntryWire(e)
-		back, consumed, err := decodeEntry(w)
+		back, consumed, err := decodeEntry(w, make(interner))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
+		}
+		// Request and reply share one buffer; the request is capped so
+		// appending to it cannot overwrite the reply.
+		if cap(back.Data) != len(back.Data) {
+			t.Fatalf("case %d: decoded request has cap %d past its %d bytes", i, cap(back.Data), len(back.Data))
 		}
 		if consumed != len(w) {
 			t.Fatalf("case %d: consumed %d of %d", i, consumed, len(w))

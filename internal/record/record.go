@@ -28,10 +28,13 @@
 // the parameters any @if can compare), and every Recorder on every device
 // reads those. The call log is sharded per app (see log.go), @drop
 // evaluation consults a per-(interface, method) index instead of scanning
-// the log, and each entry caches, by parameter index, the canonical string
-// form of exactly the arguments some @if compares, so signature matching
-// never re-parses parcels under a lock and renders nothing it will not
-// compare.
+// the log, and each entry caches the typed key (binder.Key) of exactly
+// the arguments some @if compares, in ComparedParams order, so signature
+// matching never re-parses parcels under a lock and renders nothing. Keys
+// are equal exactly when the arguments' binder EntryString forms are,
+// which stays the reference rendering. A recorded call allocates only
+// what the log keeps: the entry, one buffer holding the marshalled
+// request and reply, and its cached keys.
 package record
 
 import (
@@ -59,15 +62,15 @@ type Entry struct {
 	Data      []byte        // marshalled request parcel
 	Reply     []byte        // marshalled reply parcel; nil for oneway calls
 
-	// args caches, by parameter index, the canonical string form of the
-	// request arguments some @if signature compares
-	// (aidl.Method.ComparedParams); every other slot, and any argument
-	// that cannot be rendered, is "", which matches nothing because a
-	// rendered argument is never empty. The Recorder fills it at append
-	// time from the live parcel; entries loaded from disk or appended
-	// directly compute it lazily on first signature match. Immutable once
-	// set; guarded by the shard lock until then.
-	args []string
+	// args caches the key of each request argument some @if signature
+	// compares, in the order of aidl.Method.ComparedParams, so it holds
+	// nothing for an argument no @if reads. An argument that cannot be
+	// read has the zero Key, which matches nothing because no entry has
+	// it. The Recorder fills it at append time from the live parcel;
+	// entries loaded from disk or appended directly compute it lazily on
+	// first signature match. Immutable once set; guarded by the shard
+	// lock until then.
+	args []binder.Key
 
 	// dead marks a tombstoned entry awaiting compaction. Guarded by the
 	// owning shard's lock; entries returned by AppEntries are copies and
@@ -88,32 +91,32 @@ func (e *Entry) Size() int {
 		4 + len(e.Data) + 4 + len(e.Reply)
 }
 
-// cacheArgs renders, by parameter index, the arguments of m some @if
-// compares, the precomputation that lets @if matching skip parcel
-// parsing. It returns nil when no @if compares any argument of m, and
-// leaves "" for an argument that cannot be rendered, which matches
-// nothing — the same outcome the parsing path produced on error.
-func cacheArgs(m *aidl.Method, data *binder.Parcel) []string {
+// cacheArgs keys the arguments of m some @if compares, in
+// ComparedParams order, the precomputation that lets @if matching skip
+// parcel parsing. It returns nil when no @if compares any argument of
+// m, and leaves the zero Key for an argument the parcel lacks, which
+// matches nothing. The keys share the parcel's strings.
+func cacheArgs(m *aidl.Method, data *binder.Parcel) []binder.Key {
 	compared := m.ComparedParams()
 	if len(compared) == 0 {
 		return nil
 	}
-	args := make([]string, len(m.Params))
-	for _, i := range compared {
-		args[i], _ = data.EntryString(i)
+	args := make([]binder.Key, len(compared))
+	for s, i := range compared {
+		args[s] = data.EntryKey(i)
 	}
 	return args
 }
 
-// argValues returns the entry's cached argument strings, computing them
+// argValues returns the entry's cached argument keys, computing them
 // from the request parcel on first use. Callers must hold the owning
 // shard's lock (the Log's pruning predicates do), which also publishes
 // the memoized slice safely.
-func (e *Entry) argValues(m *aidl.Method) []string {
+func (e *Entry) argValues(m *aidl.Method) []binder.Key {
 	if e.args == nil {
 		p, err := binder.UnmarshalParcel(e.Data)
 		if err != nil {
-			e.args = make([]string, len(m.Params)) // malformed: matches nothing
+			e.args = make([]binder.Key, len(m.ComparedParams())) // malformed: matches nothing
 		} else {
 			e.args = cacheArgs(m, p)
 		}
@@ -126,7 +129,10 @@ func (e *Entry) argValues(m *aidl.Method) []string {
 // allocation before the first decode failure.
 const maxEntryPrealloc = 1 << 16
 
-// UnmarshalEntries decodes a log slice serialized by MarshalApp.
+// UnmarshalEntries decodes a log slice serialized by MarshalApp. Each
+// entry costs its struct and one buffer for its request and reply: the
+// names (App, Service, Interface, Method) are interned across the blob,
+// which holds one app's log.
 func UnmarshalEntries(data []byte) ([]*Entry, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("record: truncated log: %d bytes", len(data))
@@ -138,8 +144,9 @@ func UnmarshalEntries(data []byte) ([]*Entry, error) {
 		prealloc = maxEntryPrealloc
 	}
 	out := make([]*Entry, 0, prealloc)
+	names := make(interner)
 	for i := uint32(0); i < n; i++ {
-		e, consumed, err := decodeEntry(data)
+		e, consumed, err := decodeEntry(data, names)
 		if err != nil {
 			return nil, fmt.Errorf("record: entry %d: %w", i, err)
 		}
@@ -241,14 +248,30 @@ func fieldSpan(data []byte, off int, what string) ([2]int, error) {
 	return [2]int{off, off + int(l)}, nil
 }
 
+// interner hands out one string per distinct name across a decode, so
+// the entries of one log share their App, Service, Interface and Method
+// strings.
+type interner map[string]string
+
+// get returns the interned string equal to b.
+func (in interner) get(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	in[s] = s
+	return s
+}
+
 // decodeEntry decodes one entry from the head of data, returning the
-// bytes consumed.
-func decodeEntry(data []byte) (*Entry, int, error) {
+// bytes consumed. Its request and reply share one buffer, and its names
+// come from names.
+func decodeEntry(data []byte, names interner) (*Entry, int, error) {
 	f, err := frameEntry(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	str := func(i int) string { return string(data[f.strs[i][0]:f.strs[i][1]]) }
+	str := func(i int) string { return names.get(data[f.strs[i][0]:f.strs[i][1]]) }
 	e := &Entry{
 		Seq:       binary.BigEndian.Uint64(data),
 		Code:      binary.BigEndian.Uint32(data[8:]),
@@ -258,22 +281,23 @@ func decodeEntry(data []byte) (*Entry, int, error) {
 		Service:   str(1),
 		Interface: str(2),
 		Method:    str(3),
-		Data:      append([]byte(nil), data[f.data[0]:f.data[1]]...),
 	}
+	req, reply := data[f.data[0]:f.data[1]], data[f.reply[0]:f.reply[1]]
+	buf := append(make([]byte, 0, len(req)+len(reply)), req...)
+	e.Data = buf[:len(req):len(req)]
 	if !f.oneway {
 		// A zero-length reply decodes to a non-nil empty slice so the
 		// nil-means-oneway sentinel round-trips: EntryWire(decodeEntry(w))
 		// == w, which anchor verification on the guest depends on.
-		reply := data[f.reply[0]:f.reply[1]]
-		e.Reply = append(make([]byte, 0, len(reply)), reply...)
+		e.Reply = append(buf[len(req):], reply...)
 	}
 	return e, f.size, nil
 }
 
 // registeredInterface couples an interface with its registration name.
-// The itf and service fields are immutable after registration; full is
-// guarded by the Recorder's mutex. The rules live on itf's methods,
-// compiled once by aidl.Parse.
+// The Recorder holds it by value under its mutex; SetFullRecord writes a
+// changed full back. The rules live on itf's methods, compiled once by
+// aidl.Parse.
 type registeredInterface struct {
 	itf     *aidl.Interface
 	service string
@@ -288,8 +312,8 @@ type Recorder struct {
 	pkgOf func(pid int) (string, bool)
 
 	mu         sync.RWMutex
-	interfaces map[string]*registeredInterface // by descriptor
-	paused     map[string]bool                 // apps with recording paused (mid-migration)
+	interfaces map[string]registeredInterface // by descriptor
+	paused     map[string]bool                // apps with recording paused (mid-migration)
 
 	observed atomic.Uint64 // all decorated-interface calls seen
 	recorded atomic.Uint64 // calls actually appended
@@ -317,10 +341,14 @@ func NewRecorder(log *Log, cfg Config) *Recorder {
 		log:        log,
 		now:        cfg.Now,
 		pkgOf:      cfg.PackageOf,
-		interfaces: make(map[string]*registeredInterface),
+		interfaces: make(map[string]registeredInterface, bootInterfaces),
 		paused:     make(map[string]bool),
 	}
 }
+
+// bootInterfaces sizes a Recorder's interface table for what one boot
+// registers: the 22 Table 2 services and the sensor event connection.
+const bootInterfaces = 23
 
 // Log returns the recorder's backing call log.
 func (r *Recorder) Log() *Log { return r.log }
@@ -331,7 +359,7 @@ func (r *Recorder) Log() *Log { return r.log }
 func (r *Recorder) RegisterInterface(serviceName string, itf *aidl.Interface) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.interfaces[itf.Name] = &registeredInterface{itf: itf, service: serviceName}
+	r.interfaces[itf.Name] = registeredInterface{itf: itf, service: serviceName}
 }
 
 // SetFullRecord switches an interface to full (undecorated) recording,
@@ -341,6 +369,7 @@ func (r *Recorder) SetFullRecord(descriptor string, full bool) {
 	defer r.mu.Unlock()
 	if reg, ok := r.interfaces[descriptor]; ok {
 		reg.full = full
+		r.interfaces[descriptor] = reg
 	}
 }
 
@@ -403,7 +432,6 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 	}
 	r.mu.RLock()
 	paused := r.paused[app]
-	full := reg.full
 	r.mu.RUnlock()
 	if paused {
 		return
@@ -414,7 +442,7 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 	if m == nil {
 		return
 	}
-	if full {
+	if reg.full {
 		r.append(app, reg, m, call)
 		return
 	}
@@ -432,24 +460,24 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 // applyDrops evaluates m's compiled drop table against the log and
 // reports whether the triggering call itself should be suppressed. It
 // visits only the index buckets of the drop-target methods and compares
-// cached argument strings, never re-parsing a recorded parcel, and
+// cached argument keys, never re-parsing a recorded parcel, and
 // allocates nothing for rules with at most eight @if arguments.
-func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Method, call *binder.Call) bool {
+func (r *Recorder) applyDrops(app string, reg registeredInterface, m *aidl.Method, call *binder.Call) bool {
 	d := m.Drops()
 	if d == nil {
 		return false
 	}
-	// The triggering call's @if values from its live parcel, signature
-	// after signature: signature i's values follow those of 0..i-1.
-	var buf [8]string
+	// The triggering call's @if keys from its live parcel, signature
+	// after signature: signature i's keys follow those of 0..i-1.
+	var buf [8]binder.Key
 	vals := buf[:0]
 	for _, sig := range d.Sigs {
 		for _, idx := range sig {
-			v, err := call.Data.EntryString(idx)
-			if err != nil {
-				return false // malformed call; record nothing, drop nothing
+			k := call.Data.EntryKey(idx)
+			if k == (binder.Key{}) {
+				return false // malformed call: drop nothing
 			}
-			vals = append(vals, v)
+			vals = append(vals, k)
 		}
 	}
 	droppedOther := false
@@ -458,7 +486,7 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 		if t < 0 {
 			return false
 		}
-		if len(d.Sigs) > 0 && !anySignatureMatches(d.TargetSigs[t], e.argValues(d.Targets[t]), vals) {
+		if len(d.Sigs) > 0 && !anySignatureMatches(d.TargetSigs[t], d.Targets[t].ComparedParams(), e.argValues(d.Targets[t]), vals) {
 			return false
 		}
 		if e.Method != m.Name {
@@ -470,16 +498,19 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 }
 
 // anySignatureMatches reports whether, for some signature, every argument
-// of a recorded call (args, by parameter index; sigs gives the indexes)
-// equals the triggering call's value. vals holds the triggering call's
-// values signature after signature, in the same order as sigs.
-func anySignatureMatches(sigs [][]int, args, vals []string) bool {
+// of a recorded call has the triggering call's key. sigs gives the
+// arguments as parameter indexes of the recorded call's method, and
+// args holds its cached keys in compared order (its ComparedParams,
+// which hold every index sigs names). vals holds the triggering call's
+// keys signature after signature, in the same order as sigs.
+func anySignatureMatches(sigs [][]int, compared []int, args, vals []binder.Key) bool {
 	for _, sig := range sigs {
 		want := vals[:len(sig)]
 		vals = vals[len(sig):]
 		match := true
 		for j, idx := range sig {
-			if idx >= len(args) || args[idx] != want[j] {
+			s := slices.Index(compared, idx)
+			if s < 0 || s >= len(args) || args[s] != want[j] {
 				match = false
 				break
 			}
@@ -491,7 +522,16 @@ func anySignatureMatches(sigs [][]int, args, vals []string) bool {
 	return false
 }
 
-func (r *Recorder) append(app string, reg *registeredInterface, m *aidl.Method, call *binder.Call) {
+// append records call. The marshalled request and reply share one
+// buffer; Data is capped at its own length, so nothing appended to it
+// can overwrite Reply.
+func (r *Recorder) append(app string, reg registeredInterface, m *aidl.Method, call *binder.Call) {
+	n := call.Data.Size()
+	size := n
+	if call.Reply != nil {
+		size += call.Reply.Size()
+	}
+	buf := call.Data.AppendWire(make([]byte, 0, size))
 	e := &Entry{
 		App:       app,
 		Service:   reg.service,
@@ -500,11 +540,11 @@ func (r *Recorder) append(app string, reg *registeredInterface, m *aidl.Method, 
 		Code:      call.Code,
 		Handle:    call.Handle,
 		At:        r.now(),
-		Data:      call.Data.Marshal(),
+		Data:      buf[:n:n],
 		args:      cacheArgs(m, call.Data),
 	}
 	if call.Reply != nil {
-		e.Reply = call.Reply.Marshal()
+		e.Reply = call.Reply.AppendWire(buf[n:])
 	}
 	r.log.Append(e)
 	r.recorded.Add(1)

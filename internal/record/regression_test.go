@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flux/internal/aidl"
 	"flux/internal/binder"
+	"flux/internal/kernel"
 )
 
 // Regression harness for the indexed, cached-signature prune path. A
@@ -260,10 +262,13 @@ func TestLazyArgCacheMatchesAppendTimeCache(t *testing.T) {
 	// Re-issue the remove through a second driver wired to rec2.
 	// Simpler: prune directly through the recorder API surface by
 	// simulating the same call the fixture would make.
+	sync := binder.NewParcel()
+	sync.WriteString("pi:sync")
 	removed := fresh.PruneMatching("com.example.app", "IAlarmManager", []string{"set"}, func(e *Entry) bool {
 		m := f.alarmItf.Method(e.Method)
 		_, op := m.Param("operation")
-		return e.argValues(m)[op] == "s:pi:sync" // canonical EntryString form
+		slot := slices.Index(m.ComparedParams(), op)
+		return e.argValues(m)[slot] == sync.EntryKey(0) // the key of the parcelable "pi:sync"
 	})
 	if removed != 1 {
 		t.Fatalf("lazy-cache prune removed %d entries, want 1", removed)
@@ -278,5 +283,85 @@ func TestLazyArgCacheMatchesAppendTimeCache(t *testing.T) {
 	}
 	if op, err := p.StringAt(2); err != nil || op != "pi:other" {
 		t.Errorf("survivor operation = %q, %v; want pi:other", op, err)
+	}
+}
+
+// multiSrc declares multi-argument @if/@elif signatures over parameters
+// at different positions in each method, and leaves put's value out of
+// every signature, so the compared arguments each entry caches are a
+// sparse subset of its parameters.
+const multiSrc = `
+interface IMulti {
+    @record {
+        @drop this;
+        @if key, tag;
+        @elif slot;
+    }
+    void put(int slot, String key, long value, String tag);
+
+    @record {
+        @drop this, put;
+        @if tag, key;
+        @elif slot;
+    }
+    void clear(String tag, String key, int slot);
+}
+`
+
+// TestMultiArgSignaturesMatchReferenceModel drives random put and clear
+// calls with colliding values through the recorder and the reference
+// model, comparing the surviving log after every call.
+func TestMultiArgSignaturesMatchReferenceModel(t *testing.T) {
+	itf := aidl.MustParse(multiSrc)
+	d := binder.NewDriver()
+	sys, err := d.OpenProc(1, 1000, "system_server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := d.OpenProc(100, 10000, "com.example.app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func(*binder.Call, aidl.Args) error { return nil }
+	if _, err := binder.AddService(sys, "multi", itf.Name, aidl.NewDispatcher(itf).Handle("put", nop).Handle("clear", nop)); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(NewLog(), Config{
+		Now:       kernel.NewClock().Now,
+		PackageOf: func(pid int) (string, bool) { return "com.example.app", pid == 100 },
+	})
+	rec.RegisterInterface("multi", itf)
+	d.SetInterposer(rec)
+	client, err := aidl.NewClient(itf, app, "multi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefModel(itf)
+
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 400; i++ {
+		slot, key, tag := rng.Intn(3), fmt.Sprintf("k%d", rng.Intn(3)), fmt.Sprintf("t%d", rng.Intn(2))
+		method, args := "put", []any{slot, key, int64(i), tag}
+		if rng.Intn(3) == 0 {
+			method, args = "clear", []any{tag, key, slot}
+		}
+		if _, err := client.Call(method, args...); err != nil {
+			t.Fatal(err)
+		}
+		p, err := aidl.MarshalCallArgs(itf.Method(method), args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.observe(t, method, p)
+
+		got := rec.Log().AppEntries("com.example.app")
+		if len(got) != len(ref.entries) {
+			t.Fatalf("call %d (%s): log holds %d entries, reference %d", i, method, len(got), len(ref.entries))
+		}
+		for j, e := range got {
+			if e.Method != ref.entries[j].method || !bytes.Equal(e.Data, ref.entries[j].data) {
+				t.Fatalf("call %d (%s): entry %d is %s, reference %s", i, method, j, e.Method, ref.entries[j].method)
+			}
+		}
 	}
 }

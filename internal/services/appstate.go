@@ -8,17 +8,20 @@ import (
 
 // appSet is a per-app set of strings with canonical rendering, the common
 // state shape of the thinner Table 2 services (location subscriptions,
-// keyguard disable tokens, NSD registrations, ...).
+// keyguard disable tokens, NSD registrations, ...). Services embed it by
+// value; its zero value is empty, and the outer map is made on the first
+// write, so a service no app writes to costs nothing at boot.
 type appSet struct {
 	mu   sync.Mutex
 	sets map[string]map[string]bool // pkg → member → present
 }
 
-func newAppSet() *appSet { return &appSet{sets: make(map[string]map[string]bool)} }
-
 func (s *appSet) add(pkg, member string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.sets == nil {
+		s.sets = make(map[string]map[string]bool)
+	}
 	if s.sets[pkg] == nil {
 		s.sets[pkg] = make(map[string]bool)
 	}
@@ -58,17 +61,19 @@ func (s *appSet) forget(pkg string) {
 	delete(s.sets, pkg)
 }
 
-// appKV is per-app key→value state with the same canonicalization role.
+// appKV is per-app key→value state with the same canonicalization role,
+// embedded by value and made on first write like appSet.
 type appKV struct {
 	mu   sync.Mutex
 	vals map[string]map[string]string
 }
 
-func newAppKV() *appKV { return &appKV{vals: make(map[string]map[string]string)} }
-
 func (s *appKV) set(pkg, key, val string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.vals == nil {
+		s.vals = make(map[string]map[string]string)
+	}
 	if s.vals[pkg] == nil {
 		s.vals[pkg] = make(map[string]string)
 	}

@@ -35,14 +35,14 @@ var WifiInterface = aidl.MustParse(WifiAIDL)
 // WifiService tracks radio state.
 type WifiService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 
 	enabled bool
 	lastBy  string
 }
 
 func newWifiService(s *System) *WifiService {
-	w := &WifiService{sys: s, kv: newAppKV(), enabled: true}
+	w := &WifiService{sys: s, enabled: true}
 	disp := aidl.NewDispatcher(WifiInterface).
 		Handle("setWifiEnabled", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -100,12 +100,12 @@ var ConnectivityInterface = aidl.MustParse(ConnectivityAIDL)
 // ConnectivityManagerService reports the device's active network.
 type ConnectivityManagerService struct {
 	sys     *System
-	kv      *appKV
+	kv      appKV
 	network string
 }
 
 func newConnectivityManagerService(s *System, network string) *ConnectivityManagerService {
-	c := &ConnectivityManagerService{sys: s, kv: newAppKV(), network: network}
+	c := &ConnectivityManagerService{sys: s, network: network}
 	disp := aidl.NewDispatcher(ConnectivityInterface).
 		Handle("setAirplaneMode", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -162,11 +162,11 @@ var LocationInterface = aidl.MustParse(LocationAIDL)
 // LocationManagerService tracks per-app location subscriptions.
 type LocationManagerService struct {
 	sys  *System
-	subs *appSet
+	subs appSet
 }
 
 func newLocationManagerService(s *System) *LocationManagerService {
-	l := &LocationManagerService{sys: s, subs: newAppSet()}
+	l := &LocationManagerService{sys: s}
 	disp := aidl.NewDispatcher(LocationInterface).
 		Handle("requestLocationUpdates", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -235,11 +235,11 @@ var PowerInterface = aidl.MustParse(PowerAIDL)
 // PowerManagerService fronts the kernel wakelock driver for apps.
 type PowerManagerService struct {
 	sys   *System
-	locks *appSet
+	locks appSet
 }
 
 func newPowerManagerService(s *System) *PowerManagerService {
-	p := &PowerManagerService{sys: s, locks: newAppSet()}
+	p := &PowerManagerService{sys: s}
 	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	disp := aidl.NewDispatcher(PowerInterface).
 		Handle("acquireWakeLock", func(call *binder.Call, args aidl.Args) error {
@@ -323,11 +323,11 @@ var VibratorInterface = aidl.MustParse(VibratorAIDL)
 // VibratorService tracks the outstanding vibration request.
 type VibratorService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newVibratorService(s *System) *VibratorService {
-	v := &VibratorService{sys: s, kv: newAppKV()}
+	v := &VibratorService{sys: s}
 	disp := aidl.NewDispatcher(VibratorInterface).
 		Handle("vibrate", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -397,11 +397,11 @@ var InputMethodInterface = aidl.MustParse(InputMethodAIDL)
 // InputMethodManagerService tracks the selected IME and soft-input state.
 type InputMethodManagerService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newInputMethodManagerService(s *System) *InputMethodManagerService {
-	im := &InputMethodManagerService{sys: s, kv: newAppKV()}
+	im := &InputMethodManagerService{sys: s}
 	disp := aidl.NewDispatcher(InputMethodInterface).
 		Handle("setInputMethod", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -460,11 +460,11 @@ var InputInterface = aidl.MustParse(InputAIDL)
 // InputManagerService tracks pointer configuration.
 type InputManagerService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newInputManagerService(s *System) *InputManagerService {
-	in := &InputManagerService{sys: s, kv: newAppKV()}
+	in := &InputManagerService{sys: s}
 	disp := aidl.NewDispatcher(InputInterface).
 		Handle("setPointerSpeed", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -512,11 +512,11 @@ var CountryInterface = aidl.MustParse(CountryAIDL)
 // CountryDetectorService tracks listener registrations.
 type CountryDetectorService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newCountryDetectorService(s *System) *CountryDetectorService {
-	c := &CountryDetectorService{sys: s, kv: newAppKV()}
+	c := &CountryDetectorService{sys: s}
 	disp := aidl.NewDispatcher(CountryInterface).
 		Handle("detectCountry", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("FR")
@@ -574,11 +574,11 @@ var CameraInterface = aidl.MustParse(CameraAIDL)
 // CameraManagerService tracks per-app camera connections.
 type CameraManagerService struct {
 	sys  *System
-	open *appSet
+	open appSet
 }
 
 func newCameraManagerService(s *System) *CameraManagerService {
-	c := &CameraManagerService{sys: s, open: newAppSet()}
+	c := &CameraManagerService{sys: s}
 	disp := aidl.NewDispatcher(CameraInterface).
 		Handle("connectDevice", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -638,11 +638,11 @@ var BluetoothInterface = aidl.MustParse(BluetoothAIDL)
 // BluetoothService tracks adapter state requests per app.
 type BluetoothService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newBluetoothService(s *System) *BluetoothService {
-	b := &BluetoothService{sys: s, kv: newAppKV()}
+	b := &BluetoothService{sys: s}
 	disp := aidl.NewDispatcher(BluetoothInterface).
 		Handle("enable", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -694,11 +694,11 @@ var SerialInterface = aidl.MustParse(SerialAIDL)
 // SerialService tracks open serial ports per app.
 type SerialService struct {
 	sys  *System
-	open *appSet
+	open appSet
 }
 
 func newSerialService(s *System) *SerialService {
-	sr := &SerialService{sys: s, open: newAppSet()}
+	sr := &SerialService{sys: s}
 	disp := aidl.NewDispatcher(SerialInterface).
 		Handle("getSerialPorts", func(call *binder.Call, args aidl.Args) error {
 			call.Reply.WriteString("/dev/ttyS0")
@@ -751,12 +751,12 @@ var UsbInterface = aidl.MustParse(UsbAIDL)
 // UsbService tracks USB function selection and device grants.
 type UsbService struct {
 	sys    *System
-	kv     *appKV
-	grants *appSet
+	kv     appKV
+	grants appSet
 }
 
 func newUsbService(s *System) *UsbService {
-	u := &UsbService{sys: s, kv: newAppKV(), grants: newAppSet()}
+	u := &UsbService{sys: s}
 	disp := aidl.NewDispatcher(UsbInterface).
 		Handle("setCurrentFunction", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)

@@ -3,6 +3,7 @@ package services_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -472,8 +473,11 @@ func TestCallFromUnknownPIDRejected(t *testing.T) {
 
 // TestAppCannotTakeOverService has a launched app (an application UID)
 // register its own node as "notification", once through binder.AddService
-// and once through a raw SMAddService transaction. Both are refused, and
-// the name still resolves to system_server's node.
+// and once through a raw SMAddService transaction. Both are refused, the
+// name still resolves to system_server's node, and the refused
+// transaction leaves no ref to the app's node in the ServiceManager's
+// owner (pid 0), though the driver translated the handle before the
+// refusal.
 func TestAppCannotTakeOverService(t *testing.T) {
 	f := newFixture(t)
 	sm := f.dev.Kernel.Binder().ServiceManager()
@@ -501,8 +505,13 @@ func TestAppCannotTakeOverService(t *testing.T) {
 	data := binder.NewParcel()
 	data.WriteString("notification")
 	data.WriteHandle(h)
+	smProc := f.dev.Kernel.Binder().Proc(0)
+	before := smProc.Handles()
 	if _, err := proc.Transact(binder.ContextManagerHandle, binder.SMAddService, data); !errors.Is(err, binder.ErrNotSystem) {
 		t.Errorf("SMAddService transaction from an app: err = %v, want ErrNotSystem", err)
+	}
+	if after := smProc.Handles(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused SMAddService changed pid 0's handle table: %d handles before, %d after", len(before), len(after))
 	}
 
 	if got := sm.Lookup("notification"); got != booted || got.OwnerPID() != 1 {
@@ -513,5 +522,29 @@ func TestAppCannotTakeOverService(t *testing.T) {
 	}
 	if got := sm.NameOf(node.ID()); got != "" {
 		t.Errorf("NameOf(app's node) = %q, want none", got)
+	}
+}
+
+// TestNilRequestIsRecordedEmpty: the Dispatcher accepts a nil request
+// parcel for a method without parameters, so an app can send one to
+// the recorded cancelAllNotifications. The recorder logs it as an empty
+// parcel instead of panicking on it.
+func TestNilRequestIsRecordedEmpty(t *testing.T) {
+	f := newFixture(t)
+	proc := f.app.Process().Binder()
+	h, err := binder.GetService(proc, "notification")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := services.NotificationInterface.Method("cancelAllNotifications")
+	if _, err := proc.Transact(h, m.Code, nil); err != nil {
+		t.Fatal(err)
+	}
+	entries := f.dev.Recorder.Log().AppEntries(f.app.Package())
+	if len(entries) != 1 || entries[0].Method != "cancelAllNotifications" {
+		t.Fatalf("log holds %d entries, want the one cancelAllNotifications", len(entries))
+	}
+	if p, err := entries[0].Parcel(); err != nil || p.Len() != 0 {
+		t.Fatalf("recorded request = %v, %v; want an empty parcel", p, err)
 	}
 }

@@ -47,11 +47,11 @@ var ActivityInterface = aidl.MustParse(ActivityAIDL)
 // broadcasts into the framework runtime.
 type ActivityManagerService struct {
 	sys       *System
-	receivers *appSet
+	receivers appSet
 }
 
 func newActivityManagerService(s *System) *ActivityManagerService {
-	a := &ActivityManagerService{sys: s, receivers: newAppSet()}
+	a := &ActivityManagerService{sys: s}
 	nop := func(call *binder.Call, args aidl.Args) error { return nil }
 	disp := aidl.NewDispatcher(ActivityInterface).
 		Handle("registerReceiver", func(call *binder.Call, args aidl.Args) error {
@@ -192,11 +192,11 @@ var KeyguardInterface = aidl.MustParse(KeyguardAIDL)
 // KeyguardService tracks keyguard-disable tokens per app.
 type KeyguardService struct {
 	sys    *System
-	tokens *appSet
+	tokens appSet
 }
 
 func newKeyguardService(s *System) *KeyguardService {
-	k := &KeyguardService{sys: s, tokens: newAppSet()}
+	k := &KeyguardService{sys: s}
 	disp := aidl.NewDispatcher(KeyguardInterface).
 		Handle("disableKeyguard", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -256,11 +256,11 @@ var NsdInterface = aidl.MustParse(NsdAIDL)
 // NsdService tracks network-service-discovery registrations.
 type NsdService struct {
 	sys  *System
-	regs *appSet
+	regs appSet
 }
 
 func newNsdService(s *System) *NsdService {
-	n := &NsdService{sys: s, regs: newAppSet()}
+	n := &NsdService{sys: s}
 	disp := aidl.NewDispatcher(NsdInterface).
 		Handle("registerService", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -312,11 +312,11 @@ var TextServicesInterface = aidl.MustParse(TextServicesAIDL)
 // TextServicesManagerService tracks the selected spell checker.
 type TextServicesManagerService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newTextServicesManagerService(s *System) *TextServicesManagerService {
-	t := &TextServicesManagerService{sys: s, kv: newAppKV()}
+	t := &TextServicesManagerService{sys: s}
 	disp := aidl.NewDispatcher(TextServicesInterface).
 		Handle("setCurrentSpellChecker", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)
@@ -374,11 +374,11 @@ var UiModeInterface = aidl.MustParse(UiModeAIDL)
 // UiModeManagerService tracks night/car mode requests.
 type UiModeManagerService struct {
 	sys *System
-	kv  *appKV
+	kv  appKV
 }
 
 func newUiModeManagerService(s *System) *UiModeManagerService {
-	u := &UiModeManagerService{sys: s, kv: newAppKV()}
+	u := &UiModeManagerService{sys: s}
 	disp := aidl.NewDispatcher(UiModeInterface).
 		Handle("setNightMode", func(call *binder.Call, args aidl.Args) error {
 			pkg, err := s.callerPkg(call)

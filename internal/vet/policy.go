@@ -9,9 +9,10 @@ func DefaultSpecWaivers() []Waiver {
 	return []Waiver{
 		// Paper Figure 9: the alarm @if signature guards the PendingIntent
 		// `operation` argument. In this simulation parcelables are
-		// aidl.Object canonical strings, so the ArgString comparison is
-		// exact (EntryString renders the full serialized form), unlike
-		// handles or fds whose numeric renderings are device-local.
+		// aidl.Object canonical strings, so the @if comparison is exact:
+		// the recorder's binder.Key is equal exactly when EntryString, the
+		// full serialized form, is. Handles and fds compare by their
+		// device-local numbers.
 		{Check: "guard-type", Interface: "IAlarmManager", Method: "set",
 			Reason: "paper Fig. 9 guards the PendingIntent operation; aidl.Object canonical form makes the comparison exact"},
 		{Check: "guard-type", Interface: "IAlarmManager", Method: "remove",

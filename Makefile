@@ -8,8 +8,8 @@
 #                    the repo source invariants (layer 3)
 #   make race        -race pass over the concurrency-sensitive packages
 #   make bench       hot-path microbenchmarks (record, obs, device boot,
-#                    one recorded Binder call from an app) + matrix
-#                    scaling benchmarks
+#                    image marshal and unmarshal, one recorded Binder
+#                    call from an app) + matrix scaling benchmarks
 #   make bench-pipeline  parallel-marshal / chunking / streamed-link /
 #                    rsyncx benchmarks plus the matrix lab spec (streamed
 #                    vs sequential across worker widths)
@@ -90,16 +90,13 @@ bench-module:
 race:
 	$(GO) test -race ./internal/record/ ./internal/experiments/ ./internal/binder/ ./internal/obs/ ./internal/migration/ ./internal/cria/ ./internal/netsim/ ./internal/rsyncx/ ./internal/faults/ ./internal/chunkstore/ ./internal/lab/ ./internal/fleet/ ./internal/seglog/ ./internal/aidl/ ./internal/replay/ ./internal/services/ ./internal/device/ ./internal/android/
 
-# BenchmarkRecordInterposition is one recorded Binder call from an app,
-# the per-call cost behind Figure 16. Each call appends a log entry
-# (enqueueNotification is a bare @record), so it runs a fixed count that
-# bounds the log at 100k entries instead of growing it with -benchtime.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/record/
 	$(GO) test -bench=. -benchmem ./internal/obs/
 	$(GO) test -bench=. -benchmem ./internal/device/
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/cria/
 	$(GO) test -bench='BenchmarkMatrixWorkers' -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkRecordInterposition' -benchtime=100000x -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkRecordInterposition' -benchmem .
 
 # The streaming-pipeline hot paths: parallel FXC2 marshal (run with
 # -cpu 1,4 on multi-core hosts to see the worker-pool scaling), chunk

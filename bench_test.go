@@ -18,6 +18,7 @@ import (
 	"flux/internal/migration"
 	"flux/internal/pairing"
 	"flux/internal/playstore"
+	"flux/internal/services"
 )
 
 // BenchmarkTable2 regenerates the decorated-services table.
@@ -205,6 +206,9 @@ func BenchmarkMigrationSingle(b *testing.B) {
 
 // BenchmarkRecordInterposition measures the per-call overhead Selective
 // Record adds to a Binder transaction — the micro quantity behind Fig 16.
+// Each call sets the music stream's volume, which the recorder keeps as
+// one log entry that every later call replaces (@drop this; @if
+// streamType), so the log stays one entry long at any -benchtime.
 func BenchmarkRecordInterposition(b *testing.B) {
 	dev, err := flux.NewDevice(flux.Nexus4("bench"))
 	if err != nil {
@@ -217,7 +221,7 @@ func BenchmarkRecordInterposition(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Notify(i%100, "n:bench"); err != nil {
+		if err := s.SetVolume(services.StreamMusic, i%8); err != nil {
 			b.Fatal(err)
 		}
 	}

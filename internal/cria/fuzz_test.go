@@ -9,6 +9,7 @@ package cria_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -99,7 +100,24 @@ func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
 // FXC2, any flip must produce an error (header framing or ErrChecksum);
 // bit flips can never silently decode, because every payload byte is
 // covered by a block CRC and every header byte by framing validation.
+// In FXC4, which no CRC covers ahead of the blocks, every flip of the
+// flags byte must error too.
 func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
+	for _, digests := range []bool{false, true} {
+		data := fuzzImageBytes(t, digests, []byte("fuzz-anchor"))
+		const flagsAt = 4 // the flags word follows the magic
+		if want := map[bool]byte{false: 0, true: 1}[digests]; data[flagsAt] != want {
+			t.Fatalf("digests=%v: flags byte %#x, want %#x", digests, data[flagsAt], want)
+		}
+		for bit := 0; bit < 8; bit++ {
+			mut := bytes.Clone(data)
+			mut[flagsAt] ^= 1 << bit
+			if _, err := cria.Unmarshal(mut); err == nil {
+				t.Errorf("digests=%v: flipping bit %d of the FXC4 flags byte decoded cleanly", digests, bit)
+			}
+		}
+	}
+
 	data := fuzzImageBytes(t, false, nil)
 	rng := rand.New(rand.NewSource(1))
 	var checksumHits int
@@ -121,5 +139,50 @@ func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
 	}
 	if checksumHits == 0 {
 		t.Error("no bit flip was caught by the CRC layer; payload coverage looks broken")
+	}
+}
+
+// TestUnmarshalRefusesTrailingBytes: in every revision, any byte after
+// the last block is refused.
+func TestUnmarshalRefusesTrailingBytes(t *testing.T) {
+	for name, data := range containers(t) {
+		for _, tail := range [][]byte{{0}, {0xff}, data[len(data)-16:], data} {
+			mut := append(bytes.Clone(data), tail...)
+			if _, err := cria.Unmarshal(mut); err == nil {
+				t.Errorf("%s: %d bytes after the last block decoded cleanly", name, len(tail))
+			}
+		}
+	}
+}
+
+// TestUnmarshalRefusesNonCanonicalHeader: an FXC4 container with an
+// empty anchor, and a header varint padded past its minimal encoding,
+// are refused. Marshal writes neither.
+func TestUnmarshalRefusesNonCanonicalHeader(t *testing.T) {
+	data := fuzzImageBytes(t, true, []byte("fuzz-anchor"))
+	const flagsAt, anchorLenAt = 4, 5
+	if data[anchorLenAt] != byte(len("fuzz-anchor")) {
+		t.Fatalf("anchor length byte %#x", data[anchorLenAt])
+	}
+	anchorEnd := anchorLenAt + 1 + len("fuzz-anchor")
+	// pad re-encodes the varint at offset at one byte longer than its
+	// minimal encoding, keeping its value.
+	pad := func(at int) []byte {
+		_, n := binary.Uvarint(data[at:])
+		v := bytes.Clone(data[at : at+n])
+		v[n-1] |= 0x80
+		return bytes.Join([][]byte{data[:at], v, {0}, data[at+n:]}, nil)
+	}
+	for name, mut := range map[string][]byte{
+		"empty anchor":        bytes.Join([][]byte{data[:anchorLenAt], {0}, data[anchorEnd:]}, nil),
+		"padded flags":        pad(flagsAt),
+		"padded anchor len":   pad(anchorLenAt),
+		"padded core count":   pad(anchorEnd),
+		"padded shard count":  pad(anchorEnd + 1),
+		"padded block length": pad(anchorEnd + 2),
+	} {
+		if _, err := cria.Unmarshal(mut); err == nil {
+			t.Errorf("%s decoded cleanly", name)
+		}
 	}
 }

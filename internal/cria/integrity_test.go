@@ -160,6 +160,13 @@ func TestUnmarshalLegacyFormat(t *testing.T) {
 	}
 }
 
+// inflated inflates comp into a buffer of its own.
+func inflated(comp []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	err := inflate(&buf, comp)
+	return buf.Bytes(), err
+}
+
 // TestInflateTruncatedDoesNotPoisonPool is the regression fence for the
 // pooled-reader bug: a reader that fails mid-decode must be dropped, so
 // interleaved failing and succeeding decodes never observe a broken
@@ -172,10 +179,10 @@ func TestInflateTruncatedDoesNotPoisonPool(t *testing.T) {
 	}
 	truncated := comp[:len(comp)/2]
 	for i := 0; i < 64; i++ {
-		if _, err := inflate(truncated); err == nil {
+		if _, err := inflated(truncated); err == nil {
 			t.Fatal("truncated DEFLATE stream decoded cleanly")
 		}
-		got, err := inflate(comp)
+		got, err := inflated(comp)
 		if err != nil {
 			t.Fatalf("iteration %d: valid stream failed after a truncated decode: %v", i, err)
 		}
@@ -186,11 +193,11 @@ func TestInflateTruncatedDoesNotPoisonPool(t *testing.T) {
 	// Garbage that fails at Reset/first-read must be equally harmless.
 	garbage := []byte{0xff, 0xff, 0x00, 0x01, 0x02}
 	for i := 0; i < 16; i++ {
-		if _, err := inflate(garbage); err == nil {
+		if _, err := inflated(garbage); err == nil {
 			t.Fatal("garbage stream decoded cleanly")
 		}
 	}
-	if got, err := inflate(comp); err != nil || !bytes.Equal(got, raw) {
+	if got, err := inflated(comp); err != nil || !bytes.Equal(got, raw) {
 		t.Fatalf("valid stream failed after garbage decodes: %v", err)
 	}
 }

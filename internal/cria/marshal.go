@@ -22,7 +22,15 @@ package cria
 //     not known, so measure the peak before removing the pool.
 //   - flate writers/readers and scratch buffers are sync.Pool-backed: the
 //     steady-state Marshal path does not re-allocate the ~1 MB flate
-//     window per call (BenchmarkImageMarshal tracks allocs/op).
+//     window per call (BenchmarkImageMarshal tracks allocs/op), and
+//     Unmarshal inflates every block into one pooled buffer.
+//   - gob encoders and decoders are pooled too, one pool per top-level
+//     type (the image core, a segment shard). A fresh gob codec compiles
+//     an engine for every type under imageCore and sends or reads every
+//     type definition again; that compile was most of what decoding one
+//     image cost. A pooled codec has already handled the definitions, so
+//     the compile runs once per process instead of once per stream. See
+//     gobCodec for why this is exact.
 //   - Marshal is a pure function of the image. Migrate calls it once and
 //     hands the bytes to WireBytes, Chunks and the guest's Unmarshal.
 //   - The runtime snapshot's SavedState map is serialized as key-sorted
@@ -38,7 +46,11 @@ package cria
 //
 // Unmarshal accepts exactly the three containers Marshal writes (FXC2,
 // FXC3, FXC4) and refuses any other leading bytes before DEFLATE or gob
-// see them.
+// see them. Outside the CRC-covered blocks it also refuses what Marshal
+// never writes: an FXC4 flags word other than 0 or 1, an empty FXC4
+// anchor, a header varint longer than its minimal encoding and any byte
+// after the last block. Inside a block it refuses gob data after the
+// block's one value.
 
 import (
 	"bytes"
@@ -163,10 +175,181 @@ var (
 		return w
 	}}
 	flateReaderPool = sync.Pool{New: func() any {
-		return flate.NewReader(bytes.NewReader(nil))
+		f := new(inflater)
+		f.r = flate.NewReader(&f.src)
+		return f
 	}}
 	bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
+
+// inflater is a pooled DEFLATE reader with the block reader it reads
+// from, so resetting it to a new block allocates nothing.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
+
+// gobCodec encodes and decodes one top-level type with gob encoders and
+// decoders that have already handled the type's definitions, so gob
+// compiles the type's engines once per process instead of once per
+// stream. It is exact:
+//
+//   - A gob stream is a sequence of messages, each a gob unsigned byte
+//     count and that many bytes, opening with a gob signed type id. A
+//     negative id defines a type; a non-negative one starts a value.
+//   - Gob type ids are process-global, so every stream a fresh encoder
+//     writes for this type opens with the same definition messages,
+//     defs. A pooled encoder's next Encode writes only the value
+//     message, so defs followed by that message equals a fresh
+//     encoder's stream byte for byte.
+//   - A pooled decoder has read defs and values of this type and
+//     nothing else. This type holds no interface, so reading a value
+//     defines no type. Handing it the value messages of a stream that
+//     opens with defs is gob's own "second value of one stream": it
+//     decodes what a fresh decoder reading the whole stream decodes,
+//     and fails where that one fails.
+//   - A stream whose definitions differ from defs (another program's
+//     type ids, or damage) gets a fresh decoder that reads all of it and
+//     is then dropped: a value of a foreign type that holds an interface
+//     may define more types while it decodes, and a decoder that kept
+//     them would no longer match a fresh one.
+//   - A codec that returned an error is dropped, as inflate drops a
+//     failed flate reader. Neither kind keeps a caller's buffer: the
+//     encoder writes into the caller's buffer through a writer it
+//     clears after each Encode, and the decoder's reader is reset after
+//     each Decode.
+type gobCodec struct {
+	defs []byte    // the definition messages a fresh encoder writes first
+	encs sync.Pool // *gobEncoder, each past one Encode of the type
+	decs sync.Pool // *gobDecoder, each past one Decode of a stream opening with defs
+}
+
+// The two top-level types Marshal writes. gob numbers a type the first
+// time the process uses it, and those numbers are written into every
+// stream. Building both codecs at package initialization, the image
+// core's types first, fixes the numbering, so no container byte depends
+// on which type a process happens to encode first.
+var (
+	coreCodec  = newGobCodec(new(imageCore))
+	shardCodec = newGobCodec(new([]kernel.MemSegment))
+)
+
+// newGobCodec builds the codec for the type zero points to.
+func newGobCodec(zero any) *gobCodec {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(zero); err != nil {
+		panic(err) // every type in imageCore is gob-encodable
+	}
+	return &gobCodec{defs: buf.Bytes()[:gobDefsLen(buf.Bytes())]}
+}
+
+// gobEncoder is a gob encoder writing into whichever buffer it is
+// pointed at.
+type gobEncoder struct {
+	enc *gob.Encoder
+	buf *bytes.Buffer // the caller's buffer during one Encode, else nil
+}
+
+func (e *gobEncoder) Write(p []byte) (int, error) { return e.buf.Write(p) }
+
+// gobDecoder is a gob decoder reading from a reader it owns. A
+// bytes.Reader is an io.ByteReader, so gob reads from it directly and
+// never past the current message, as it would through the bufio.Reader
+// it wraps around any other reader.
+type gobDecoder struct {
+	dec *gob.Decoder
+	src bytes.Reader
+}
+
+// errGobTrailing reports a block that holds more gob data after its
+// value, which Marshal never writes.
+var errGobTrailing = errors.New("gob data after the value")
+
+// encode appends v's gob stream to buf: the bytes a fresh gob.Encoder
+// writes for v.
+func (c *gobCodec) encode(buf *bytes.Buffer, v any) error {
+	e, _ := c.encs.Get().(*gobEncoder)
+	if e == nil {
+		e = new(gobEncoder)
+		e.enc = gob.NewEncoder(e) // its first Encode writes the definitions
+	} else {
+		buf.Write(c.defs)
+	}
+	e.buf = buf
+	err := e.enc.Encode(v)
+	e.buf = nil
+	if err != nil {
+		return err // drop e: it may have sent half a definition
+	}
+	c.encs.Put(e)
+	return nil
+}
+
+// decode decodes the one value in stream into v, as a fresh gob.Decoder
+// reading stream would, and refuses any data after it.
+func (c *gobCodec) decode(stream []byte, v any) error {
+	n := gobDefsLen(stream)
+	own := bytes.Equal(stream[:n], c.defs)
+	var d *gobDecoder
+	if own {
+		d, _ = c.decs.Get().(*gobDecoder)
+	}
+	if d != nil {
+		stream = stream[n:] // d has read these definitions
+	} else {
+		d = new(gobDecoder)
+		d.dec = gob.NewDecoder(&d.src)
+	}
+	d.src.Reset(stream)
+	err := d.dec.Decode(v)
+	if err == nil && d.src.Len() != 0 {
+		err = errGobTrailing
+	}
+	d.src.Reset(nil)
+	if err != nil || !own {
+		return err // drop d
+	}
+	c.decs.Put(d)
+	return nil
+}
+
+// gobDefsLen is the length of the type-definition messages that open a
+// gob stream. It stops at the first message that is not a complete
+// definition.
+func gobDefsLen(stream []byte) int {
+	off := 0
+	for {
+		size, w := gobUint(stream[off:])
+		if w == 0 || size > uint64(len(stream)-off-w) {
+			return off
+		}
+		id, iw := gobUint(stream[off+w : off+w+int(size)])
+		if iw == 0 || id&1 == 0 { // a gob int is negative when its low bit is set
+			return off
+		}
+		off += w + int(size)
+	}
+}
+
+// gobUint reads a gob unsigned integer: one byte below 0x80, else a
+// byte holding the negated count (at most 8) of big-endian bytes that
+// follow. The width is 0 when b does not open with a complete one.
+func gobUint(b []byte) (x uint64, width int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) <= n {
+		return 0, 0
+	}
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
+}
 
 // deflate compresses raw with a pooled writer, returning a fresh slice.
 // On any error the writer is dropped, not recycled: a flate.Writer that
@@ -192,26 +375,27 @@ func deflate(raw []byte) ([]byte, error) {
 	return out, nil
 }
 
-// inflate decompresses one block with a pooled reader. Error paths drop
-// the reader instead of recycling it: after a failed Reset, ReadAll, or
-// Close the decompressor's internal state is undefined, and returning it
-// to the pool would hand a broken reader to an unrelated future decode
-// (the bug this comment is the regression fence for — see
-// TestInflateTruncatedDoesNotPoisonPool).
-func inflate(comp []byte) ([]byte, error) {
-	r := flateReaderPool.Get().(io.ReadCloser)
-	if err := r.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		return nil, err // drop r
+// inflate decompresses one block with a pooled reader and appends the
+// bytes to dst. Error paths drop the reader instead of recycling it:
+// after a failed Reset, read, or Close the decompressor's internal state
+// is undefined, and returning it to the pool would hand a broken reader
+// to an unrelated future decode (the bug this comment is the regression
+// fence for — see TestInflateTruncatedDoesNotPoisonPool).
+func inflate(dst *bytes.Buffer, comp []byte) error {
+	f := flateReaderPool.Get().(*inflater)
+	f.src.Reset(comp)
+	if err := f.r.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return err // drop f
 	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err // drop r
+	if _, err := dst.ReadFrom(f.r); err != nil {
+		return err // drop f
 	}
-	if err := r.Close(); err != nil {
-		return nil, err // drop r
+	if err := f.r.Close(); err != nil {
+		return err // drop f
 	}
-	flateReaderPool.Put(r)
-	return raw, nil
+	f.src.Reset(nil) // keep no caller's block alive in the pool
+	flateReaderPool.Put(f)
+	return nil
 }
 
 // Marshal serializes the image metadata and compresses it into the
@@ -245,7 +429,7 @@ func (img *Image) Marshal() ([]byte, error) {
 	}
 	coreBuf := bufPool.Get().(*bytes.Buffer)
 	coreBuf.Reset()
-	if err := gob.NewEncoder(coreBuf).Encode(&core); err != nil {
+	if err := coreCodec.encode(coreBuf, &core); err != nil {
 		bufPool.Put(coreBuf)
 		return nil, fmt.Errorf("cria: encoding image core: %w", err)
 	}
@@ -291,10 +475,9 @@ func (img *Image) Marshal() ([]byte, error) {
 					slots[i].comp, slots[i].err = deflate(coreRaw[lo:hi])
 					continue
 				}
-				shard := shards[i-nCoreBlocks]
 				sb := bufPool.Get().(*bytes.Buffer)
 				sb.Reset()
-				if err := gob.NewEncoder(sb).Encode(shard); err != nil {
+				if err := shardCodec.encode(sb, &shards[i-nCoreBlocks]); err != nil {
 					slots[i].err = err
 					bufPool.Put(sb)
 					continue
@@ -375,7 +558,8 @@ var ErrDigest = errors.New("cria: image block content digest mismatch")
 // an error wrapping ErrChecksum) and, for FXC3 containers and digested
 // FXC4 containers, the SHA-256 content digest after inflating
 // (mismatches wrap ErrDigest). Input that does not start with the FXC2,
-// FXC3 or FXC4 magic is an error.
+// FXC3 or FXC4 magic is an error, and so is anything else the file
+// comment lists that Marshal never writes.
 func Unmarshal(data []byte) (*Image, error) {
 	if len(data) < len(marshalMagic) {
 		return nil, fmt.Errorf("cria: %d-byte input is shorter than the container magic", len(data))
@@ -385,14 +569,14 @@ func Unmarshal(data []byte) (*Image, error) {
 	rest := data[len(marshalMagic):]
 	switch string(data[:len(marshalMagic)]) {
 	case marshalMagicV4:
-		flags, n := binary.Uvarint(rest)
-		if n <= 0 {
+		flags, n := uvarint(rest)
+		if n <= 0 || flags > 1 {
 			return nil, fmt.Errorf("cria: corrupt image header (anchor flags)")
 		}
 		rest = rest[n:]
-		withDigest = flags&1 != 0
-		alen, n := binary.Uvarint(rest)
-		if n <= 0 || alen > uint64(len(rest)-n) {
+		withDigest = flags == 1
+		alen, n := uvarint(rest)
+		if n <= 0 || alen == 0 || alen > uint64(len(rest)-n) {
 			return nil, fmt.Errorf("cria: corrupt image header (anchor length)")
 		}
 		rest = rest[n:]
@@ -404,66 +588,69 @@ func Unmarshal(data []byte) (*Image, error) {
 	default:
 		return nil, fmt.Errorf("cria: unknown image container magic %q", data[:len(marshalMagic)])
 	}
-	nCore, n := binary.Uvarint(rest)
+	nCore, n := uvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("cria: corrupt image header (core block count)")
 	}
 	rest = rest[n:]
-	nShards, n := binary.Uvarint(rest)
+	nShards, n := uvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("cria: corrupt image header (shard count)")
 	}
 	rest = rest[n:]
 
+	// Blocks inflate into one pooled buffer. gob copies every string and
+	// byte slice out of its input, so nothing decoded aliases it.
+	raw := bufPool.Get().(*bytes.Buffer)
+	raw.Reset()
+	defer bufPool.Put(raw)
 	blockIdx := -1
-	nextBlock := func() ([]byte, error) {
+	// nextBlock checks the next block and inflates it onto the end of raw.
+	nextBlock := func() error {
 		blockIdx++
-		ln, n := binary.Uvarint(rest)
+		ln, n := uvarint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("cria: corrupt image block length")
+			return fmt.Errorf("cria: corrupt image block length")
 		}
 		rest = rest[n:]
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("cria: truncated image block checksum")
+			return fmt.Errorf("cria: truncated image block checksum")
 		}
 		want := binary.LittleEndian.Uint32(rest[:4])
 		rest = rest[4:]
 		var wantSum [sha256.Size]byte
 		if withDigest {
 			if len(rest) < sha256.Size {
-				return nil, fmt.Errorf("cria: truncated image block digest")
+				return fmt.Errorf("cria: truncated image block digest")
 			}
 			copy(wantSum[:], rest[:sha256.Size])
 			rest = rest[sha256.Size:]
 		}
 		if ln > uint64(len(rest)) {
-			return nil, fmt.Errorf("cria: corrupt image block length")
+			return fmt.Errorf("cria: corrupt image block length")
 		}
 		block := rest[:ln]
 		rest = rest[ln:]
 		if blockChecksum(block) != want {
-			return nil, fmt.Errorf("%w (block %d)", ErrChecksum, blockIdx)
+			return fmt.Errorf("%w (block %d)", ErrChecksum, blockIdx)
 		}
-		raw, err := inflate(block)
-		if err != nil {
-			return nil, err
+		start := raw.Len()
+		if err := inflate(raw, block); err != nil {
+			return err
 		}
-		if withDigest && sha256.Sum256(raw) != wantSum {
-			return nil, fmt.Errorf("%w (block %d)", ErrDigest, blockIdx)
+		if withDigest && sha256.Sum256(raw.Bytes()[start:]) != wantSum {
+			return fmt.Errorf("%w (block %d)", ErrDigest, blockIdx)
 		}
-		return raw, nil
+		return nil
 	}
 
-	var coreRaw []byte
 	for i := uint64(0); i < nCore; i++ {
-		raw, err := nextBlock()
-		if err != nil {
+		if err := nextBlock(); err != nil {
 			return nil, fmt.Errorf("cria: decompressing image core: %w", err)
 		}
-		coreRaw = append(coreRaw, raw...)
 	}
 	var core imageCore
-	if err := gob.NewDecoder(bytes.NewReader(coreRaw)).Decode(&core); err != nil {
+	if err := coreCodec.decode(raw.Bytes(), &core); err != nil {
 		return nil, fmt.Errorf("cria: decoding image core: %w", err)
 	}
 	if uint64(core.SegmentShards) != nShards {
@@ -485,17 +672,35 @@ func Unmarshal(data []byte) (*Image, error) {
 		HomeVolumeSteps: core.HomeVolumeSteps,
 	}
 	for i := uint64(0); i < nShards; i++ {
-		raw, err := nextBlock()
-		if err != nil {
+		raw.Reset()
+		if err := nextBlock(); err != nil {
 			return nil, fmt.Errorf("cria: decompressing segment shard %d: %w", i, err)
 		}
 		var shard []kernel.MemSegment
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&shard); err != nil {
+		if err := shardCodec.decode(raw.Bytes(), &shard); err != nil {
 			return nil, fmt.Errorf("cria: decoding segment shard %d: %w", i, err)
 		}
-		img.Segments = append(img.Segments, shard...)
+		if i == 0 {
+			img.Segments = shard
+		} else {
+			img.Segments = append(img.Segments, shard...)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("cria: %d bytes after the last image block", len(rest))
 	}
 	return img, nil
+}
+
+// uvarint reads one container header varint. It refuses an encoding
+// longer than the minimal one Marshal writes, whose last byte is never
+// zero.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // WireBytes is the image's total transfer size given its Marshal output

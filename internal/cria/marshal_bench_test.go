@@ -52,6 +52,26 @@ func BenchmarkImageMarshal(b *testing.B) {
 	}
 }
 
+// BenchmarkImageUnmarshal measures decoding what BenchmarkImageMarshal
+// writes: CRC checks, inflating every block into one pooled buffer, and
+// gob decoding through the pooled, primed decoders.
+func BenchmarkImageUnmarshal(b *testing.B) {
+	data, err := benchImage(2048).Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cria.Unmarshal(data); err != nil { // warm pools
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cria.Unmarshal(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkImageChunks measures chunk-partition cost at the pipeline's
 // default chunk size (the metadata is marshalled once, outside the loop,
 // so this is the pure partitioning arithmetic).

@@ -101,6 +101,9 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 
 func TestRingBoundsMemory(t *testing.T) {
 	tr := NewTracer(4)
+	if tr.ring != nil {
+		t.Fatal("a tracer holds a ring before any span finished")
+	}
 	for i := 0; i < 10; i++ {
 		tr.Start("s").End()
 	}

@@ -8,8 +8,9 @@
 #                    the repo source invariants (layer 3)
 #   make race        -race pass over the concurrency-sensitive packages
 #   make bench       hot-path microbenchmarks (record, obs, device boot,
-#                    image marshal and unmarshal, one recorded Binder
-#                    call from an app) + matrix scaling benchmarks
+#                    image marshal and unmarshal, chunk-store puts, one
+#                    recorded Binder call from an app) + matrix scaling
+#                    benchmarks
 #   make bench-pipeline  parallel-marshal / chunking / streamed-link /
 #                    rsyncx benchmarks plus the matrix lab spec (streamed
 #                    vs sequential across worker widths)
@@ -95,6 +96,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/obs/
 	$(GO) test -bench=. -benchmem ./internal/device/
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/cria/
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/chunkstore/
 	$(GO) test -bench='BenchmarkMatrixWorkers' -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkRecordInterposition' -benchmem .
 

@@ -12,15 +12,21 @@
 // Design constraints, in order:
 //
 //   - Deterministic. Eviction order is a pure function of the operation
-//     sequence: recency is a monotonic use-counter, not wall-clock time,
+//     sequence: recency is the order of operations, not wall-clock time,
 //     so the store is clean under the repo's virtual-clock and maprange
 //     source invariants (fluxvet) and byte-identical at any worker-pool
 //     width. Same seed + same budget ⇒ identical eviction order (tested).
 //   - Bounded. A byte budget caps resident content; least-recently-used
 //     entries evict first.
 //   - Accounted. Hits, misses, evictions, invalidations, and the wire
-//     bytes the cache kept off the air are all counted for the
-//     flux_migration_cache_* metrics and the commuter experiment.
+//     bytes the cache kept off the air are all counted in Stats, which
+//     the migration report and the commuter experiment read.
+//   - Allocation-free per operation. Entries live by value in one slot
+//     table, linked into the recency list by slot index, and evicted
+//     slots are reused through a free list; a map from digest to slot
+//     index finds them. Only growing the table or the map allocates, and
+//     neither holds a pointer, so the garbage collector never scans the
+//     store.
 //
 // The store holds chunk *identities and sizes*, not payload bytes — the
 // simulation's substitution rule carries segment content as (size,
@@ -28,7 +34,6 @@
 package chunkstore
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 )
@@ -53,29 +58,38 @@ type Stats struct {
 	BytesNotShipped int64
 }
 
-// entry is one resident chunk.
-type entry struct {
+// slot is one entry of the slot table: a resident chunk, or a free slot
+// waiting for reuse.
+type slot struct {
 	digest Digest
 	// raw is the chunk's uncompressed size (the budget currency: resident
 	// content occupies raw bytes on the device).
 	raw int64
-	// wire is the chunk's on-the-wire size, remembered for eviction
-	// accounting.
+	// wire is the chunk's on-the-wire size as last Put.
 	wire int64
-	elem *list.Element
+	// prev and next link a resident slot into the recency list; a free
+	// slot keeps the next free slot in next. Slot 0 is the list's root,
+	// so index 0 also ends the free list.
+	prev, next int32
 }
 
 // Store is a per-device, per-pair content-addressed chunk cache with LRU
 // byte-budget eviction. Safe for concurrent use; every operation is a
 // pure function of the serialized operation order.
 type Store struct {
-	mu      sync.Mutex
-	budget  int64
-	size    int64
-	entries map[Digest]*entry
-	// lru orders entries most-recently-used first; eviction pops the
-	// back. Recency is the operation sequence itself — no clocks.
-	lru   *list.List
+	mu     sync.Mutex
+	budget int64
+	size   int64
+	// index maps each resident digest to its slot.
+	index map[Digest]int32
+	// slots holds every entry by value. slots[0] is the root of the
+	// circular recency list: its next is the most recently used entry and
+	// its prev the least, which eviction takes first. Recency is the
+	// operation sequence itself — no clocks.
+	slots []slot
+	// free is the first slot an eviction or invalidation released (0:
+	// none), reused before the table grows.
+	free  int32
 	stats Stats
 	// onEvict, when set (tests, telemetry), observes every eviction in
 	// order with the entry's digest and raw size.
@@ -85,9 +99,9 @@ type Store struct {
 // New builds a store with a raw-byte budget; budget <= 0 means unbounded.
 func New(budget int64) *Store {
 	return &Store{
-		budget:  budget,
-		entries: make(map[Digest]*entry),
-		lru:     list.New(),
+		budget: budget,
+		index:  make(map[Digest]int32),
+		slots:  make([]slot, 1),
 	}
 }
 
@@ -107,7 +121,7 @@ func (s *Store) Budget() int64 { return s.budget }
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.index)
 }
 
 // SizeBytes returns the resident raw bytes.
@@ -134,12 +148,12 @@ func (s *Store) Lookup(d Digest, wire int64) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[d]
+	i, ok := s.index[d]
 	if !ok {
 		s.stats.Misses++
 		return false
 	}
-	s.lru.MoveToFront(e.elem)
+	s.moveToFront(i)
 	s.stats.Hits++
 	if wire > 0 {
 		s.stats.BytesNotShipped += wire
@@ -156,7 +170,7 @@ func (s *Store) Contains(d Digest) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[d]
+	_, ok := s.index[d]
 	return ok
 }
 
@@ -174,19 +188,27 @@ func (s *Store) Put(d Digest, raw, wire int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++
-	if e, ok := s.entries[d]; ok {
+	if i, ok := s.index[d]; ok {
+		e := &s.slots[i]
 		s.size += raw - e.raw
 		e.raw, e.wire = raw, wire
-		s.lru.MoveToFront(e.elem)
+		s.moveToFront(i)
 	} else {
-		e := &entry{digest: d, raw: raw, wire: wire}
-		e.elem = s.lru.PushFront(e)
-		s.entries[d] = e
+		i := s.free
+		if i != 0 {
+			s.free = s.slots[i].next
+		} else {
+			i = int32(len(s.slots))
+			s.slots = append(s.slots, slot{})
+		}
+		s.slots[i] = slot{digest: d, raw: raw, wire: wire}
+		s.pushFront(i)
+		s.index[d] = i
 		s.size += raw
 	}
 	if s.budget > 0 {
-		for s.size > s.budget && s.lru.Len() > 0 {
-			s.evictLocked(s.lru.Back().Value.(*entry))
+		for s.size > s.budget && s.slots[0].prev != 0 {
+			s.evictLocked(s.slots[0].prev)
 			s.stats.Evictions++
 		}
 	}
@@ -200,20 +222,47 @@ func (s *Store) Invalidate(d Digest) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[d]
+	i, ok := s.index[d]
 	if !ok {
 		return false
 	}
-	s.evictLocked(e)
+	s.evictLocked(i)
 	s.stats.Invalidations++
 	return true
 }
 
-func (s *Store) evictLocked(e *entry) {
-	s.lru.Remove(e.elem)
-	delete(s.entries, e.digest)
+// evictLocked unlinks resident slot i, drops it from the index and puts
+// it on the free list.
+func (s *Store) evictLocked(i int32) {
+	s.unlink(i)
+	e := &s.slots[i]
+	delete(s.index, e.digest)
 	s.size -= e.raw
+	e.next, s.free = s.free, i
 	if s.onEvict != nil {
 		s.onEvict(e.digest, e.raw)
+	}
+}
+
+// pushFront links slot i in as the most recently used entry.
+func (s *Store) pushFront(i int32) {
+	first := s.slots[0].next
+	s.slots[i].prev, s.slots[i].next = 0, first
+	s.slots[first].prev = i
+	s.slots[0].next = i
+}
+
+// unlink takes slot i out of the recency list.
+func (s *Store) unlink(i int32) {
+	prev, next := s.slots[i].prev, s.slots[i].next
+	s.slots[prev].next = next
+	s.slots[next].prev = prev
+}
+
+// moveToFront makes resident slot i the most recently used entry.
+func (s *Store) moveToFront(i int32) {
+	if s.slots[0].next != i {
+		s.unlink(i)
+		s.pushFront(i)
 	}
 }

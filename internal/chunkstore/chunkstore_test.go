@@ -2,8 +2,11 @@ package chunkstore
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -137,13 +140,16 @@ func TestNilStoreIsSafe(t *testing.T) {
 // the same seeded operation sequence against the same budget must
 // produce an identical eviction order, every run, independent of map
 // iteration order or scheduling. This is what makes commuter reports
-// byte-identical at any worker-pool width.
+// byte-identical at any worker-pool width. The eviction sequence's
+// SHA-256 and the final Stats are pinned at what the container/list
+// store produced, so the order is the one that store gave, not only a
+// stable one.
 func TestEvictionOrderDeterministic(t *testing.T) {
-	run := func(seed int64, budget int64) ([]Digest, Stats) {
+	run := func(seed int64, budget int64) ([]eviction, Stats) {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(budget)
-		var order []Digest
-		s.SetOnEvict(func(d Digest, raw int64) { order = append(order, d) })
+		var order []eviction
+		s.SetOnEvict(func(d Digest, raw int64) { order = append(order, eviction{d, raw}) })
 		for op := 0; op < 2000; op++ {
 			i := rng.Intn(64)
 			switch rng.Intn(4) {
@@ -156,6 +162,14 @@ func TestEvictionOrderDeterministic(t *testing.T) {
 			}
 		}
 		return order, s.Stats()
+	}
+	pinned := map[int64]struct {
+		sha   string
+		stats Stats
+	}{
+		1:  {"e91aef7e465026a2b1ac4e021899f749bbc53164ca080c9acceb17b14bf20781", Stats{Hits: 114, Misses: 383, Puts: 1018, Evictions: 695, Invalidations: 94, BytesNotShipped: 22122}},
+		7:  {"cf80e99b8a7daeddb3b2489e92368b83b3c584fd1f96cfccf0b4dd87a5211d62", Stats{Hits: 103, Misses: 367, Puts: 1043, Evictions: 676, Invalidations: 94, BytesNotShipped: 20995}},
+		42: {"63f73b8f5981c74127bba54fb06271da54a84919a73e6d30d2edde84a5187bd2", Stats{Hits: 107, Misses: 387, Puts: 999, Evictions: 646, Invalidations: 118, BytesNotShipped: 23381}},
 	}
 	for _, seed := range []int64{1, 7, 42} {
 		o1, st1 := run(seed, 8<<10)
@@ -174,5 +188,137 @@ func TestEvictionOrderDeterministic(t *testing.T) {
 		if st1 != st2 {
 			t.Fatalf("seed %d: stats diverge: %+v vs %+v", seed, st1, st2)
 		}
+		want := pinned[seed]
+		if got := evictionSHA(o1); got != want.sha {
+			t.Errorf("seed %d: eviction sequence SHA-256 %s, pinned %s", seed, got, want.sha)
+		}
+		if st1 != want.stats {
+			t.Errorf("seed %d: stats %+v, pinned %+v", seed, st1, want.stats)
+		}
 	}
+}
+
+// TestConcurrentUse drives one budgeted store from several goroutines
+// (run it with -race): the store must stay within its budget and count
+// every operation.
+func TestConcurrentUse(t *testing.T) {
+	const workers, ops, budget = 4, 2000, 8 << 10
+	s := New(budget)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < ops; op++ {
+				d := dig(rng.Intn(64))
+				switch op % 4 {
+				case 0, 1:
+					s.Put(d, int64(rng.Intn(900)+100), 50)
+				case 2:
+					s.Lookup(d, 50)
+				case 3:
+					s.Invalidate(d)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Puts != workers*ops/2 || st.Hits+st.Misses != workers*ops/4 {
+		t.Fatalf("stats %+v, want %d puts and %d lookups", st, workers*ops/2, workers*ops/4)
+	}
+	if s.SizeBytes() > budget || s.Len() > 64 {
+		t.Fatalf("store holds %d entries, %d bytes over a %d-byte budget", s.Len(), s.SizeBytes(), budget)
+	}
+}
+
+// evictionSHA hashes an eviction sequence in hex: each digest, then its
+// raw size as 8 little-endian bytes.
+func evictionSHA(evs []eviction) string {
+	h := sha256.New()
+	for _, e := range evs {
+		h.Write(e.d[:])
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(e.raw)))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// seqDigest is the n-th digest of a sequence that never repeats, built
+// without allocating.
+func seqDigest(n int) Digest {
+	var d Digest
+	binary.LittleEndian.PutUint64(d[:], uint64(n))
+	return d
+}
+
+// TestStoreAllocs pins what the store allocates per operation: nothing.
+// A new digest takes a freed slot once a budget evicts, and growing the
+// slot table and the index is amortized over the puts that fill them,
+// so 1,000 puts into an unbounded store allocate less than once per
+// put (AllocsPerRun truncates the mean).
+func TestStoreAllocs(t *testing.T) {
+	const runs, raw = 1000, 100
+	budgeted := New(64 * raw) // full after 64 puts; each later put evicts one entry
+	next := 0
+	put := func(s *Store) func() {
+		return func() {
+			s.Put(seqDigest(next), raw, raw/2)
+			next++
+		}
+	}
+	for next < 64 {
+		put(budgeted)()
+	}
+	resident, absent := seqDigest(0), seqDigest(-1)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Lookup/hit", func() { budgeted.Lookup(resident, raw) }},
+		{"Lookup/miss", func() { budgeted.Lookup(absent, raw) }},
+		{"Contains", func() { budgeted.Contains(resident) }},
+		{"Put/budgeted", put(budgeted)},
+		{"Put/unbounded", put(New(0))},
+	} {
+		if allocs := testing.AllocsPerRun(runs, tc.call); allocs != 0 {
+			t.Errorf("%s allocated %.0f objects per call, pinned at 0", tc.name, allocs)
+		}
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	if st := budgeted.Stats(); st.Hits != runs+1 || st.Evictions != runs+1 {
+		t.Fatalf("budgeted store: %d hits and %d evictions, want %d of each", st.Hits, st.Evictions, runs+1)
+	}
+	// Growth amortizes to zero allocations per put, so only the table's
+	// size shows whether evicted slots are reused: 64 entries, one slot
+	// freed and retaken by each put, and the root.
+	if n := len(budgeted.slots); n != 64+2 {
+		t.Fatalf("budgeted store holds %d slots for 64 entries, want 66", n)
+	}
+}
+
+// BenchmarkStorePut measures putting a digest the store does not hold:
+// into a full budgeted store, where each put evicts the least recently
+// used entry and reuses its slot, and into unbounded stores that grow
+// to 2,048 entries each, about what one commuter itinerary puts into
+// each of its two stores.
+func BenchmarkStorePut(b *testing.B) {
+	const fill = 2048
+	b.Run("budgeted", func(b *testing.B) {
+		s := New(fill * 100)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Put(seqDigest(i), 100, 50)
+		}
+	})
+	b.Run("unbounded", func(b *testing.B) {
+		var s *Store
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%fill == 0 {
+				s = New(0)
+			}
+			s.Put(seqDigest(i), 100, 50)
+		}
+	})
 }

@@ -45,3 +45,35 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}
 }
+
+// chunksSink keeps TestChunksAllocs' chunk list on the heap, as the
+// migration that negotiates or streams it does.
+var chunksSink []cria.Chunk
+
+// TestChunksAllocs pins what cutting one real checkpoint into wire
+// chunks allocates: the chunk list, sized once by counting the chunks
+// first. A segment chunk's digest input is built on the stack.
+func TestChunksAllocs(t *testing.T) {
+	img := checkpointImage(t)
+	wire, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := img.Segments[0]
+	for _, tc := range []struct {
+		name   string
+		pinned float64
+		call   func()
+	}{
+		{"Image.Chunks", 1, func() {
+			if chunksSink, err = img.Chunks(wire, 256<<10); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"segmentChunkDigest", 0, func() { cria.SegmentChunkDigest(seg, 1, 256<<10, 256<<10) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.call); allocs != tc.pinned {
+			t.Errorf("%s allocated %.0f objects, pinned at %.0f; re-pin only for a deliberate change", tc.name, allocs, tc.pinned)
+		}
+	}
+}

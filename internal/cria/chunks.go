@@ -105,7 +105,11 @@ func (img *Image) Chunks(meta []byte, chunkBytes int64) ([]Chunk, error) {
 	if chunkBytes < 1 {
 		return nil, fmt.Errorf("cria: chunk size must be at least 1 byte, got %d", chunkBytes)
 	}
-	var chunks []Chunk
+	n := chunkCount(int64(len(meta)), chunkBytes) + chunkCount(int64(len(img.RecordLog)), chunkBytes)
+	for _, seg := range img.Segments {
+		n += chunkCount(seg.Size, chunkBytes)
+	}
+	chunks := make([]Chunk, 0, n)
 	add := func(c Chunk) {
 		c.Index = len(chunks)
 		chunks = append(chunks, c)
@@ -161,6 +165,15 @@ func (img *Image) Chunks(meta []byte, chunkBytes int64) ([]Chunk, error) {
 	return chunks, nil
 }
 
+// chunkCount is how many chunks of at most chunkBytes the loops in
+// Chunks cut size bytes into: ⌈size/chunkBytes⌉, and none for size <= 0.
+func chunkCount(size, chunkBytes int64) int {
+	if size <= 0 {
+		return 0
+	}
+	return int((size-1)/chunkBytes + 1)
+}
+
 // segmentChunkDigest is the canonical content identity of one chunk of a
 // memory segment at a given content generation. The simulation never
 // materializes segment payloads, so the identity is synthesized from
@@ -170,8 +183,10 @@ func (img *Image) Chunks(meta []byte, chunkBytes int64) ([]Chunk, error) {
 // would be identical — which is the property the delta-migration cache
 // needs, and what a real implementation gets by hashing the page bytes.
 func segmentChunkDigest(seg kernel.MemSegment, gen uint64, off, n int64) [sha256.Size]byte {
-	buf := make([]byte, 0, len("flux.segchunk.v1")+len(seg.Name)+2+5*8)
-	buf = append(buf, "flux.segchunk.v1"...)
+	// The encoding is built in a stack array; only a segment name longer
+	// than ~190 bytes makes append move it to the heap.
+	var stack [256]byte
+	buf := append(stack[:0], "flux.segchunk.v1"...)
 	buf = append(buf, seg.Name...)
 	buf = append(buf, 0, byte(seg.Kind))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(seg.Size))

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"flux/internal/android"
@@ -77,6 +78,9 @@ func TestChunksInvariants(t *testing.T) {
 				if len(chunks) == 0 {
 					t.Fatal("no chunks")
 				}
+				if cap(chunks) != len(chunks) {
+					t.Errorf("Chunks sized its slice for %d chunks, cut %d", cap(chunks), len(chunks))
+				}
 				var sumWire, segWire, segRaw, metaWire, logRaw int64
 				phase := cria.ChunkMetadata
 				for i, c := range chunks {
@@ -127,6 +131,33 @@ func TestChunksInvariants(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestChunkDigestsPinned pins every Digest and PrevDigest Chunks
+// computes for a synthetic image with rewritten segments, one of them
+// with a name too long for segmentChunkDigest's stack buffer: the
+// delta cache keys on these bytes, so they may move only together with
+// the committed commuter baselines.
+func TestChunkDigestsPinned(t *testing.T) {
+	const pinned = "324cf863d6bc34b4b86ed3d45587dbd105b6cc0a0a0d69cb5fdc927b23ee2e2b"
+	img := smallImage()
+	img.Segments[0].Gen, img.Segments[0].DirtyFrac = 3, 0.25
+	img.Segments = append(img.Segments, kernel.MemSegment{
+		Name: "surface:" + strings.Repeat("com.example.LongActivityName", 10),
+		Kind: kernel.SegGraphics, Size: 2500, Entropy: 0.95, Gen: 1, DirtyFrac: 0.5,
+	})
+	chunks, err := img.Chunks([]byte("fixed metadata bytes"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, c := range chunks {
+		h.Write(c.Digest[:])
+		h.Write(c.PrevDigest[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
+		t.Errorf("chunk digests hash to %s, pinned %s", got, pinned)
 	}
 }
 

@@ -80,23 +80,29 @@ func (f chunkFate) String() string {
 	return "ship"
 }
 
-// deltaPlan is the negotiation's per-chunk verdict plus its aggregate
-// accounting. Indices parallel the chunk slice handed to negotiate.
-type deltaPlan struct {
-	fates []chunkFate
-	// ship is the wire bytes each chunk actually puts on the air (zero
-	// for hits, rolling literals for fateRolling, full wire otherwise).
-	ship []int64
-	// full is each chunk's cache-disabled wire size (the planPipeline
+// chunkPlan is one chunk's negotiated verdict.
+type chunkPlan struct {
+	fate chunkFate
+	// ship is the wire bytes the chunk actually puts on the air (zero for
+	// hits, rolling literals for fateRolling, full wire otherwise).
+	ship int64
+	// full is the chunk's cache-disabled wire size (the planPipeline
 	// effective wire).
-	full []int64
-	// compRawPer is the uncompressed bytes each chunk still runs through
-	// the compressor: zero for hits, the shipped fraction for rolling
-	// deltas, everything for full ships.
-	compRawPer []int64
+	full int64
+	// compRaw is the uncompressed bytes the chunk still runs through the
+	// compressor: zero for hits, the shipped fraction for rolling deltas,
+	// everything for full ships.
+	compRaw int64
+}
 
-	compRaw          int64 // sum of compRawPer
-	shippedImageWire int64 // sum of ship
+// deltaPlan is the negotiation's per-chunk verdict plus its aggregate
+// accounting.
+type deltaPlan struct {
+	// chunks parallels the chunk slice handed to negotiate.
+	chunks []chunkPlan
+
+	compRaw          int64 // sum of chunks[i].compRaw
+	shippedImageWire int64 // sum of chunks[i].ship
 	negUp, negDown   int64 // negotiation bytes home→guest / guest→home
 
 	hits, misses, rollingHits, poisoned int
@@ -139,27 +145,25 @@ func effectiveWire(c cria.Chunk, skipCompression bool) int64 {
 func (m *Migrator) negotiate(chunks []cria.Chunk, fr *faultRun) *deltaPlan {
 	guest, source := m.Opts.Cache, m.Opts.SourceCache
 	dp := &deltaPlan{
-		fates:      make([]chunkFate, len(chunks)),
-		ship:       make([]int64, len(chunks)),
-		full:       make([]int64, len(chunks)),
-		compRawPer: make([]int64, len(chunks)),
-		negUp:      negHeaderBytes,
-		negDown:    negHeaderBytes,
+		chunks:  make([]chunkPlan, len(chunks)),
+		negUp:   negHeaderBytes,
+		negDown: negHeaderBytes,
 	}
 	var zero chunkstore.Digest
 	advertised := 0
 	for i, c := range chunks {
 		full := effectiveWire(c, m.Opts.SkipCompression)
-		dp.full[i] = full
 		if full <= 0 {
 			// Nothing would cross the wire anyway; don't advertise it and
 			// keep the compressor costed as without a cache.
-			dp.fates[i] = fateShip
-			dp.compRawPer[i] = c.Raw
+			dp.chunks[i] = chunkPlan{fate: fateShip, full: full, compRaw: c.Raw}
 			dp.compRaw += c.Raw
 			continue
 		}
 		advertised++
+		// A chunk ships and compresses whole unless it hits or takes a
+		// rolling delta.
+		cp := chunkPlan{fate: fateShip, ship: full, full: full, compRaw: c.Raw}
 		switch {
 		case guest.Contains(c.Digest):
 			if fr != nil && fr.inj.Should(faults.ChunkCorrupt) {
@@ -169,15 +173,11 @@ func (m *Migrator) negotiate(chunks []cria.Chunk, fr *faultRun) *deltaPlan {
 				// bad entry.
 				guest.Invalidate(c.Digest)
 				guest.Put(c.Digest, c.Raw, full)
-				dp.fates[i] = fateShip
-				dp.ship[i] = full
-				dp.compRawPer[i] = c.Raw
-				dp.compRaw += c.Raw
 				dp.poisoned++
 				dp.poisonEvents = append(dp.poisonEvents, poisonEvent{chunk: i, wire: full})
 			} else {
 				guest.Lookup(c.Digest, full) // counts the hit + bytes saved
-				dp.fates[i] = fateHit
+				cp.fate, cp.ship, cp.compRaw = fateHit, 0, 0
 				dp.hits++
 				dp.notShipped += full
 			}
@@ -186,38 +186,29 @@ func (m *Migrator) negotiate(chunks []cria.Chunk, fr *faultRun) *deltaPlan {
 			lit := rsyncx.RollingLiteralBytes(full, c.DirtyFrac)
 			sig := rsyncx.SignatureBytes(c.Raw)
 			if lit+sig < full {
-				dp.fates[i] = fateRolling
-				dp.ship[i] = lit
+				cp.fate, cp.ship = fateRolling, lit
+				// The compressor only touches the literal fraction.
+				cp.compRaw = int64(float64(c.Raw) * float64(lit) / float64(full))
 				dp.negDown += sig
 				dp.notShipped += full - lit
 				dp.deltaBytes += lit
 				dp.rollingHits++
-				// The compressor only touches the literal fraction.
-				scaled := int64(float64(c.Raw) * float64(lit) / float64(full))
-				dp.compRawPer[i] = scaled
-				dp.compRaw += scaled
 			} else {
 				// Delta bookkeeping would cost more than re-shipping.
-				dp.fates[i] = fateShip
-				dp.ship[i] = full
-				dp.compRawPer[i] = c.Raw
-				dp.compRaw += c.Raw
 				dp.misses++
 			}
 			guest.Put(c.Digest, c.Raw, full)
 		default:
 			guest.Lookup(c.Digest, full) // counts the miss
-			dp.fates[i] = fateShip
-			dp.ship[i] = full
-			dp.compRawPer[i] = c.Raw
-			dp.compRaw += c.Raw
 			dp.misses++
 			guest.Put(c.Digest, c.Raw, full)
 		}
 		// The home side learns every digest it offered: after this hop
 		// both devices hold the content, so the return hop hits.
 		source.Put(c.Digest, c.Raw, full)
-		dp.shippedImageWire += dp.ship[i]
+		dp.chunks[i] = cp
+		dp.compRaw += cp.compRaw
+		dp.shippedImageWire += cp.ship
 	}
 	dp.negUp += int64(advertised) * negPerChunkBytes
 	dp.negDown += int64(advertised+7) / 8 // have-bitmap
@@ -246,7 +237,6 @@ func (dp *deltaPlan) poisonOverhead(fr *faultRun, sp *obs.Span) time.Duration {
 // transfer stage span and emits one cache.lookup instant span per
 // negotiated chunk.
 func (dp *deltaPlan) record(rep *Report, sp *obs.Span) {
-	chunks := len(dp.fates)
 	rep.CacheHits = dp.hits
 	rep.CacheMisses = dp.misses
 	rep.CacheRollingHits = dp.rollingHits
@@ -255,15 +245,15 @@ func (dp *deltaPlan) record(rep *Report, sp *obs.Span) {
 	rep.CacheDeltaBytes = dp.deltaBytes
 	rep.CacheNegotiationBytes = dp.negUp + dp.negDown
 	if sp != nil {
-		for i := 0; i < chunks; i++ {
-			if dp.full[i] <= 0 {
+		for i, cp := range dp.chunks {
+			if cp.full <= 0 {
 				continue
 			}
 			sp.Child(SpanCacheLookup,
 				obs.Int64("chunk", int64(i)),
-				obs.String("outcome", dp.fates[i].String()),
-				obs.Int64("full_wire_bytes", dp.full[i]),
-				obs.Int64("ship_bytes", dp.ship[i]),
+				obs.String("outcome", cp.fate.String()),
+				obs.Int64("full_wire_bytes", cp.full),
+				obs.Int64("ship_bytes", cp.ship),
 			).End()
 		}
 		sp.Attr(

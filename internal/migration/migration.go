@@ -113,8 +113,11 @@ type Report struct {
 	PipelineSavings time.Duration
 	// CacheHits / CacheMisses / CacheRollingHits break down the delta
 	// negotiation's chunk fates (Options.Cache runs only): chunks served
-	// from the guest's cache, chunks shipped in full, and chunks shipped
-	// as rolling deltas against the previous content generation.
+	// from the guest's cache, chunks shipped in full because the guest
+	// held no copy a rolling delta could use profitably, and chunks
+	// shipped as rolling deltas against the previous content generation.
+	// A poisoned re-fetch also ships in full but counts in CachePoisoned,
+	// not in CacheMisses.
 	CacheHits        int
 	CacheMisses      int
 	CacheRollingHits int

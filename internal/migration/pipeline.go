@@ -139,9 +139,10 @@ func planPipeline(chunks []cria.Chunk, homeCPU float64, skipCompression bool, dp
 		lane := chunkLane{Chunk: c, Wire: effectiveWire(c, skipCompression)}
 		compRaw := c.Raw
 		if dp != nil {
-			lane.Wire = dp.ship[i]
-			lane.Cached = dp.fates[i] == fateHit
-			compRaw = dp.compRawPer[i]
+			cp := dp.chunks[i]
+			lane.Wire = cp.ship
+			lane.Cached = cp.fate == fateHit
+			compRaw = cp.compRaw
 		}
 		lane.CkptStart = ckptFree
 		ckptWork := cpuWork(c.Raw, ckptPipeRate, homeCPU)
